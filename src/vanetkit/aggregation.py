@@ -165,8 +165,13 @@ def assemble_aggregate(observation: CongestionObservation,
     """Bundle the signatures once the adaptive threshold is met.
 
     Signatures over non-matching cells or failing verification are
-    ignored; the count is over distinct signer certificates.
+    ignored; the count is over distinct signer certificates.  The usable
+    signatures are a subset of `signatures`, so a list shorter than the
+    threshold returns None before any signature is verified.
     """
+    needed = required_signatures(rate)
+    if len(signatures) < needed:
+        return None
     cell = observation_cell(observation, cell_size)
     usable: list[SignedObservation] = []
     seen_keys: set[bytes] = set()
@@ -182,7 +187,6 @@ def assemble_aggregate(observation: CongestionObservation,
         seen_keys.add(key)
         seen_pseudonyms.add(signed.signer_pseudonym)
         usable.append(signed)
-    needed = required_signatures(rate)
     if len(usable) < needed:
         return None
     return AggregatedEvent(observation, tuple(usable), promoter_pseudonym, now, rate, needed)

@@ -59,10 +59,16 @@ def derive_private_key(material: bytes) -> bytes:
     return x.to_bytes(32, "big")
 
 
+# private key -> public key; one modular exponentiation per key, not per signature
+_PUBLIC_KEYS: dict[bytes, bytes] = {}
+
+
 def public_key(private: bytes) -> bytes:
-    x = int.from_bytes(private, "big")
-    y = pow(GROUP_G, x, GROUP_P)
-    return y.to_bytes(PUBLIC_KEY_LEN, "big")
+    public = _PUBLIC_KEYS.get(private)
+    if public is None:
+        y = pow(GROUP_G, int.from_bytes(private, "big"), GROUP_P)
+        public = _PUBLIC_KEYS[private] = y.to_bytes(PUBLIC_KEY_LEN, "big")
+    return public
 
 
 def _challenge_scalar(commit: bytes, public: bytes, message: bytes) -> int:

@@ -165,6 +165,10 @@ class SimConfig:
         return len(self.vehicles) + self.vehicle_count
 
 
+class ConservationError(RuntimeError):
+    """Packets generated differ from packets received, lost and in flight."""
+
+
 @dataclass
 class NodeStats:
     generated: int = 0
@@ -233,7 +237,7 @@ class _Node:
         self.equipped = False
         self.launched = False          # battery gate outcome for the current journey
         self.pseudonyms: auth.PseudonymState | None = None
-        self.revocations = RevocationStore(set(sim.roster.users))
+        self.revocations = RevocationStore(sim.known_users)
         self.sessions: dict[str, _Session] = {}
         self.initiators: dict[str, auth.AuthInitiator] = {}      # peer id -> engine
         self.responders: dict[bytes, tuple[str, auth.AuthResponder]] = {}
@@ -289,6 +293,7 @@ class Simulation:
         self.config = config
         self.network = network
         self.roster = roster
+        self.known_users = frozenset(roster.users)   # shared by every node's RevocationStore
         self.rng = random.Random(config.seed)
         self.trace: list[str] = []
         self.beacon_log: list[bytes] = []      # every beacon frame, for audits
@@ -1040,8 +1045,10 @@ def collect_metrics(sim: Simulation) -> NetworkStats:
                          events_rejected=sim.events_rejected,
                          in_flight=len(sim.in_flight))
     totals = stats.totals()
-    assert totals.generated == totals.received + totals.lost + stats.in_flight, \
-        "packet conservation violated"
+    if totals.generated != totals.received + totals.lost + stats.in_flight:
+        raise ConservationError(
+            f"packet conservation violated: generated={totals.generated} "
+            f"received={totals.received} lost={totals.lost} in_flight={stats.in_flight}")
     return stats
 
 

@@ -12,6 +12,7 @@ mutations, so no locking is needed anywhere in this module.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import crypto
@@ -209,10 +210,12 @@ class RevocationRecord:
 class RevocationStore:
     """Per-node devaluation ledger; revokes at the misbehavior threshold."""
 
-    def __init__(self, known_users: set[str] | None = None,
+    def __init__(self, known_users: Iterable[str] | None = None,
                  threshold: int = REVOCATION_THRESHOLD):
         self.threshold = threshold
-        self.known_users = set(known_users) if known_users is not None else None
+        # frozenset() of a frozenset is that same object, so nodes given one
+        # shared roster set share it instead of each holding a copy.
+        self.known_users = frozenset(known_users) if known_users is not None else None
         self.records: dict[str, RevocationRecord] = {}
 
     def report(self, subject: str) -> RevocationRecord:

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vanetkit import trust
+from vanetkit import crypto, trust
 from vanetkit.aggregation import (AggregatedEvent, JourneyContactLog,
                                   SignedObservation, assemble_aggregate,
                                   avg_users_per_minute, canonical_observation,
-                                  corroborate, event_id_for, required_signatures,
-                                  sign_observation, verify_aggregate)
+                                  corroborate, event_id_for, observation_cell,
+                                  required_signatures, sign_observation,
+                                  verify_aggregate)
 from vanetkit.events import CongestionObservation
 from vanetkit.geomodel import FORWARD, GeoCoordinate
 from vanetkit.trust import RevocationStore, Roster
@@ -233,3 +236,83 @@ def test_verifier_independence():
     a.report("h")
     trust.exchange_revocations(a, b)
     assert verify_aggregate(event, a) == verify_aggregate(event, b)
+
+
+def reference_assemble(observation, signatures, rate, promoter_pseudonym, now,
+                       cell_size=200.0):
+    """The promoter's rule with every signature verified, whatever the pool size."""
+    cell = observation_cell(observation, cell_size)
+    usable, keys, pseudonyms = [], set(), set()
+    for signed in signatures:
+        if observation_cell(signed.observation, cell_size) != cell:
+            continue
+        if not signed.verify(cell_size):
+            continue
+        key = signed.signer_certificate.subject_public_key
+        if key in keys or signed.signer_pseudonym in pseudonyms:
+            continue
+        keys.add(key)
+        pseudonyms.add(signed.signer_pseudonym)
+        usable.append(signed)
+    needed = required_signatures(rate)
+    if len(usable) < needed:
+        return None
+    return AggregatedEvent(observation, tuple(usable), promoter_pseudonym, now, rate, needed)
+
+
+_POOL_ROSTER = Roster()
+_POOL_SIGNERS = [signer(_POOL_ROSTER, f"pool{i}", 500 + i) for i in range(6)]
+_POOL_OBSERVATIONS = [observation(pseudonym=b"p" * 16), observation(road="r2", pseudonym=b"p" * 16)]
+_POOL_PSEUDONYMS = [bytes([65 + i]) * 16 for i in range(5)]
+_POOL_SIGNED: dict[tuple[int, int, int], SignedObservation] = {}
+
+
+def pooled(signer_index, pseudonym_index, observation_index, tampered):
+    """One pool entry; signatures are made once per (signer, pseudonym, cell)."""
+    key = (signer_index, pseudonym_index, observation_index)
+    if key not in _POOL_SIGNED:
+        _POOL_SIGNED[key] = sign_as(_POOL_SIGNERS[signer_index],
+                                    _POOL_OBSERVATIONS[observation_index],
+                                    _POOL_PSEUDONYMS[pseudonym_index])
+    signed = _POOL_SIGNED[key]
+    if tampered:
+        sig = bytearray(signed.signature)
+        sig[-1] ^= 1
+        signed = SignedObservation(signed.observation, signed.signer_pseudonym,
+                                   signed.signer_certificate, bytes(sig))
+    return signed
+
+
+pool_entries = st.tuples(st.integers(0, len(_POOL_SIGNERS) - 1),
+                         st.integers(0, len(_POOL_PSEUDONYMS) - 1),
+                         st.sampled_from([0, 0, 0, 1]),          # mostly the promoter's cell
+                         st.booleans())
+rates = st.none() | st.floats(min_value=0.0, max_value=8.0) | st.sampled_from([1.0, 4.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pool_entries, max_size=8), rates)
+def test_assemble_matches_verify_everything_reference(entries, rate):
+    """Tampered signatures, repeated keys and repeated pseudonyms included,
+    the short-circuit never changes the promoter's answer."""
+    pool = [pooled(*entry) for entry in entries]
+    obs = _POOL_OBSERVATIONS[0]
+    assert (assemble_aggregate(obs, pool, rate, b"p" * 16, 510.0)
+            == reference_assemble(obs, pool, rate, b"p" * 16, 510.0))
+
+
+def test_assemble_below_threshold_verifies_nothing(monkeypatch):
+    roster = Roster()
+    idents = [signer(roster, f"u{i}", i) for i in range(5)]
+    obs = observation(pseudonym=b"0" * 16)
+    sigs = [sign_as(ident, obs, f"{i}".encode() * 16) for i, ident in enumerate(idents)]
+    calls = []
+    real_verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *a: calls.append(a) or real_verify(*a))
+    for rate, needed in ((None, 2), (2.0, 4), (5.0, 5)):
+        calls.clear()
+        assert assemble_aggregate(obs, sigs[:needed - 1], rate, b"0" * 16, 0.0) is None
+        assert calls == []
+        event = assemble_aggregate(obs, sigs[:needed], rate, b"0" * 16, 0.0)
+        assert event is not None and event.threshold == needed
+        assert len(calls) == 2 * needed     # certificate and observation per signer

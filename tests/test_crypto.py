@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -67,3 +68,18 @@ def test_empty_payload_roundtrip():
     key = crypto.sha256(b"k")
     blob = crypto.seal(key, b"", bytes(16))
     assert crypto.open_sealed(key, blob) == b""
+
+
+def test_public_key_memo_returns_the_derived_key(monkeypatch):
+    private = crypto.derive_private_key(b"memo")
+    derived = pow(crypto.GROUP_G, int.from_bytes(private, "big"),
+                  crypto.GROUP_P).to_bytes(crypto.PUBLIC_KEY_LEN, "big")
+    assert crypto.public_key(private) == derived
+    assert crypto.public_key(private) == derived          # repeated: from the memo
+    signature = crypto.sign(private, b"msg")
+    monkeypatch.setattr(crypto, "_PUBLIC_KEYS", {})
+    assert crypto.sign(private, b"msg") == signature      # fresh: derived again
+    assert crypto.public_key(private) == derived
+    assert crypto.verify(derived, b"msg", signature)
+    # The benchmark's tracer wraps plain functions only.
+    assert inspect.isfunction(crypto.public_key) and inspect.isfunction(crypto.sign)

@@ -1,12 +1,18 @@
+import random
 import warnings
 
 import pytest
 
-from vanetkit.geomodel import FORWARD, load_network
-from vanetkit.simnet import (CongestionZone, ParkDirective, SimConfig,
-                             Simulation, VehicleSpec, assign_obus,
-                             neighbors_in_range, run_simulation, should_launch)
-from vanetkit.trust import Roster
+from vanetkit import aggregation, auth, crypto, kits, scenario
+from vanetkit.aggregation import (PendingObservation, SignedObservation, event_id_for,
+                                  sign_observation)
+from vanetkit.events import CongestionObservation
+from vanetkit.geomodel import FORWARD, GeoCoordinate, load_network
+from vanetkit.simnet import (CongestionZone, ConservationError, ParkDirective,
+                             SimConfig, Simulation, VehicleSpec, assign_obus,
+                             collect_metrics, neighbors_in_range, run_simulation,
+                             should_launch)
+from vanetkit.trust import Roster, UnknownUserError
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
 
@@ -221,3 +227,90 @@ def test_radio_symmetry_every_tick():
         for a in neighbors:
             for b in neighbors[a]:
                 assert a in neighbors[b]
+
+
+def test_assembly_rejects_planted_tampered_signature_at_threshold():
+    """A pool that reaches the threshold only through a bad signature builds
+    nothing; the same pool with the genuine signature builds the aggregate."""
+    config, net, roster = two_node_setup()
+    sim = Simulation(config, net, roster)
+    node = sim.nodes["n1"]
+    node.pseudonyms = auth.PseudonymState(0.0, random.Random(1))
+    pseudonym = node.pseudonyms.current.value
+    obs = CongestionObservation("main", FORWARD, GeoCoordinate(100.0, 0.0), 0.0, pseudonym)
+    own = sign_observation(obs, node.user.keys.private_key, node.user.self_certificate,
+                           pseudonym)
+    helper = roster.user("ub")
+    genuine = sign_observation(obs, helper.keys.private_key, helper.self_certificate,
+                               b"h" * 16)
+    tampered = SignedObservation(
+        obs, genuine.signer_pseudonym, genuine.signer_certificate,
+        genuine.signature[:-1] + bytes([genuine.signature[-1] ^ 1]))
+    event_id = event_id_for(obs)
+    pending = PendingObservation(obs, own, 0.0, 100.0)
+    pending.signatures.append(tampered)      # planted past add_signature's check
+    node.pending[event_id] = pending
+    assert aggregation.required_signatures(
+        aggregation.avg_users_per_minute(node.journey, 1.0)) == len(pending.signatures)
+    sim.now = 1.0
+    sim._assembly(node, 1, [])
+    assert node.pending[event_id] is pending
+    assert not any(" aggregate " in line for line in sim.trace)
+    pending.signatures[1] = genuine
+    sim._assembly(node, 1, [])
+    assert event_id not in node.pending
+    assert [l for l in sim.trace if " aggregate " in l] == [
+        f"1 n1 aggregate event={event_id.hex()[:8]} sigs=2 threshold=2"]
+
+
+def test_congestion_chain_verifies_no_pool_below_threshold(tmp_path, monkeypatch):
+    """The promoter checks signatures only on ticks where its pool could
+    meet the threshold."""
+    directory = str(tmp_path / "chain")
+    kits.generate_kit("congestion-chain", directory)
+    bundle, problems = scenario.load_bundle(directory)
+    assert problems == []
+    sim = bundle.build()
+    verifies = []
+    real_verify = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *a: verifies.append(a) or real_verify(*a))
+    calls = []     # (pool size, threshold, verify calls made, aggregate built)
+    real_assemble = aggregation.assemble_aggregate
+
+    def counted_assemble(observation, signatures, rate, *args, **kwargs):
+        before = len(verifies)
+        event = real_assemble(observation, signatures, rate, *args, **kwargs)
+        calls.append((len(signatures), aggregation.required_signatures(rate),
+                      len(verifies) - before, event is not None))
+        return event
+
+    monkeypatch.setattr(aggregation, "assemble_aggregate", counted_assemble)
+    sim.run()
+    below = [c for c in calls if c[0] < c[1]]
+    at_threshold = [c for c in calls if c[0] >= c[1]]
+    assert below and all(made == 0 and not built for _, _, made, built in below)
+    assert at_threshold and all(made > 0 for _, _, made, _ in at_threshold)
+    assert any(built for *_, built in at_threshold)
+
+
+def test_nodes_share_one_known_user_set():
+    config, net, roster = two_node_setup()
+    sim = Simulation(config, net, roster)
+    first, second = (sim.nodes[n].revocations for n in ("n1", "n2"))
+    assert first.known_users is second.known_users
+    assert first.known_users == set(roster.users)
+    with pytest.raises(UnknownUserError):
+        first.report("stranger")
+    first.report("ub")
+    assert first.records["ub"].misbehavior_count == 1 and "ub" not in second.records
+
+
+def test_broken_counter_violates_conservation():
+    config, net, roster = two_node_setup(duration=20)
+    sim = Simulation(config, net, roster)
+    stats = sim.run()
+    totals = stats.totals()
+    assert totals.generated == totals.received + totals.lost + stats.in_flight > 0
+    sim.nodes["n1"].stats.received += 1
+    with pytest.raises(ConservationError, match="packet conservation violated"):
+        collect_metrics(sim)
