@@ -219,6 +219,16 @@ class _EngineBase:
         self.reason = reason
 
 
+class SessionMismatchError(Exception):
+    """A handshake message names another session than the engine's, or
+    claims the wrong role; the engine's state is left untouched."""
+
+
+def _check_session(expected: bytes, got: bytes, role_ok: bool = True) -> None:
+    if got != expected or not role_ok:
+        raise SessionMismatchError("handshake message does not continue this session")
+
+
 class AuthInitiator(_EngineBase):
     """Initiator side of the five-message mutual authentication."""
 
@@ -238,7 +248,7 @@ class AuthInitiator(_EngineBase):
 
     def on_challenge(self, body: bytes) -> bytes:
         session_id, peer_pseudonym, challenge, peer_commitments = wire.decode_auth_challenge(body)
-        assert session_id == self.session_id
+        _check_session(self.session_id, session_id)
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
         self.challenge_from_peer = challenge
@@ -250,7 +260,7 @@ class AuthInitiator(_EngineBase):
     def on_peer_response(self, body: bytes, now: float) -> bytes:
         """Verify the responder's proof and emit the final result frame."""
         session_id, is_initiator, peer_nonce, peer_responses, _ = wire.decode_auth_response(body)
-        assert session_id == self.session_id and not is_initiator
+        _check_session(self.session_id, session_id, role_ok=not is_initiator)
         self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
                                   self.challenge_for_peer, peer_responses)
         if not self.matched:
@@ -297,7 +307,7 @@ class AuthResponder(_EngineBase):
         """Verify the initiator's proof; answer with our own or reject."""
         session_id, is_initiator, peer_nonce, peer_responses, counter_challenge = \
             wire.decode_auth_response(body)
-        assert session_id == self.session_id and is_initiator
+        _check_session(self.session_id, session_id, role_ok=is_initiator)
         self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
                                   self.challenge_for_peer, peer_responses)
         if not self.matched:
@@ -315,7 +325,7 @@ class AuthResponder(_EngineBase):
 
     def on_result(self, body: bytes, now: float) -> None:
         session_id, accepted = wire.decode_auth_result(body)
-        assert session_id == self.session_id
+        _check_session(self.session_id, session_id)
         if accepted and self._accept_pending:
             shared, peer_nonce, counter_challenge = self._pending_key_material
             key = _session_key_bytes(self.session_id, self.peer_commitments, self.commitments,

@@ -3,9 +3,9 @@
 Each tick advances three layers in a fixed order: vehicle mobility,
 node energy (which vehicles carry an on-board unit and pass the battery
 gate), and peer-to-peer communication over a unit-disk radio.  Messages
-sent at tick t are delivered at t+1 if the receiver is still within
-radio range, otherwise they count as lost; a final drain pass resolves
-the last tick's traffic so packet conservation holds exactly:
+sent at tick t are delivered at t+1 if the receiver is still active and
+within radio range, otherwise they count as lost; a final drain pass
+resolves the last tick's traffic so packet conservation holds exactly:
 
     sum(generated) == sum(received) + sum(lost) + in_flight_at_end
 
@@ -22,8 +22,6 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import aggregation, auth, crypto, wire
 from .aggregation import (JourneyContactLog, PendingObservation,
                           avg_users_per_minute, event_id_for, sign_observation)
@@ -32,13 +30,26 @@ from .events import (AdvertEvent, CongestionDetector, DetectionConfig,
                      location_cell, walking_route)
 from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, GeoCoordinate,
                        MobilityDirective, RoadNetwork, VehicleState,
-                       advance_vehicle, distance)
+                       advance_vehicle)
 from .relay import (ACTION_CORROBORATE, ACTION_DROP, ACTION_REROUTE_FORWARD,
                     CooperationRecord, RoutePlan, cooperation_gate,
                     decide_relay, recompute_route)
 from .trust import RevocationStore, Roster, report_misbehavior
 
 _BATTERY_ORDER = {level: i for i, level in enumerate(BATTERY_LEVELS)}
+
+# Cell-list buckets are this much wider than the radio range.  A pair that
+# passes `in_radio_range` is at most r(1 + 3 * 2**-53) apart per axis, and
+# rounding x / side moves the quotient by less than 1e-9 while |x| < 1e6 r,
+# so with this margin such a pair always lands in the same or an adjacent
+# cell.  With side == r it need not: x = -1e-15 falls in cell -1 and x = r
+# in cell 1, yet r - (-1e-15) rounds to r, which is in range.
+_CELL_MARGIN = 1e-6
+
+
+def in_radio_range(dx: float, dy: float, radio_range: float) -> bool:
+    """The one unit-disk predicate: inclusive, in exact squared metres."""
+    return dx * dx + dy * dy <= radio_range * radio_range
 
 
 def should_launch(battery: str, threshold: str) -> bool:
@@ -65,14 +76,13 @@ def neighbors_in_range(positions: dict[str, tuple[float, float]], node_id: str,
                        radio_range: float, active: set[str] | None = None) -> set[str]:
     """Active nodes within the radio range (inclusive), excluding self."""
     x0, y0 = positions[node_id]
-    r2 = radio_range * radio_range
     out = set()
     for nid, (x, y) in positions.items():
         if nid == node_id:
             continue
         if active is not None and nid not in active:
             continue
-        if (x - x0) ** 2 + (y - y0) ** 2 <= r2:
+        if in_radio_range(x - x0, y - y0, radio_range):
             out.add(nid)
     return out
 
@@ -148,6 +158,8 @@ class SimConfig:
             problems.append("duration must be positive")
         if self.tick <= 0:
             problems.append("tick must be positive")
+        if not self.radio_range > 0:
+            problems.append("radio_range must be positive")
         if not 0.0 <= self.obu_fraction <= 1.0:
             problems.append("obu_fraction must be within [0, 1]")
         if self.battery_threshold not in BATTERY_LEVELS:
@@ -275,10 +287,28 @@ class _Node:
         return self.coop.setdefault(peer, CooperationRecord())
 
 
-@dataclass
+@dataclass(slots=True)
 class _Delivery:
+    """One unicast frame in flight; its receiver handles it on arrival."""
     sender: str
     receiver: str
+    frame: bytes
+    sent_at: int
+
+    @property
+    def receivers(self) -> tuple[str]:
+        return (self.receiver,)
+
+
+@dataclass(slots=True)
+class _Broadcast:
+    """One beacon frame in flight to every radio neighbour of its sender.
+
+    Receivers ignore beacons, so arrival is only counted: received for
+    each receiver still reachable, lost for each other one.
+    """
+    sender: str
+    receivers: tuple[str, ...]
     frame: bytes
     sent_at: int
 
@@ -302,7 +332,10 @@ class Simulation:
         self.connections = 0
         self.events_accepted = 0
         self.events_rejected = 0
-        self.in_flight: list[_Delivery] = []
+        # Received frames that failed to decode or did not continue the
+        # handshake they named; dropped, and not part of the metrics CSV.
+        self.malformed_frames = 0
+        self.in_flight: list[_Delivery | _Broadcast] = []
         self.now = 0.0
         self._min_seg_len = min(s.length for s in network.segments.values())
 
@@ -392,9 +425,9 @@ class Simulation:
 
     def _broadcast(self, node: _Node, frame: bytes, targets: list[str], tick: int) -> None:
         node.stats.broadcasted += 1
-        for peer in targets:
-            node.stats.generated += 1
-            self.in_flight.append(_Delivery(node.id, peer, frame, tick))
+        node.stats.generated += len(targets)
+        if targets:
+            self.in_flight.append(_Broadcast(node.id, tuple(targets), frame, tick))
 
     def _seal_and_send(self, node: _Node, peer: str, tag: int, payload: bytes,
                        tick: int) -> None:
@@ -531,18 +564,46 @@ class Simulation:
     # -- phase 3: radio adjacency ---------------------------------------------
 
     def _adjacency(self) -> tuple[dict[str, GeoCoordinate], dict[str, list[str]]]:
-        ids = sorted(self.nodes)
-        positions = {nid: self.nodes[nid].position(self.network) for nid in ids}
-        active_ids = [nid for nid in ids if self.nodes[nid].active]
-        neighbors: dict[str, list[str]] = {nid: [] for nid in ids}
-        if len(active_ids) > 1:
-            coords = np.array([[positions[n].x, positions[n].y] for n in active_ids])
-            diff = coords[:, None, :] - coords[None, :, :]
-            d2 = (diff * diff).sum(axis=2)
-            within = d2 <= self.config.radio_range ** 2
-            np.fill_diagonal(within, False)
-            for i, nid in enumerate(active_ids):
-                neighbors[nid] = [active_ids[j] for j in np.nonzero(within[i])[0]]
+        """Every node's position, and each active node's active neighbours
+        in id order.
+
+        A cell list: active nodes are bucketed into square cells a hair
+        wider than the radio range (see _CELL_MARGIN), so every pair in
+        range shares a cell or sits in adjacent ones.  Each cell is tested
+        against itself and the four cells ahead of it, which visits every
+        adjacent pair of cells once.
+        """
+        radio_range = self.config.radio_range
+        side = radio_range * (1.0 + _CELL_MARGIN)
+        positions = {}
+        neighbors: dict[str, list[str]] = {}
+        cells: dict[tuple[int, int], list[tuple[str, float, float]]] = {}
+        for nid in sorted(self.nodes):
+            node = self.nodes[nid]
+            p = positions[nid] = node.position(self.network)
+            neighbors[nid] = []
+            if node.active:
+                key = (math.floor(p.x / side), math.floor(p.y / side))
+                cells.setdefault(key, []).append((nid, p.x, p.y))
+        for (cx, cy), members in cells.items():
+            for i, (a, xa, ya) in enumerate(members):
+                near = neighbors[a]
+                for b, xb, yb in members[i + 1:]:
+                    if in_radio_range(xb - xa, yb - ya, radio_range):
+                        near.append(b)
+                        neighbors[b].append(a)
+            for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+                others = cells.get(key)
+                if others is None:
+                    continue
+                for a, xa, ya in members:
+                    near = neighbors[a]
+                    for b, xb, yb in others:
+                        if in_radio_range(xb - xa, yb - ya, radio_range):
+                            near.append(b)
+                            neighbors[b].append(a)
+        for near in neighbors.values():
+            near.sort()
         return positions, neighbors
 
     # -- phase 4: deliveries ---------------------------------------------------
@@ -550,18 +611,22 @@ class Simulation:
     def _delivery_step(self, t: int, positions, neighbors, allow_sends: bool) -> None:
         due = [d for d in self.in_flight if d.sent_at < t]
         self.in_flight = [d for d in self.in_flight if d.sent_at >= t]
+        radio_range = self.config.radio_range
         for delivery in due:
             sender = self.nodes[delivery.sender]
-            receiver = self.nodes[delivery.receiver]
-            in_range = (receiver.active and distance(positions[delivery.sender],
-                                                     positions[delivery.receiver])
-                        <= self.config.radio_range)
-            if not in_range:
-                sender.stats.lost += 1
-                continue
-            receiver.stats.received += 1
-            self._handle_frame(receiver, delivery.sender, delivery.frame, t,
-                               neighbors, allow_sends)
+            origin = positions[delivery.sender]
+            handle = type(delivery) is _Delivery
+            for peer in delivery.receivers:
+                receiver = self.nodes[peer]
+                here = positions[peer]
+                if not (receiver.active and in_radio_range(here.x - origin.x,
+                                                           here.y - origin.y, radio_range)):
+                    sender.stats.lost += 1
+                    continue
+                receiver.stats.received += 1
+                if handle:
+                    self._handle_frame(receiver, delivery.sender, delivery.frame, t,
+                                       neighbors, allow_sends)
 
     # -- phase 5: per-node protocol actions -------------------------------------
 
@@ -757,6 +822,18 @@ class Simulation:
 
     def _handle_frame(self, node: _Node, sender: str, frame: bytes, t: int,
                       neighbors, allow_sends: bool) -> None:
+        """Handle one received frame.  Any byte string is accepted: a frame
+        that fails to decode, or names another handshake than the one in
+        progress, is dropped and counted in `malformed_frames`.  Every
+        handler decodes before it changes any state, so a dropped frame
+        leaves none behind."""
+        try:
+            self._dispatch_frame(node, sender, frame, t, neighbors, allow_sends)
+        except (wire.WireError, auth.SessionMismatchError):
+            self.malformed_frames += 1
+
+    def _dispatch_frame(self, node: _Node, sender: str, frame: bytes, t: int,
+                        neighbors, allow_sends: bool) -> None:
         tag, body = wire.decode_frame(frame)
         if tag == wire.BEACON:
             return
@@ -861,12 +938,11 @@ class Simulation:
                 node.revocations.merge_record(subject, count, revoked)
             return
         if tag == wire.CORROBORATION_REQUEST:
-            node.decrypted_events.append((t, tag, b""))
             self._handle_corroboration_request(node, sender, payload, t, allow_sends)
             return
         if tag == wire.SIGNED_OBSERVATION:
-            node.decrypted_events.append((t, tag, b""))
             signed = wire.decode_signed_observation(payload)
+            node.decrypted_events.append((t, tag, b""))
             event_id = event_id_for(signed.observation)
             pending = node.pending.get(event_id)
             if pending is not None:
@@ -892,8 +968,9 @@ class Simulation:
     def _handle_corroboration_request(self, node: _Node, sender: str, payload: bytes,
                                       t: int, allow_sends: bool) -> None:
         signed = wire.decode_signed_observation(payload)
+        node.decrypted_events.append((t, wire.CORROBORATION_REQUEST, b""))
         if not signed.verify():
-            report_misbehavior(node.revocations, signed.signer_certificate.subject)
+            self._report(node, signed.signer_certificate.subject)
             return
         if node.revocations.is_revoked(signed.signer_certificate.subject):
             return
@@ -941,8 +1018,7 @@ class Simulation:
         if not accepted:
             self.events_rejected += 1
             if reason in ("bad-signature", "bad-certificate"):
-                report_misbehavior(node.revocations,
-                                   event.signatures[0].signer_certificate.subject)
+                self._report(node, event.signatures[0].signer_certificate.subject)
             return
         decision = decide_relay(
             event, True, seen=False,
@@ -1003,7 +1079,7 @@ class Simulation:
                                        self.roster.users[uid].keys.public_key
                                        if uid in self.roster.users else None))
         except ValueError:
-            report_misbehavior(node.revocations, advert.certificate.subject)
+            self._report(node, advert.certificate.subject)
             return
         node.store.add_advert(advert_id, advert)
         if shown:
@@ -1027,6 +1103,12 @@ class Simulation:
 
     # -- bookkeeping -----------------------------------------------------------
 
+    def _report(self, node: _Node, subject: str) -> None:
+        """Count misbehaviour against a roster user; a certificate naming
+        anyone else has no ledger entry to devalue, so it is ignored."""
+        if subject in node.revocations.known_users:
+            report_misbehavior(node.revocations, subject)
+
     def _trace(self, t: int, node_id: str, kind: str, detail: str) -> None:
         self.trace.append(f"{self.now:g} {node_id} {kind} {detail}")
 
@@ -1043,7 +1125,7 @@ def collect_metrics(sim: Simulation) -> NetworkStats:
                          connections=sim.connections,
                          events_accepted=sim.events_accepted,
                          events_rejected=sim.events_rejected,
-                         in_flight=len(sim.in_flight))
+                         in_flight=sum(len(d.receivers) for d in sim.in_flight))
     totals = stats.totals()
     if totals.generated != totals.received + totals.lost + stats.in_flight:
         raise ConservationError(

@@ -98,7 +98,10 @@ class _Reader:
         return self._take(self.u16())
 
     def text(self) -> str:
-        return self.blob().decode()
+        try:
+            return self.blob().decode()
+        except UnicodeDecodeError as exc:
+            raise WireError("text field is not UTF-8") from exc
 
     def rest(self) -> bytes:
         out = self.data[self.pos:]

@@ -228,3 +228,38 @@ def test_journey_contact_log():
         record_journey_contact(log, f"p{i}", 200.0 + i)
     assert log.distinct_peers == 5
     assert log.first_auth_at == 100.0
+
+
+def test_engines_refuse_messages_of_another_session():
+    """Each handshake step checks the session id and role it is given and
+    raises before touching the engine's state; this holds under -O too."""
+    rng = random.Random(3)
+    roster = chain_roster()
+    initiator = auth.AuthInitiator(make_party(roster, "a", rng), rng, 0.0)
+    responder = auth.AuthResponder(make_party(roster, "b", rng), rng, 0.0)
+    _, commit = wire.decode_frame(initiator.start())
+    _, challenge = wire.decode_frame(responder.on_commit(commit))
+    other = bytes(b ^ 0xFF for b in initiator.session_id)
+
+    def body(frame):
+        return wire.decode_frame(frame)[1]
+
+    stray_challenge = body(wire.encode_auth_challenge(other, b"p" * 16, b"c" * 16, []))
+    with pytest.raises(auth.SessionMismatchError):
+        initiator.on_challenge(stray_challenge)
+    assert initiator.peer_commitments == []
+    _, response = wire.decode_frame(initiator.on_challenge(challenge))
+    stray_response = body(wire.encode_auth_response(other, True, b"n" * 16, [], b"c" * 16))
+    wrong_role = body(wire.encode_auth_response(initiator.session_id, False, b"n" * 16, [],
+                                                b"c" * 16))
+    for message in (stray_response, wrong_role):
+        with pytest.raises(auth.SessionMismatchError):
+            responder.on_response(message)
+    assert responder.outcome is None and responder.matched == []
+    _, counter = wire.decode_frame(responder.on_response(response))
+    _, result = wire.decode_frame(initiator.on_peer_response(counter, 1.0))
+    with pytest.raises(auth.SessionMismatchError):
+        responder.on_result(body(wire.encode_auth_result(other, True)), 1.0)
+    assert responder.outcome is None
+    responder.on_result(result, 1.0)
+    assert initiator.outcome == responder.outcome == auth.OUTCOME_ACCEPTED

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from vanetkit import aggregation, auth, crypto, kits, scenario
+from vanetkit import aggregation, auth, crypto, kits, scenario, wire
 from vanetkit.aggregation import (PendingObservation, SignedObservation, event_id_for,
                                   sign_observation)
 from vanetkit.events import CongestionObservation
@@ -314,3 +314,84 @@ def test_broken_counter_violates_conservation():
     sim.nodes["n1"].stats.received += 1
     with pytest.raises(ConservationError, match="packet conservation violated"):
         collect_metrics(sim)
+
+
+def _chain_sim(directory):
+    kits.generate_kit("congestion-chain", str(directory))
+    bundle, problems = scenario.load_bundle(str(directory))
+    assert problems == []
+    return bundle.build()
+
+
+def test_malformed_and_mismatched_frames_are_dropped_and_counted(tmp_path):
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    _, neighbors = sim._adjacency()
+    d = sim.nodes["D"]
+    responders, rng_state = dict(d.responders), sim.rng.getstate()
+    sim._handle_frame(d, "C", b"\x00\x00", 999, neighbors, True)
+    sim._handle_frame(d, "C", wire.encode_frame(wire.AUTH_COMMIT, b"\x00" * 5), 999,
+                      neighbors, True)
+    assert sim.malformed_frames == 2
+    assert d.responders == responders and sim.rng.getstate() == rng_state
+
+    # A challenge and a counter-response naming another session than D's
+    # open handshake with C leave the handshake as it was.
+    party = auth.Party(d.user, d.revocations, d.pseudonyms.current.value)
+    engine = auth.AuthInitiator(party, random.Random(1), sim.now)
+    d.initiators["C"] = engine
+    other = bytes(16) if engine.session_id != bytes(16) else b"\x01" * 16
+    challenge = wire.encode_auth_challenge(other, b"p" * 16, b"c" * 16, [])
+    response = wire.encode_auth_response(other, False, b"n" * 16, [], b"c" * 16)
+    for frame in (challenge, response):
+        sim._handle_frame(d, "C", frame, 999, neighbors, True)
+    assert sim.malformed_frames == 4
+    assert d.initiators["C"] is engine and engine.peer_commitments == []
+    assert engine.outcome is None and sim.in_flight == []
+    # The engines check the role flag too, not only the session id.
+    _, wrong_role = wire.decode_frame(wire.encode_auth_response(
+        engine.session_id, True, b"n" * 16, [], b"c" * 16))
+    with pytest.raises(auth.SessionMismatchError):
+        engine.on_peer_response(wrong_role, sim.now)
+    del d.initiators["C"]
+    collect_metrics(sim)
+
+
+def test_garbage_frames_during_a_run_change_no_outcome(tmp_path):
+    """C sends D undecodable frames every tick it can; D drops and counts
+    them, conservation holds and the trace equals a clean run's."""
+    clean = _chain_sim(tmp_path / "clean")
+    clean.run()
+    sim = _chain_sim(tmp_path / "noisy")
+    garbage = (b"\x00\x00", wire.encode_frame(wire.AUTH_COMMIT, b"\x00" * 5),
+               wire.encode_frame(wire.AUTH_RESULT, b"\x01"))
+    node_step = sim._node_step
+
+    def noisy_node_step(t, positions, neighbors):
+        node_step(t, positions, neighbors)
+        if "D" in neighbors["C"]:
+            for frame in garbage:
+                sim._unicast(sim.nodes["C"], "D", frame, t)
+
+    sim._node_step = noisy_node_step
+    stats = sim.run()
+    assert sim.malformed_frames > 0 and clean.malformed_frames == 0
+    assert sim.trace == clean.trace and sim.trace
+    assert stats.connections == clean.connections
+    assert stats.events_accepted == clean.events_accepted
+
+
+def test_corroboration_request_from_outside_the_roster_is_dropped(tmp_path):
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    outsiders = Roster()
+    mallory = outsiders.register("mallory", 99)
+    obs = CongestionObservation("main1", FORWARD, GeoCoordinate(280.0, 0.0), 100.0, b"m" * 16)
+    signed = sign_observation(obs, mallory.keys.private_key, mallory.self_certificate, b"m" * 16)
+    bad = SignedObservation(obs, signed.signer_pseudonym, signed.signer_certificate,
+                            signed.signature[:-1] + bytes([signed.signature[-1] ^ 1]))
+    c = sim.nodes["C"]
+    inbox = dict(c.corroboration_inbox)
+    sim._handle_corroboration_request(c, "D", wire.encode_signed_observation(bad), 120, True)
+    assert "mallory" not in c.revocations.records
+    assert c.corroboration_inbox == inbox

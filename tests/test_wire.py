@@ -99,3 +99,8 @@ def test_trailing_bytes_rejected():
     _, body = wire.decode_frame(frame)
     with pytest.raises(wire.WireError):
         wire.decode_beacon(body + b"\x00")
+
+
+def test_text_that_is_not_utf8_is_a_wire_error():
+    with pytest.raises(wire.WireError):
+        wire.decode_revocations(b"\x00\x01\x00\x01\xff" + b"\x00" * 5)
