@@ -20,6 +20,7 @@ the simulator serializes delivery, one engine instance per session.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import crypto, wire
@@ -127,7 +128,7 @@ def _response(key: bytes, challenge: bytes, nonce: bytes) -> bytes:
     return crypto.hmac_sha256(key, b"vk-resp", challenge, nonce)
 
 
-def build_commitments(keys: list[bytes], nonce: bytes,
+def build_commitments(keys: Sequence[bytes], nonce: bytes,
                       rng: random.Random) -> tuple[list[bytes], list[bytes | None]]:
     """Commitment list padded and shuffled to hide which slots are real.
 
@@ -149,7 +150,7 @@ def build_responses(slots: list[bytes | None], challenge: bytes, nonce: bytes,
             for k in slots]
 
 
-def match_keys(own_keys: list[bytes], commitments: list[bytes], nonce: bytes,
+def match_keys(own_keys: Sequence[bytes], commitments: list[bytes], nonce: bytes,
                challenge: bytes, responses: list[bytes]) -> list[bytes]:
     """Keys of ours consistent with some commitment/response pair."""
     if len(commitments) != len(responses):
@@ -222,6 +223,10 @@ class _EngineBase:
 class SessionMismatchError(Exception):
     """A handshake message names another session than the engine's, or
     claims the wrong role; the engine's state is left untouched."""
+
+
+class MissingSessionKeyError(RuntimeError):
+    """Both engines accepted a handshake but one of them holds no session key."""
 
 
 def _check_session(expected: bytes, got: bytes, role_ok: bool = True) -> None:
@@ -386,7 +391,8 @@ def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Rando
     if transcript.outcome != OUTCOME_ACCEPTED:
         return transcript, None
     exchange_revocations(initiator.revocations, responder.revocations)
-    assert eng_i.session_key is not None and eng_r.session_key is not None
+    if eng_i.session_key is None or eng_r.session_key is None:
+        raise MissingSessionKeyError("accepted handshake without a session key")
     return transcript, (eng_i.session_key, eng_r.session_key)
 
 

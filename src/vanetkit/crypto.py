@@ -9,6 +9,15 @@ The contract these primitives honour is functional: sign/verify round
 trips, verification failure on any byte tampering, ciphertext key
 separation and tamper detection.  No claim of production-grade
 strength or side-channel resistance is made.
+
+Every power of the generator (public keys, signing nonces and the `g^s`
+side of verification) reads a fixed-base table built once at import,
+after Brickell, Gordon, McCurley & Wilson (EUROCRYPT 1992) and Lim &
+Lee (CRYPTO 1994).  Row `i` holds `GROUP_G ** (j << (6 * i)) mod
+GROUP_P` for `j < 64`; `_g_pow(k)` multiplies one entry per 6-bit
+window of `k`.  The 43 rows cover every 32-byte scalar, take about
+190 KB and make a generator power roughly 4 times faster than builtin
+`pow`.  The arithmetic is exact, so keys and signatures are unchanged.
 """
 
 from __future__ import annotations
@@ -38,17 +47,43 @@ class WrongKeyError(Exception):
 
 
 def sha256(*parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def hmac_sha256(key: bytes, *parts: bytes) -> bytes:
-    h = _hmac.new(key, digestmod=hashlib.sha256)
-    for part in parts:
-        h.update(part)
-    return h.digest()
+    return _hmac.digest(key, b"".join(parts), "sha256")
+
+
+_G_WINDOW = 6
+_G_MASK = (1 << _G_WINDOW) - 1
+_G_ROWS = -(-8 * PUBLIC_KEY_LEN // _G_WINDOW)   # enough windows for any 32-byte scalar
+
+
+def _g_table() -> tuple[tuple[int, ...], ...]:
+    rows = []
+    base = GROUP_G
+    for _ in range(_G_ROWS):
+        row = [1]
+        for _ in range(_G_MASK):
+            row.append(row[-1] * base % GROUP_P)
+        rows.append(tuple(row))
+        base = row[-1] * base % GROUP_P   # base ** (2 ** _G_WINDOW): the next row's base
+    return tuple(rows)
+
+
+_G_TABLE = _g_table()
+_G_LIMIT = 1 << (_G_WINDOW * _G_ROWS)   # exponents below this are read from the table as they are
+
+
+def _g_pow(k: int) -> int:
+    """`pow(GROUP_G, k, GROUP_P)` from the fixed-base table."""
+    if not 0 <= k < _G_LIMIT:
+        k %= GROUP_Q   # GROUP_G has order GROUP_Q
+    r = 1
+    for row in _G_TABLE:
+        r = r * row[k & _G_MASK] % GROUP_P
+        k >>= _G_WINDOW
+    return r
 
 
 def derive_private_key(material: bytes) -> bytes:
@@ -66,7 +101,7 @@ _PUBLIC_KEYS: dict[bytes, bytes] = {}
 def public_key(private: bytes) -> bytes:
     public = _PUBLIC_KEYS.get(private)
     if public is None:
-        y = pow(GROUP_G, int.from_bytes(private, "big"), GROUP_P)
+        y = _g_pow(int.from_bytes(private, "big"))
         public = _PUBLIC_KEYS[private] = y.to_bytes(PUBLIC_KEY_LEN, "big")
     return public
 
@@ -82,7 +117,7 @@ def sign(private: bytes, message: bytes) -> bytes:
     k = int.from_bytes(sha256(b"vk-nonce", private, message), "big") % GROUP_Q
     if k == 0:
         k = 1
-    r = pow(GROUP_G, k, GROUP_P)
+    r = _g_pow(k)
     r_bytes = r.to_bytes(32, "big")
     e = _challenge_scalar(r_bytes, y, message)
     s = (k + e * x) % GROUP_Q
@@ -99,7 +134,7 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return False
     e = _challenge_scalar(signature[:32], public, message)
     # g^s == r * y^e (mod p)
-    return pow(GROUP_G, s, GROUP_P) == (r * pow(y, e, GROUP_P)) % GROUP_P
+    return _g_pow(s) == (r * pow(y, e, GROUP_P)) % GROUP_P
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:

@@ -32,6 +32,10 @@ ACTION_REROUTE_FORWARD = "reroute-and-forward"
 ACTION_DROP = "drop"
 
 
+class RouteCostError(ArithmeticError):
+    """Route costs that do not compare, such as NaN from a NaN penalty."""
+
+
 @dataclass(frozen=True)
 class RelayDecision:
     action: str
@@ -125,7 +129,8 @@ def recompute_route(plan: RoutePlan, network: RoadNetwork,
     result_cost = fresh.cost if changed else old_cost
     # Exchange argument: the returned plan never costs more than the old
     # one under congested weights.
-    assert result_cost <= old_cost
+    if not result_cost <= old_cost:
+        raise RouteCostError(f"route costs do not compare: {result_cost} vs {old_cost}")
     if not changed:
         return plan, False, False
     travelled = plan_cost(plan, network, congested, penalty, 0) - old_cost

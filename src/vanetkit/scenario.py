@@ -40,6 +40,10 @@ from .simnet import (CongestionZone, FindDirective, ParkDirective, SimConfig,
 from .trust import Certificate, Roster, load_roster
 
 
+class BundleNotLoadedError(RuntimeError):
+    """`ScenarioBundle.build` was called before its network and roster were loaded."""
+
+
 @dataclass
 class ScenarioBundle:
     directory: str
@@ -51,7 +55,8 @@ class ScenarioBundle:
     roster: Roster | None = None
 
     def build(self) -> Simulation:
-        assert self.network is not None and self.roster is not None
+        if self.network is None or self.roster is None:
+            raise BundleNotLoadedError(f"bundle {self.directory} has no network or roster")
         return Simulation(self.config, self.network, self.roster)
 
 

@@ -338,6 +338,10 @@ class Simulation:
         self.in_flight: list[_Delivery | _Broadcast] = []
         self.now = 0.0
         self._min_seg_len = min(s.length for s in network.segments.values())
+        # (segment, direction) -> its zones in config order; the first active one applies
+        self._zones: dict[tuple[str, str], list[CongestionZone]] = {}
+        for zone in config.zones:
+            self._zones.setdefault((zone.segment, zone.direction), []).append(zone)
 
         specs = list(config.vehicles)
         specs += self._background_specs(config.vehicle_count, len(specs))
@@ -531,10 +535,8 @@ class Simulation:
     # -- phase 2: mobility ---------------------------------------------------
 
     def _zone_speed(self, node: _Node, t: int) -> float | None:
-        for zone in self.config.zones:
-            if (zone.segment == node.state.segment_id
-                    and zone.direction == node.state.direction
-                    and zone.t_start <= self.now < zone.t_end):
+        for zone in self._zones.get((node.state.segment_id, node.state.direction), ()):
+            if zone.t_start <= self.now < zone.t_end:
                 return zone.speed
         return None
 

@@ -29,6 +29,10 @@ class DuplicateUserError(Exception):
     pass
 
 
+class MissingCertificateError(LookupError):
+    """A user's repository no longer holds the user's self-certificate."""
+
+
 @dataclass(frozen=True)
 class KeyPair:
     public_key: bytes
@@ -65,9 +69,11 @@ class CertificateRepository:
     def __init__(self, owner: str):
         self.owner = owner
         self._certs: dict[tuple[str, str], Certificate] = {}
+        self._candidate_keys: tuple[bytes, ...] | None = None
 
     def add(self, cert: Certificate) -> None:
         self._certs[(cert.subject, cert.signer)] = cert
+        self._candidate_keys = None
 
     def certificates(self) -> list[Certificate]:
         return [self._certs[k] for k in sorted(self._certs)]
@@ -93,10 +99,15 @@ class CertificateRepository:
                 out.add(signer)
         return out
 
-    def candidate_keys(self) -> list[bytes]:
-        """Public keys usable as shared authentication secrets, sorted."""
-        keys = {cert.subject_public_key for cert in self._certs.values()}
-        return sorted(keys)
+    def candidate_keys(self) -> tuple[bytes, ...]:
+        """Public keys usable as shared authentication secrets, sorted.
+
+        Built once after each `add` and shared by every caller, so it is
+        a tuple that none of them can change."""
+        if self._candidate_keys is None:
+            self._candidate_keys = tuple(sorted(
+                {cert.subject_public_key for cert in self._certs.values()}))
+        return self._candidate_keys
 
     def key_owner(self, public_key: bytes) -> str | None:
         for cert in self._certs.values():
@@ -119,7 +130,9 @@ class UserIdentity:
     @property
     def self_certificate(self) -> Certificate:
         cert = self.repository._certs.get((self.user_id, self.user_id))
-        assert cert is not None, "repository lost its self-certificate"
+        if cert is None:
+            raise MissingCertificateError(
+                f"repository of {self.user_id} lost its self-certificate")
         return cert
 
 

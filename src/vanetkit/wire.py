@@ -8,11 +8,12 @@ sealed per session and the frame body is the sealed blob.
 
 from __future__ import annotations
 
+import math
 import struct
 
 from .events import AdvertEvent, CongestionObservation, ParkingEvent
 from .geomodel import FORWARD, REVERSE, GeoCoordinate
-from .aggregation import AggregatedEvent, SignedObservation
+from .aggregation import TIME_QUANTUM, AggregatedEvent, SignedObservation
 from .trust import Certificate
 
 BEACON = 0x01
@@ -27,6 +28,9 @@ AGGREGATED_EVENT = 0x12
 PARKING_EVENT = 0x13
 ADVERT = 0x14
 REVOCATION_SYNC = 0x15
+
+_CELL_SIZE = 200.0   # the location cell that aggregation signs and deduplicates by
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 PSEUDONYM_LEN = 16
 CHALLENGE_LEN = 16
@@ -224,8 +228,17 @@ def _write_coordinate(w: _Writer, c: GeoCoordinate) -> None:
     w.f64(c.x).f64(c.y)
 
 
+def _read_quantized(r: _Reader, quantum: float) -> float:
+    """An f64 that is finite and whose `quantum` bucket is a signed 64-bit
+    integer, as `aggregation.canonical_observation` encodes it."""
+    v = r.f64()
+    if not math.isfinite(v) or not _I64_MIN <= math.floor(v / quantum) <= _I64_MAX:
+        raise WireError("coordinate or time out of range")
+    return v
+
+
 def _read_coordinate(r: _Reader) -> GeoCoordinate:
-    return GeoCoordinate(r.f64(), r.f64())
+    return GeoCoordinate(_read_quantized(r, _CELL_SIZE), _read_quantized(r, _CELL_SIZE))
 
 
 def _write_certificate(w: _Writer, cert: Certificate) -> None:
@@ -251,7 +264,7 @@ def _read_observation(r: _Reader) -> CongestionObservation:
     road = r.text()
     direction = FORWARD if r.u8() == 0 else REVERSE
     location = _read_coordinate(r)
-    detected_at = r.f64()
+    detected_at = _read_quantized(r, TIME_QUANTUM)
     pseudonym = r.raw(PSEUDONYM_LEN)
     return CongestionObservation(road, direction, location, detected_at, pseudonym)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import struct
 import warnings
 
 import pytest
@@ -7,7 +9,7 @@ from vanetkit import aggregation, auth, crypto, kits, scenario, wire
 from vanetkit.aggregation import (PendingObservation, SignedObservation, event_id_for,
                                   sign_observation)
 from vanetkit.events import CongestionObservation
-from vanetkit.geomodel import FORWARD, GeoCoordinate, load_network
+from vanetkit.geomodel import FORWARD, REVERSE, GeoCoordinate, load_network
 from vanetkit.simnet import (CongestionZone, ConservationError, ParkDirective,
                              SimConfig, Simulation, VehicleSpec, assign_obus,
                              collect_metrics, neighbors_in_range, run_simulation,
@@ -216,6 +218,24 @@ def test_corroboration_request_retries_until_peer_authenticates():
     assert len(aggregate) == 1 and "sigs=2" in aggregate[0]
 
 
+def test_overlapping_zones_first_in_config_order_applies():
+    config, net, roster = two_node_setup()
+    config.zones = [CongestionZone("main", REVERSE, 0.0, 100.0, 1.0),
+                    CongestionZone("main", FORWARD, 10.0, 50.0, 5.0),
+                    CongestionZone("main", FORWARD, 0.0, 80.0, 20.0),
+                    CongestionZone("main", FORWARD, 30.0, 40.0, 9.0),
+                    CongestionZone("other", FORWARD, 0.0, 100.0, 3.0)]
+    sim = Simulation(config, net, roster)
+    node = sim.nodes["n1"]
+    for now, speed in [(0.0, 20.0), (10.0, 5.0), (35.0, 5.0), (49.5, 5.0),
+                       (50.0, 20.0), (79.0, 20.0), (80.0, None)]:
+        sim.now = now
+        assert sim._zone_speed(node, int(now)) == speed
+    node.state = dataclasses.replace(node.state, direction=REVERSE)
+    sim.now = 35.0
+    assert sim._zone_speed(node, 35) == 1.0
+
+
 def test_radio_symmetry_every_tick():
     config, net, roster = two_node_setup(gap=74.0)
     sim = Simulation(config, net, roster)
@@ -395,3 +415,36 @@ def test_corroboration_request_from_outside_the_roster_is_dropped(tmp_path):
     sim._handle_corroboration_request(c, "D", wire.encode_signed_observation(bad), 120, True)
     assert "mallory" not in c.revocations.records
     assert c.corroboration_inbox == inbox
+
+
+@pytest.mark.parametrize("tag", [wire.SIGNED_OBSERVATION, wire.AGGREGATED_EVENT])
+@pytest.mark.parametrize("field", ["x", "y", "detected_at"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e300])
+def test_sealed_observation_with_unencodable_number_is_dropped(tmp_path, tag, field, value):
+    """A sealed observation or aggregate from an authenticated peer whose
+    coordinate or time is not finite, or whose 200 m cell or minute does not
+    fit a signed 64-bit integer, is dropped and counted, leaving no state."""
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    _, neighbors = sim._adjacency()
+    c, d = sim.nodes["C"], sim.nodes["D"]
+    assert "D" in c.sessions
+    obs = CongestionObservation("main1", FORWARD, GeoCoordinate(280.0, 0.0), 100.0, b"d" * 16)
+    signed = sign_observation(obs, d.user.keys.private_key, d.user.self_certificate, b"d" * 16)
+    if tag == wire.SIGNED_OBSERVATION:
+        payload = wire.encode_signed_observation(signed)
+    else:
+        payload = wire.encode_aggregate(
+            aggregation.AggregatedEvent(obs, (signed,), b"d" * 16, 100.0, None, 2))
+    # The observation leads both payloads: road text, direction, x, y, time.
+    offset = 2 + len(obs.road_id) + 1 + {"x": 0, "y": 8, "detected_at": 16}[field]
+    payload = payload[:offset] + struct.pack(">d", value) + payload[offset + 8:]
+    blob = crypto.seal(c.sessions["D"].key.key, payload, bytes(16))
+    frame = wire.encode_sealed(tag, blob)
+    events, pending, trace = list(c.decrypted_events), dict(c.pending), list(sim.trace)
+    sim._handle_frame(c, "D", frame, 121, neighbors, True)
+    assert sim.malformed_frames == 1
+    assert c.decrypted_events == events and c.pending == pending and sim.trace == trace
+    with pytest.raises(wire.WireError):
+        (wire.decode_signed_observation if tag == wire.SIGNED_OBSERVATION
+         else wire.decode_aggregate)(payload)

@@ -54,6 +54,24 @@ def test_sign_friend_updates_both_repositories():
     assert ("a", "b") in graph.edges
 
 
+def test_candidate_keys_are_cached_until_a_certificate_is_added():
+    roster = Roster()
+    a = roster.register("a", 1)
+    b = roster.register("b", 2)
+    c = roster.register("c", 3)
+    repo = a.repository
+    keys = repo.candidate_keys()
+    assert keys == (a.keys.public_key,)
+    assert repo.candidate_keys() is keys and isinstance(keys, tuple)
+    sign_friend(b, a)
+    sign_friend(a, c)
+    sign_friend(b, a)                 # the same certificate again: same keys
+    keys = repo.candidate_keys()
+    assert keys == tuple(sorted({cert.subject_public_key for cert in repo.certificates()}))
+    assert keys == tuple(sorted([a.keys.public_key, c.keys.public_key]))
+    assert repo.candidate_keys() is keys
+
+
 def test_mutual_signing_gives_mutual_edges():
     roster = Roster()
     roster.register("a", 1)

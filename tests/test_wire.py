@@ -104,3 +104,33 @@ def test_trailing_bytes_rejected():
 def test_text_that_is_not_utf8_is_a_wire_error():
     with pytest.raises(wire.WireError):
         wire.decode_revocations(b"\x00\x01\x00\x01\xff" + b"\x00" * 5)
+
+
+@pytest.mark.parametrize("x,t,ok", [
+    (-1e20, 1e20, True),     # cell and minute still fit a signed 64-bit integer
+    (2e21, 456.0, False),    # cell 1e19 does not
+    (-2e21, 456.0, False),
+    (123.5, 1e21, False),    # minute 1.7e19 does not
+    (123.5, float("nan"), False),
+    (float("-inf"), 456.0, False),
+])
+def test_observation_numbers_must_fit_the_canonical_encoding(x, t, ok):
+    obs = CongestionObservation("road9", FORWARD, GeoCoordinate(x, -42.25), t, b"q" * 16)
+    roster = Roster()
+    ident = roster.register("u", 1)
+    if ok:
+        signed = sign_observation(obs, ident.keys.private_key, ident.self_certificate, b"q" * 16)
+        assert wire.decode_signed_observation(wire.encode_signed_observation(signed)) == signed
+        return
+    good = sign_observation(observation(), ident.keys.private_key, ident.self_certificate,
+                            b"q" * 16)
+    forged = type(good)(obs, good.signer_pseudonym, good.signer_certificate, good.signature)
+    with pytest.raises(wire.WireError):
+        wire.decode_signed_observation(wire.encode_signed_observation(forged))
+
+
+def test_parking_coordinate_must_be_finite():
+    data = wire.encode_parking(ParkingEvent(GeoCoordinate(float("nan"), 20.0), 300.0, 60.0),
+                               b"e" * 16)
+    with pytest.raises(wire.WireError):
+        wire.decode_parking(data)
