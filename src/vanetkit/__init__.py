@@ -33,7 +33,7 @@ from .aggregation import (AggregatedEvent, JourneyContactLog, SignedObservation,
 from .relay import (CooperationRecord, EncryptedPayload, RelayDecision,
                     RoutePlan, cooperation_gate, decide_relay, decrypt_from_peer,
                     encrypt_for_peer, plan_route, recompute_route, route_affected)
-from .simnet import (NetworkStats, NodeStats, SimConfig, Simulation,
+from .simnet import (AuditLog, NetworkStats, NodeStats, SimConfig, Simulation,
                      assign_obus, collect_metrics, neighbors_in_range,
                      run_simulation, should_launch)
 

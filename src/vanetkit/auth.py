@@ -15,12 +15,22 @@ the shared key and both nonces, and exchange revocation knowledge.
 
 Engines are pure state machines advanced by delivered wire messages;
 the simulator serializes delivery, one engine instance per session.
+
+Hashing is the cost of a handshake, so it is done from prepared states
+with byte-equal results.  A commitment is
+`crypto.sha256(b"vk-commit", nonce, key)`: each key is fed to a copy of
+one sha256 state over the label and nonce.  A response is HMAC-SHA256 of
+the key over label, challenge and nonce (RFC 2104), finished from the
+key's inner and outer states after their first block.  Those states are
+memoised in `_HMAC_STATES`, one entry per distinct certificate key, as
+`crypto._PUBLIC_KEYS` memoises public keys.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from . import crypto, wire
@@ -120,12 +130,42 @@ def emit_beacon(state: PseudonymState, tick: int) -> tuple[Beacon, bytes]:
 
 # -- the sigma-style proof over a shared certificate key ---------------------
 
-def _commitment(nonce: bytes, key: bytes) -> bytes:
-    return crypto.sha256(b"vk-commit", nonce, key)
+_COMMIT_LABEL = b"vk-commit"
+_RESPONSE_LABEL = b"vk-resp"
+_HMAC_BLOCK = 64   # sha256 block size
 
 
-def _response(key: bytes, challenge: bytes, nonce: bytes) -> bytes:
-    return crypto.hmac_sha256(key, b"vk-resp", challenge, nonce)
+def _commitment_prefix(nonce: bytes):
+    """sha256 state over the commitment label and nonce; `.copy()` it and
+    feed a key to get `crypto.sha256(b"vk-commit", nonce, key)`."""
+    return hashlib.sha256(_COMMIT_LABEL + nonce)
+
+
+def _hmac_pads(key: bytes):
+    """HMAC-SHA256 inner and outer states for `key` after its first block,
+    as RFC 2104 defines them."""
+    if len(key) > _HMAC_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_HMAC_BLOCK, b"\0")
+    return (hashlib.sha256(bytes(b ^ 0x36 for b in key)),
+            hashlib.sha256(bytes(b ^ 0x5C for b in key)))
+
+
+# certificate public key -> its HMAC inner and outer states; one entry per
+# distinct key, like crypto._PUBLIC_KEYS
+_HMAC_STATES: dict[bytes, tuple] = {}
+
+
+def _response(key: bytes, message: bytes) -> bytes:
+    """`crypto.hmac_sha256(key, message)` from the memoised states."""
+    states = _HMAC_STATES.get(key)
+    if states is None:
+        states = _HMAC_STATES[key] = _hmac_pads(key)
+    inner = states[0].copy()
+    inner.update(message)
+    outer = states[1].copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def build_commitments(keys: Sequence[bytes], nonce: bytes,
@@ -139,14 +179,22 @@ def build_commitments(keys: Sequence[bytes], nonce: bytes,
     while len(slots) < PAD_COMMITMENTS:
         slots.append(None)
     rng.shuffle(slots)
-    commitments = [_commitment(nonce, k) if k is not None else rng.randbytes(32)
-                   for k in slots]
+    prefix = _commitment_prefix(nonce)
+    commitments = []
+    for key in slots:
+        if key is None:
+            commitments.append(rng.randbytes(32))
+        else:
+            h = prefix.copy()
+            h.update(key)
+            commitments.append(h.digest())
     return commitments, slots
 
 
 def build_responses(slots: list[bytes | None], challenge: bytes, nonce: bytes,
                     rng: random.Random) -> list[bytes]:
-    return [_response(k, challenge, nonce) if k is not None else rng.randbytes(32)
+    message = _RESPONSE_LABEL + challenge + nonce
+    return [_response(k, message) if k is not None else rng.randbytes(32)
             for k in slots]
 
 
@@ -156,10 +204,14 @@ def match_keys(own_keys: Sequence[bytes], commitments: list[bytes], nonce: bytes
     if len(commitments) != len(responses):
         return []
     index = {c: i for i, c in enumerate(commitments)}
+    prefix = _commitment_prefix(nonce)
+    message = _RESPONSE_LABEL + challenge + nonce
     matched = []
     for key in own_keys:
-        i = index.get(_commitment(nonce, key))
-        if i is not None and responses[i] == _response(key, challenge, nonce):
+        h = prefix.copy()
+        h.update(key)
+        i = index.get(h.digest())
+        if i is not None and responses[i] == _response(key, message):
             matched.append(key)
     return matched
 
@@ -418,8 +470,8 @@ class AuthScheduler:
         first = self.first_seen.get(peer)
         return first is not None and now - first >= self.period
 
-    def due_peers(self, neighbors: list[str], authenticated: set[str],
-                  in_progress: set[str], now: float) -> list[str]:
+    def due_peers(self, neighbors: list[str], authenticated: Collection[str],
+                  in_progress: Collection[str], now: float) -> list[str]:
         out = []
         for peer in neighbors:
             if peer in authenticated or peer in in_progress:

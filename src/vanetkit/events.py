@@ -5,6 +5,12 @@ Congestion is flagged when a vehicle sustains an abnormally low speed
 parking vacancies are announced when a previously parked vehicle starts
 up with a GPS fix.  Stored events expire on short TTLs and the store is
 pruned every tick.
+
+`evaluate_window` states the congestion predicate over a whole window;
+`CongestionDetector.firing` gives the same answer in O(1) by judging
+each sample once, when it stops being the newest.  The newest sample is
+always read live, because the simulator changes the ignition and speed
+of a vehicle's current state in place when it parks or starts.
 """
 
 from __future__ import annotations
@@ -109,30 +115,59 @@ def evaluate_window(window: list[tuple[float, VehicleState, float]],
 
 
 class CongestionDetector:
-    """Per-node sliding window over recent samples, with emission cooldown."""
+    """Per-node sliding window over recent samples, with emission cooldown.
+
+    `firing()` equals `evaluate_window(self.window, config)` in O(1).  A
+    sample that is no longer the newest never changes again (the
+    simulator pushes a fresh state every tick), so `push` judges it once,
+    when the next sample arrives, and keeps the push number of the newest
+    one that breaks the predicate.  The newest sample is read live: the
+    simulator turns the ignition off and on, and zeroes the speed, in
+    place on the state it last pushed.
+    """
 
     def __init__(self, config: DetectionConfig, has_gps: bool = True):
         self.config = config
         self.has_gps = has_gps
         self.window: list[tuple[float, VehicleState, float]] = []
         self.last_emitted: dict[tuple[str, str], float] = {}
+        self._pushed = 0         # samples pushed so far
+        self._broken_at = -1     # push number of the newest breaking non-newest sample
 
     def push(self, now: float, state: VehicleState, network: RoadNetwork) -> None:
         if not self.has_gps:
             return
         limit = network.segments[state.segment_id].speed_limit
-        if self.window:
-            _, prev, _ = self.window[-1]
+        window = self.window
+        if window:
+            _, prev, prev_limit = window[-1]
             if prev.segment_id != state.segment_id or prev.direction != state.direction:
-                self.window.clear()
-        self.window.append((now, state, limit))
+                window.clear()
+            elif (not prev.ignition
+                  or prev.speed >= self.config.speed_fraction * prev_limit):
+                self._broken_at = self._pushed - 1
+        window.append((now, state, limit))
+        self._pushed += 1
         # Keep the shortest suffix still spanning the sustain window.
-        while len(self.window) >= 2 and self.window[1][0] <= now - self.config.sustain_window:
-            self.window.pop(0)
+        while len(window) >= 2 and window[1][0] <= now - self.config.sustain_window:
+            window.pop(0)
 
     def firing(self) -> bool:
         """Sustained-low-speed predicate holds right now, cooldown aside."""
-        return evaluate_window(self.window, self.config)
+        window = self.window
+        if len(window) < 2:
+            return False
+        t0, first, _ = window[0]
+        t1, last, limit = window[-1]
+        config = self.config
+        if t1 - t0 < config.sustain_window or limit < config.min_limit:
+            return False
+        if self._broken_at >= self._pushed - len(window):
+            return False   # a breaking sample is still inside the window
+        return (last.ignition
+                and last.segment_id == first.segment_id
+                and last.direction == first.direction
+                and not last.speed >= config.speed_fraction * limit)
 
     def detect_candidate(self, now: float, network: RoadNetwork,
                          observer_pseudonym: bytes) -> CongestionObservation | None:

@@ -225,6 +225,20 @@ class NetworkStats:
         return "\n".join(lines) + "\n"
 
 
+@dataclass
+class AuditLog:
+    """Opt-in record of what went on the air, for privacy audits.  Attach
+    one as `Simulation.audit` before `run()`; none is kept otherwise.
+
+    `beacons` holds every beacon frame, `notices` every pseudonym change
+    notice as (sender, peer, frame), and `rotations` every pseudonym
+    change as (tick, node, old pseudonym, new pseudonym).
+    """
+    beacons: list[bytes] = field(default_factory=list)
+    notices: list[tuple[str, str, bytes]] = field(default_factory=list)
+    rotations: list[tuple[int, str, bytes, bytes]] = field(default_factory=list)
+
+
 class _Session:
     def __init__(self, key: auth.SessionKey, peer_user: str, now: float):
         self.key = key
@@ -326,9 +340,7 @@ class Simulation:
         self.known_users = frozenset(roster.users)   # shared by every node's RevocationStore
         self.rng = random.Random(config.seed)
         self.trace: list[str] = []
-        self.beacon_log: list[bytes] = []      # every beacon frame, for audits
-        self.notice_log: list[tuple[str, str, bytes]] = []
-        self.rotation_log: list[tuple[int, str, bytes, bytes]] = []
+        self.audit: AuditLog | None = None
         self.connections = 0
         self.events_accepted = 0
         self.events_rejected = 0
@@ -659,37 +671,40 @@ class Simulation:
         old = node.pseudonyms.current.value
         sessions = {peer: node.sessions[peer].key for peer in node.session_peers()}
         new, notices = auth.rotate_pseudonym(node.pseudonyms, self.now, self.rng, sessions)
-        self.rotation_log.append((t, node.id, old, new.value))
+        if self.audit is not None:
+            self.audit.rotations.append((t, node.id, old, new.value))
+            self.audit.notices.extend((node.id, peer, frame) for peer, frame in notices)
         for peer, frame in notices:
-            self.notice_log.append((node.id, peer, frame))
             self._unicast(node, peer, frame, t)
 
     def _beacon(self, node: _Node, t: int, targets: list[str]) -> None:
         _, frame = auth.emit_beacon(node.pseudonyms, t)
-        self.beacon_log.append(frame)
+        if self.audit is not None:
+            self.audit.beacons.append(frame)
         self._broadcast(node, frame, targets, t)
 
     def _sweep_engines(self, node: _Node, t: int) -> None:
         timeout = self.config.handshake_timeout
-        for peer in [p for p, eng in sorted(node.initiators.items())
-                     if self.now - eng.started_at > timeout]:
-            del node.initiators[peer]
-        for sid in [s for s, (_, eng) in sorted(node.responders.items())
-                    if self.now - eng.started_at > timeout]:
-            del node.responders[sid]
+        if node.initiators:
+            for peer in [p for p, eng in node.initiators.items()
+                         if self.now - eng.started_at > timeout]:
+                del node.initiators[peer]
+        if node.responders:
+            for sid in [s for s, (_, eng) in node.responders.items()
+                        if self.now - eng.started_at > timeout]:
+                del node.responders[sid]
 
     def _schedule_auth(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
-        authenticated = set(node.sessions)
-        in_progress = set(node.initiators)
+        """`neighbor_ids` is in id order, as `_adjacency` returns it."""
         # Deterministic initiator rule: the smaller node id opens the
         # exchange; the larger one takes over after a full period so a
         # half-open pair cannot stay stuck.
         candidates = []
-        for peer in sorted(neighbor_ids):
+        for peer in neighbor_ids:
             node.scheduler.note_neighbor(peer, self.now)
             if node.id < peer or node.scheduler.grace_elapsed(peer, self.now):
                 candidates.append(peer)
-        for peer in node.scheduler.due_peers(candidates, authenticated, in_progress,
+        for peer in node.scheduler.due_peers(candidates, node.sessions, node.initiators,
                                              self.now):
             node.scheduler.mark(peer, self.now)
             node.stats.auth_attempts += 1
@@ -700,15 +715,19 @@ class Simulation:
             self._unicast(node, peer, engine.start(), t)
 
     def _gc_sessions(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
-        present = set(neighbor_ids)
-        for peer in node.session_peers():
-            session = node.sessions[peer]
+        if not node.sessions:
+            return
+        timeout = self.config.session_timeout
+        stale = []
+        for peer, session in node.sessions.items():
             # Staleness wins over presence so a node waking from a long
             # park drops the session its peer already gave up on.
-            if self.now - session.last_seen > self.config.session_timeout:
-                del node.sessions[peer]
-            elif peer in present:
+            if self.now - session.last_seen > timeout:
+                stale.append(peer)
+            elif peer in neighbor_ids:
                 session.last_seen = self.now
+        for peer in stale:
+            del node.sessions[peer]
 
     def _detect(self, node: _Node, t: int) -> None:
         node.detector.push(self.now, node.state, self.network)
@@ -730,12 +749,13 @@ class Simulation:
         reachable = set(neighbor_ids)
         for event_id in sorted(node.pending):
             pending = node.pending[event_id]
-            own = pending.signatures[0]
-            payload = wire.encode_signed_observation(own)
+            payload = None   # our own signed observation, encoded for the first send
             for peer in node.session_peers():
                 if peer in pending.requested_peers or peer not in reachable:
                     continue
                 pending.requested_peers.add(peer)
+                if payload is None:
+                    payload = wire.encode_signed_observation(pending.signatures[0])
                 self._seal_and_send(node, peer, wire.CORROBORATION_REQUEST, payload, t)
             if pending.requested_peers and event_id not in node.pending_announced:
                 node.pending_announced.add(event_id)
@@ -769,7 +789,8 @@ class Simulation:
     def _parking_announcements(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
         if not node.parking_queue:
             return
-        reachable = [p for p in node.session_peers() if p in set(neighbor_ids)]
+        present = set(neighbor_ids)
+        reachable = [p for p in node.session_peers() if p in present]
         if not reachable:
             return  # retained locally, retried next tick
         remaining = []
@@ -792,7 +813,8 @@ class Simulation:
             return
         if self.now - node.last_advert_sent < self.config.advert_period:
             return
-        reachable = [p for p in node.session_peers() if p in set(neighbor_ids)]
+        present = set(neighbor_ids)
+        reachable = [p for p in node.session_peers() if p in present]
         if not reachable:
             return
         node.last_advert_sent = self.now
@@ -972,7 +994,7 @@ class Simulation:
         signed = wire.decode_signed_observation(payload)
         node.decrypted_events.append((t, wire.CORROBORATION_REQUEST, b""))
         if not signed.verify():
-            self._report(node, signed.signer_certificate.subject)
+            self._report_sender(node, sender)
             return
         if node.revocations.is_revoked(signed.signer_certificate.subject):
             return
@@ -1020,7 +1042,7 @@ class Simulation:
         if not accepted:
             self.events_rejected += 1
             if reason in ("bad-signature", "bad-certificate"):
-                self._report(node, event.signatures[0].signer_certificate.subject)
+                self._report_sender(node, sender)
             return
         decision = decide_relay(
             event, True, seen=False,
@@ -1081,7 +1103,7 @@ class Simulation:
                                        self.roster.users[uid].keys.public_key
                                        if uid in self.roster.users else None))
         except ValueError:
-            self._report(node, advert.certificate.subject)
+            self._report_sender(node, sender)
             return
         node.store.add_advert(advert_id, advert)
         if shown:
@@ -1105,11 +1127,13 @@ class Simulation:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _report(self, node: _Node, subject: str) -> None:
-        """Count misbehaviour against a roster user; a certificate naming
-        anyone else has no ledger entry to devalue, so it is ignored."""
-        if subject in node.revocations.known_users:
-            report_misbehavior(node.revocations, subject)
+    def _report_sender(self, node: _Node, sender: str) -> None:
+        """Count misbehaviour against the user of the authenticated session
+        a bad payload came over.  Only the session key binds a sender; a
+        certificate inside the payload names whoever the sender chose, so
+        an aggregate led by an honest user's valid signature cannot frame
+        that user."""
+        report_misbehavior(node.revocations, node.sessions[sender].peer_user)
 
     def _trace(self, t: int, node_id: str, kind: str, detail: str) -> None:
         self.trace.append(f"{self.now:g} {node_id} {kind} {detail}")

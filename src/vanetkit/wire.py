@@ -4,6 +4,16 @@ Byte-exactness matters for run determinism and for signing, not for
 interoperability with any external stack.  Authentication traffic and
 beacons travel in the clear; event payloads (tags 0x10 and up) are
 sealed per session and the frame body is the sealed blob.
+
+The handshake messages are the bulk of what is decoded, so the codecs
+avoid per-field work: every fixed-width field has a module-level
+`struct.Struct`, `_Reader` reads at an offset with `unpack_from` and
+slices only the byte fields it returns, and `_Reader.blocks` checks the
+bounds of a whole commitment or response block once and cuts it with
+one cached layout.  The beacon and handshake encoders join their parts
+in one call.  Errors and their messages are those of a field-by-field
+reader: `record truncated`, `trailing bytes in record`, `frame
+truncated`, `frame length mismatch`.
 """
 
 from __future__ import annotations
@@ -42,27 +52,38 @@ class WireError(Exception):
     pass
 
 
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_F64 = struct.Struct(">d")
+_U32_PAIR = struct.Struct(">II")
+_HEADER = struct.Struct(">IB")   # frame length (tag + body), tag
+# (count, size) -> layout of `count` fixed-size fields; a count is a u8, so
+# at most 256 layouts per field size
+_BLOCK_LAYOUTS: dict[tuple[int, int], struct.Struct] = {}
+
+
 class _Writer:
     def __init__(self) -> None:
         self.parts: list[bytes] = []
 
     def u8(self, v: int) -> "_Writer":
-        self.parts.append(struct.pack(">B", v)); return self
+        self.parts.append(_U8.pack(v)); return self
 
     def u16(self, v: int) -> "_Writer":
-        self.parts.append(struct.pack(">H", v)); return self
+        self.parts.append(_U16.pack(v)); return self
 
     def u32(self, v: int) -> "_Writer":
-        self.parts.append(struct.pack(">I", v)); return self
+        self.parts.append(_U32.pack(v)); return self
 
     def f64(self, v: float) -> "_Writer":
-        self.parts.append(struct.pack(">d", v)); return self
+        self.parts.append(_F64.pack(v)); return self
 
     def raw(self, b: bytes) -> "_Writer":
         self.parts.append(b); return self
 
     def blob(self, b: bytes) -> "_Writer":
-        self.parts.append(struct.pack(">H", len(b)) + b); return self
+        self.parts.append(_U16.pack(len(b)) + b); return self
 
     def text(self, s: str) -> "_Writer":
         return self.blob(s.encode())
@@ -72,34 +93,51 @@ class _Writer:
 
 
 class _Reader:
+    """Reads fields at an offset into one bytes object; only `raw`, `blob`
+    and `blocks` slice."""
+
+    __slots__ = ("data", "pos", "end")
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.end = len(data)
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def _advance(self, n: int) -> int:
+        """Offset of the next `n` bytes, which are then consumed."""
+        pos = self.pos
+        if pos + n > self.end:
             raise WireError("record truncated")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self.pos = pos + n
+        return pos
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self.data[self._advance(1)]
 
     def u16(self) -> int:
-        return struct.unpack(">H", self._take(2))[0]
+        return _U16.unpack_from(self.data, self._advance(2))[0]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
+        return _U32.unpack_from(self.data, self._advance(4))[0]
 
     def f64(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
+        return _F64.unpack_from(self.data, self._advance(8))[0]
 
     def raw(self, n: int) -> bytes:
-        return self._take(n)
+        pos = self._advance(n)
+        return self.data[pos:pos + n]
+
+    def blocks(self, count: int, size: int) -> list[bytes]:
+        """`count` fields of `size` bytes, bounds-checked once and cut by
+        one `unpack_from`."""
+        pos = self._advance(count * size)
+        layout = _BLOCK_LAYOUTS.get((count, size))
+        if layout is None:
+            layout = _BLOCK_LAYOUTS[count, size] = struct.Struct(">" + f"{size}s" * count)
+        return list(layout.unpack_from(self.data, pos))
 
     def blob(self) -> bytes:
-        return self._take(self.u16())
+        return self.raw(self.u16())
 
     def text(self) -> str:
         try:
@@ -107,34 +145,28 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise WireError("text field is not UTF-8") from exc
 
-    def rest(self) -> bytes:
-        out = self.data[self.pos:]
-        self.pos = len(self.data)
-        return out
-
     def expect_end(self) -> None:
-        if self.pos != len(self.data):
+        if self.pos != self.end:
             raise WireError("trailing bytes in record")
 
 
 def encode_frame(tag: int, body: bytes) -> bytes:
-    return struct.pack(">I", 1 + len(body)) + struct.pack(">B", tag) + body
+    return _HEADER.pack(1 + len(body), tag) + body
 
 
 def decode_frame(buf: bytes) -> tuple[int, bytes]:
     if len(buf) < 5:
         raise WireError("frame truncated")
-    length = struct.unpack(">I", buf[:4])[0]
+    length, tag = _HEADER.unpack_from(buf)
     if len(buf) != 4 + length:
         raise WireError("frame length mismatch")
-    return buf[4], buf[5:]
+    return tag, buf[5:]
 
 
 # -- beacons ---------------------------------------------------------------
 
 def encode_beacon(pseudonym: bytes, sequence: int, tick: int) -> bytes:
-    body = _Writer().raw(pseudonym).u32(sequence).u32(tick).done()
-    return encode_frame(BEACON, body)
+    return encode_frame(BEACON, pseudonym + _U32_PAIR.pack(sequence, tick))
 
 
 def decode_beacon(body: bytes) -> tuple[bytes, int, int]:
@@ -149,27 +181,24 @@ def decode_beacon(body: bytes) -> tuple[bytes, int, int]:
 # -- authentication handshake ----------------------------------------------
 
 def encode_auth_commit(session_id: bytes, pseudonym: bytes, commitments: list[bytes]) -> bytes:
-    w = _Writer().raw(session_id).raw(pseudonym).u8(len(commitments))
-    for c in commitments:
-        w.raw(c)
-    return encode_frame(AUTH_COMMIT, w.done())
+    body = b"".join((session_id, pseudonym, _U8.pack(len(commitments)), *commitments))
+    return encode_frame(AUTH_COMMIT, body)
 
 
 def decode_auth_commit(body: bytes) -> tuple[bytes, bytes, list[bytes]]:
     r = _Reader(body)
     session_id = r.raw(16)
     pseudonym = r.raw(PSEUDONYM_LEN)
-    commitments = [r.raw(COMMITMENT_LEN) for _ in range(r.u8())]
+    commitments = r.blocks(r.u8(), COMMITMENT_LEN)
     r.expect_end()
     return session_id, pseudonym, commitments
 
 
 def encode_auth_challenge(session_id: bytes, pseudonym: bytes, challenge: bytes,
                           commitments: list[bytes]) -> bytes:
-    w = _Writer().raw(session_id).raw(pseudonym).raw(challenge).u8(len(commitments))
-    for c in commitments:
-        w.raw(c)
-    return encode_frame(AUTH_CHALLENGE, w.done())
+    body = b"".join((session_id, pseudonym, challenge, _U8.pack(len(commitments)),
+                     *commitments))
+    return encode_frame(AUTH_CHALLENGE, body)
 
 
 def decode_auth_challenge(body: bytes) -> tuple[bytes, bytes, bytes, list[bytes]]:
@@ -177,18 +206,16 @@ def decode_auth_challenge(body: bytes) -> tuple[bytes, bytes, bytes, list[bytes]
     session_id = r.raw(16)
     pseudonym = r.raw(PSEUDONYM_LEN)
     challenge = r.raw(CHALLENGE_LEN)
-    commitments = [r.raw(COMMITMENT_LEN) for _ in range(r.u8())]
+    commitments = r.blocks(r.u8(), COMMITMENT_LEN)
     r.expect_end()
     return session_id, pseudonym, challenge, commitments
 
 
 def encode_auth_response(session_id: bytes, initiator: bool, nonce: bytes,
                          responses: list[bytes], counter_challenge: bytes) -> bytes:
-    w = _Writer().raw(session_id).u8(1 if initiator else 0).raw(nonce).u8(len(responses))
-    for resp in responses:
-        w.raw(resp)
-    w.raw(counter_challenge)
-    return encode_frame(AUTH_RESPONSE, w.done())
+    body = b"".join((session_id, b"\x01" if initiator else b"\x00", nonce,
+                     _U8.pack(len(responses)), *responses, counter_challenge))
+    return encode_frame(AUTH_RESPONSE, body)
 
 
 def decode_auth_response(body: bytes) -> tuple[bytes, bool, bytes, list[bytes], bytes]:
@@ -196,14 +223,14 @@ def decode_auth_response(body: bytes) -> tuple[bytes, bool, bytes, list[bytes], 
     session_id = r.raw(16)
     initiator = r.u8() == 1
     nonce = r.raw(16)
-    responses = [r.raw(RESPONSE_LEN) for _ in range(r.u8())]
+    responses = r.blocks(r.u8(), RESPONSE_LEN)
     counter_challenge = r.raw(CHALLENGE_LEN)
     r.expect_end()
     return session_id, initiator, nonce, responses, counter_challenge
 
 
 def encode_auth_result(session_id: bytes, accepted: bool) -> bytes:
-    return encode_frame(AUTH_RESULT, _Writer().raw(session_id).u8(1 if accepted else 0).done())
+    return encode_frame(AUTH_RESULT, session_id + (b"\x01" if accepted else b"\x00"))
 
 
 def decode_auth_result(body: bytes) -> tuple[bytes, bool]:

@@ -20,7 +20,7 @@ from vanetkit.aggregation import (AggregatedEvent, required_signatures,
 from vanetkit.events import CongestionObservation
 from vanetkit.geomodel import FORWARD, GeoCoordinate, load_network
 from vanetkit.relay import plan_cost, plan_route, recompute_route
-from vanetkit.simnet import Simulation, neighbors_in_range
+from vanetkit.simnet import AuditLog, Simulation, neighbors_in_range
 from vanetkit.trust import Certificate, RevocationStore, Roster
 from scenario_builders import freerider_setup, privacy_setup
 
@@ -207,21 +207,22 @@ def test_05_privacy_surface_of_beacons():
             patterns.add(ident.user_id.encode())
 
         sim = Simulation(config, network, roster)
+        sim.audit = AuditLog()
         sim.run()
-        assert len(sim.beacon_log) >= 3000
-        blob = b"\xff".join(sim.beacon_log)
+        assert len(sim.audit.beacons) >= 3000
+        blob = b"\xff".join(sim.audit.beacons)
         for pattern in patterns:
             if pattern in blob:
                 # Rule out a false positive spanning two beacons.
-                assert not any(pattern in beacon for beacon in sim.beacon_log), \
+                assert not any(pattern in beacon for beacon in sim.audit.beacons), \
                     f"beacon leaks {pattern.hex()}"
 
         # Rotations happened, and their change notices are opaque to anyone
         # without the matching session key.
-        assert sim.rotation_log
-        assert sim.notice_log
+        assert sim.audit.rotations
+        assert sim.audit.notices
         outsider_keys = [crypto.sha256(bytes([i]) * 4) for i in range(8)]
-        for sender, peer, frame in sim.notice_log:
+        for sender, peer, frame in sim.audit.notices:
             tag, blob = wire.decode_frame(frame)
             assert tag == wire.CHANGE_NOTICE
             for key in outsider_keys:
@@ -231,7 +232,7 @@ def test_05_privacy_surface_of_beacons():
         session = sim.nodes["va"].sessions.get("vb")
         assert session is not None
         readable = 0
-        for sender, peer, frame in sim.notice_log:
+        for sender, peer, frame in sim.audit.notices:
             if {sender, peer} == {"va", "vb"}:
                 _, blob = wire.decode_frame(frame)
                 old, new = wire.decode_pseudonym_change(

@@ -8,7 +8,7 @@ import pytest
 from vanetkit import aggregation, auth, crypto, kits, scenario, wire
 from vanetkit.aggregation import (PendingObservation, SignedObservation, event_id_for,
                                   sign_observation)
-from vanetkit.events import CongestionObservation
+from vanetkit.events import AdvertEvent, CongestionObservation
 from vanetkit.geomodel import FORWARD, REVERSE, GeoCoordinate, load_network
 from vanetkit.simnet import (CongestionZone, ConservationError, ParkDirective,
                              SimConfig, Simulation, VehicleSpec, assign_obus,
@@ -448,3 +448,62 @@ def test_sealed_observation_with_unencodable_number_is_dropped(tmp_path, tag, fi
     with pytest.raises(wire.WireError):
         (wire.decode_signed_observation if tag == wire.SIGNED_OBSERVATION
          else wire.decode_aggregate)(payload)
+
+
+def _flip_last_byte(signed):
+    return SignedObservation(signed.observation, signed.signer_pseudonym,
+                             signed.signer_certificate,
+                             signed.signature[:-1] + bytes([signed.signature[-1] ^ 1]))
+
+
+def test_a_rejected_aggregate_blames_its_sender_not_its_first_signer(tmp_path):
+    """D sends C three aggregates led by R's valid signature and followed by
+    its own tampered one; only D's user is reported."""
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    _, neighbors = sim._adjacency()
+    c, d, r = sim.nodes["C"], sim.nodes["D"], sim.nodes["R"]
+    assert "D" in c.sessions
+    rejected = sim.events_rejected
+    for minute in (10, 11, 12):
+        obs = CongestionObservation("main1", FORWARD, GeoCoordinate(280.0, 0.0),
+                                    60.0 * minute, b"d" * 16)
+        honest = sign_observation(obs, r.user.keys.private_key, r.user.self_certificate,
+                                  b"r" * 16)
+        forged = _flip_last_byte(sign_observation(obs, d.user.keys.private_key,
+                                                  d.user.self_certificate, b"d" * 16))
+        event = aggregation.AggregatedEvent(obs, (honest, forged), b"d" * 16, obs.detected_at,
+                                            None, 2)
+        assert aggregation.verify_aggregate(event, c.revocations) == (False, "bad-signature")
+        blob = crypto.seal(c.sessions["D"].key.key, wire.encode_aggregate(event), bytes(16))
+        sim._handle_frame(c, "D", wire.encode_sealed(wire.AGGREGATED_EVENT, blob), 121,
+                          neighbors, True)
+    assert sim.events_rejected == rejected + 3
+    assert "ur" not in c.revocations.records
+    assert c.revocations.records["ud"].misbehavior_count == 3
+
+
+def test_a_bad_corroboration_request_blames_its_sender_not_the_named_signer(tmp_path):
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    c, r = sim.nodes["C"], sim.nodes["R"]
+    obs = CongestionObservation("main1", FORWARD, GeoCoordinate(280.0, 0.0), 600.0, b"r" * 16)
+    bad = _flip_last_byte(sign_observation(obs, r.user.keys.private_key,
+                                           r.user.self_certificate, b"r" * 16))
+    sim._handle_corroboration_request(c, "D", wire.encode_signed_observation(bad), 121, True)
+    assert "ur" not in c.revocations.records
+    assert c.revocations.records["ud"].misbehavior_count == 1
+
+
+def test_an_advert_with_a_bad_certificate_blames_its_sender_not_the_named_subject(tmp_path):
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    _, neighbors = sim._adjacency()
+    c, r = sim.nodes["C"], sim.nodes["R"]
+    cert = r.user.self_certificate
+    cert = dataclasses.replace(cert, signature=cert.signature[:-1] + bytes([cert.signature[-1] ^ 1]))
+    advert = AdvertEvent("ur-shop", "sale", GeoCoordinate(280.0, 0.0), 500.0, 1e6, "logo", cert)
+    blob = crypto.seal(c.sessions["D"].key.key, wire.encode_advert(advert), bytes(16))
+    sim._handle_frame(c, "D", wire.encode_sealed(wire.ADVERT, blob), 121, neighbors, True)
+    assert "ur" not in c.revocations.records
+    assert c.revocations.records["ud"].misbehavior_count == 1
