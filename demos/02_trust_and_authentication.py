@@ -9,7 +9,7 @@ reports spread after every successful authentication.
 import random
 
 from vanetkit import (Party, RevocationStore, Roster, TrustGraph,
-                      common_friends, zk_mutual_authenticate)
+                      common_friends, register_user, zk_mutual_authenticate)
 
 rng = random.Random(7)
 
@@ -17,7 +17,7 @@ rng = random.Random(7)
 # time; alice and bob have never met.
 roster = Roster()
 for name, seed in [("alice", 1), ("bob", 2), ("hub", 3), ("loner", 4)]:
-    roster.register(name, seed)
+    register_user(roster, name, seed)
 roster.befriend("alice", "hub")
 roster.befriend("bob", "hub")
 

@@ -7,15 +7,15 @@ aggregation threshold demands corroboration from distinct signers.
 
 from vanetkit import (CongestionDetector, DetectionConfig, FORWARD,
                       RevocationStore, Roster, VehicleState, load_network,
-                      verify_aggregate)
+                      register_user, verify_aggregate)
 from vanetkit.aggregation import (assemble_aggregate, avg_users_per_minute,
                                   corroborate, required_signatures,
                                   sign_observation, JourneyContactLog)
 
 net = load_network("junction a 0 0\njunction b 2000 0\nsegment road a b 100 twoway\n")
 roster = Roster()
-promoter = roster.register("promoter", 1)
-helper = roster.register("helper", 2)
+promoter = register_user(roster, "promoter", 1)
+helper = register_user(roster, "helper", 2)
 
 # Both cars crawl at 25 km/h on a 100 km/h road for a full minute.
 detectors = {}

@@ -25,14 +25,12 @@ from .auth import (AuthScheduler, AuthTranscript, Beacon, Party, Pseudonym,
                    zk_mutual_authenticate)
 from .events import (AdvertEvent, CongestionDetector, CongestionObservation,
                      DetectionConfig, EventStore, ParkedLocation, ParkingEvent,
-                     ParkingMonitor, deliver_advert, detect_parking_vacancy,
-                     expire_events, store_parked_location, walking_route)
+                     ParkingMonitor, deliver_advert, walking_route)
 from .aggregation import (AggregatedEvent, JourneyContactLog, SignedObservation,
                           assemble_aggregate, avg_users_per_minute, corroborate,
                           required_signatures, sign_observation, verify_aggregate)
-from .relay import (CooperationRecord, EncryptedPayload, RelayDecision,
-                    RoutePlan, cooperation_gate, decide_relay, decrypt_from_peer,
-                    encrypt_for_peer, plan_route, recompute_route, route_affected)
+from .relay import (CooperationRecord, RelayDecision, RoutePlan, cooperation_gate,
+                    decide_relay, plan_route, recompute_route, route_affected)
 from .simnet import (AuditLog, NetworkStats, NodeStats, SimConfig, Simulation,
                      assign_obus, collect_metrics, neighbors_in_range,
                      run_simulation, should_launch)

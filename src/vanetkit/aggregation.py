@@ -73,15 +73,14 @@ def required_signatures(rate: float | None) -> int:
     return 5
 
 
-def canonical_observation(obs: CongestionObservation, cell_size: float = 200.0,
-                          time_quantum: float = TIME_QUANTUM) -> bytes:
+def canonical_observation(obs: CongestionObservation) -> bytes:
     """Byte-exact encoding signed by observers.
 
     Field order: road_id, direction, cell_x, cell_y, quantized time.
     Integers are big-endian so signatures reproduce across runs.
     """
-    cx, cy = location_cell(obs.location, cell_size)
-    qt = math.floor(obs.detected_at / time_quantum)
+    cx, cy = location_cell(obs.location)
+    qt = math.floor(obs.detected_at / TIME_QUANTUM)
     road = obs.road_id.encode()
     return b"".join([
         struct.pack(">H", len(road)), road,
@@ -92,14 +91,14 @@ def canonical_observation(obs: CongestionObservation, cell_size: float = 200.0,
     ])
 
 
-def observation_cell(obs: CongestionObservation, cell_size: float = 200.0) -> tuple:
-    cx, cy = location_cell(obs.location, cell_size)
+def observation_cell(obs: CongestionObservation) -> tuple:
+    cx, cy = location_cell(obs.location)
     return (obs.road_id, obs.direction, cx, cy)
 
 
-def event_id_for(obs: CongestionObservation, cell_size: float = 200.0) -> bytes:
+def event_id_for(obs: CongestionObservation) -> bytes:
     """Dedup key shared by all packets about the same congestion cell."""
-    return crypto.sha256(b"vk-event", canonical_observation(obs, cell_size))[:16]
+    return crypto.sha256(b"vk-event", canonical_observation(obs))[:16]
 
 
 @dataclass(frozen=True)
@@ -109,19 +108,17 @@ class SignedObservation:
     signer_certificate: Certificate    # the signer's self-certificate
     signature: bytes
 
-    def verify(self, cell_size: float = 200.0) -> bool:
+    def verify(self) -> bool:
         cert = self.signer_certificate
         if cert.signer != cert.subject or not cert.verify(cert.subject_public_key):
             return False
         return crypto.verify(cert.subject_public_key,
-                             canonical_observation(self.observation, cell_size),
-                             self.signature)
+                             canonical_observation(self.observation), self.signature)
 
 
 def sign_observation(obs: CongestionObservation, private_key: bytes,
-                     self_certificate: Certificate, pseudonym: bytes,
-                     cell_size: float = 200.0) -> SignedObservation:
-    sig = crypto.sign(private_key, canonical_observation(obs, cell_size))
+                     self_certificate: Certificate, pseudonym: bytes) -> SignedObservation:
+    sig = crypto.sign(private_key, canonical_observation(obs))
     return SignedObservation(obs, pseudonym, self_certificate, sig)
 
 
@@ -140,8 +137,8 @@ class AggregatedEvent:
 
 
 def corroborate(observation: CongestionObservation, own_firing: CongestionObservation | None,
-                private_key: bytes, self_certificate: Certificate, pseudonym: bytes,
-                cell_size: float = 200.0) -> SignedObservation | None:
+                private_key: bytes, self_certificate: Certificate,
+                pseudonym: bytes) -> SignedObservation | None:
     """Sign the received observation iff our own detector agrees.
 
     `own_firing` is the receiver's current local observation candidate;
@@ -149,19 +146,15 @@ def corroborate(observation: CongestionObservation, own_firing: CongestionObserv
     """
     if own_firing is None:
         return None
-    if observation_cell(observation, cell_size) != observation_cell(own_firing, cell_size):
+    if observation_cell(observation) != observation_cell(own_firing):
         return None
-    return sign_observation(observation, private_key, self_certificate, pseudonym, cell_size)
-
-
-def distinct_certificates(signatures: list[SignedObservation] | tuple[SignedObservation, ...]) -> int:
-    return len({s.signer_certificate.subject_public_key for s in signatures})
+    return sign_observation(observation, private_key, self_certificate, pseudonym)
 
 
 def assemble_aggregate(observation: CongestionObservation,
                        signatures: list[SignedObservation],
-                       rate: float | None, promoter_pseudonym: bytes, now: float,
-                       cell_size: float = 200.0) -> AggregatedEvent | None:
+                       rate: float | None, promoter_pseudonym: bytes,
+                       now: float) -> AggregatedEvent | None:
     """Bundle the signatures once the adaptive threshold is met.
 
     Signatures over non-matching cells or failing verification are
@@ -172,14 +165,14 @@ def assemble_aggregate(observation: CongestionObservation,
     needed = required_signatures(rate)
     if len(signatures) < needed:
         return None
-    cell = observation_cell(observation, cell_size)
+    cell = observation_cell(observation)
     usable: list[SignedObservation] = []
     seen_keys: set[bytes] = set()
     seen_pseudonyms: set[bytes] = set()
     for signed in signatures:
-        if observation_cell(signed.observation, cell_size) != cell:
+        if observation_cell(signed.observation) != cell:
             continue
-        if not signed.verify(cell_size):
+        if not signed.verify():
             continue
         key = signed.signer_certificate.subject_public_key
         if key in seen_keys or signed.signer_pseudonym in seen_pseudonyms:
@@ -192,8 +185,7 @@ def assemble_aggregate(observation: CongestionObservation,
     return AggregatedEvent(observation, tuple(usable), promoter_pseudonym, now, rate, needed)
 
 
-def verify_aggregate(event: AggregatedEvent, revocations: RevocationStore,
-                     cell_size: float = 200.0) -> tuple[bool, str]:
+def verify_aggregate(event: AggregatedEvent, revocations: RevocationStore) -> tuple[bool, str]:
     """Accept or reject with a reason; verifier-independent given equal
     revocation knowledge.
 
@@ -203,18 +195,17 @@ def verify_aggregate(event: AggregatedEvent, revocations: RevocationStore,
     """
     if not event.signatures:
         return False, "insufficient-signatures"
-    cell = observation_cell(event.observation, cell_size)
+    cell = observation_cell(event.observation)
     keys: set[bytes] = set()
     pseudonyms: set[bytes] = set()
     for signed in event.signatures:
-        if observation_cell(signed.observation, cell_size) != cell:
+        if observation_cell(signed.observation) != cell:
             return False, "cell-mismatch"
         cert = signed.signer_certificate
         if cert.signer != cert.subject or not cert.verify(cert.subject_public_key):
             return False, "bad-certificate"
         if not crypto.verify(cert.subject_public_key,
-                             canonical_observation(signed.observation, cell_size),
-                             signed.signature):
+                             canonical_observation(signed.observation), signed.signature):
             return False, "bad-signature"
         if cert.subject_public_key in keys or signed.signer_pseudonym in pseudonyms:
             return False, "duplicate-signer"
@@ -239,10 +230,10 @@ class PendingObservation:
         self.expires_at = expires_at
         self.requested_peers: set[str] = set()
 
-    def add_signature(self, signed: SignedObservation, cell_size: float = 200.0) -> bool:
-        if observation_cell(signed.observation, cell_size) != observation_cell(self.observation, cell_size):
+    def add_signature(self, signed: SignedObservation) -> bool:
+        if observation_cell(signed.observation) != observation_cell(self.observation):
             return False
-        if not signed.verify(cell_size):
+        if not signed.verify():
             return False
         if any(s.signer_certificate.subject_public_key == signed.signer_certificate.subject_public_key
                for s in self.signatures):

@@ -117,7 +117,7 @@ def rotate_pseudonym(state: PseudonymState, now: float, rng: random.Random,
     payload = wire.encode_pseudonym_change(old.value, state.current.value)
     for peer in sorted(sessions):
         blob = crypto.seal(sessions[peer].key, payload, rng.randbytes(16))
-        notices.append((peer, wire.encode_change_notice(blob)))
+        notices.append((peer, wire.encode_frame(wire.CHANGE_NOTICE, blob)))
     return state.current, notices
 
 
@@ -303,8 +303,8 @@ class AuthInitiator(_EngineBase):
     def start(self) -> bytes:
         return wire.encode_auth_commit(self.session_id, self.party.pseudonym, self.commitments)
 
-    def on_challenge(self, body: bytes) -> bytes:
-        session_id, peer_pseudonym, challenge, peer_commitments = wire.decode_auth_challenge(body)
+    def on_challenge(self, session_id: bytes, peer_pseudonym: bytes, challenge: bytes,
+                     peer_commitments: list[bytes]) -> bytes:
         _check_session(self.session_id, session_id)
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
@@ -314,9 +314,9 @@ class AuthInitiator(_EngineBase):
         return wire.encode_auth_response(self.session_id, True, self.nonce,
                                          self.sent_responses, self.challenge_for_peer)
 
-    def on_peer_response(self, body: bytes, now: float) -> bytes:
+    def on_peer_response(self, session_id: bytes, is_initiator: bool, peer_nonce: bytes,
+                         peer_responses: list[bytes], now: float) -> bytes:
         """Verify the responder's proof and emit the final result frame."""
-        session_id, is_initiator, peer_nonce, peer_responses, _ = wire.decode_auth_response(body)
         _check_session(self.session_id, session_id, role_ok=not is_initiator)
         self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
                                   self.challenge_for_peer, peer_responses)
@@ -351,8 +351,8 @@ class AuthResponder(_EngineBase):
         self._accept_pending = False
         self._pending_key_material: tuple | None = None
 
-    def on_commit(self, body: bytes) -> bytes:
-        session_id, peer_pseudonym, peer_commitments = wire.decode_auth_commit(body)
+    def on_commit(self, session_id: bytes, peer_pseudonym: bytes,
+                  peer_commitments: list[bytes]) -> bytes:
         self.session_id = session_id
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
@@ -360,10 +360,9 @@ class AuthResponder(_EngineBase):
         return wire.encode_auth_challenge(session_id, self.party.pseudonym,
                                           self.challenge_for_peer, self.commitments)
 
-    def on_response(self, body: bytes) -> bytes:
+    def on_response(self, session_id: bytes, is_initiator: bool, peer_nonce: bytes,
+                    peer_responses: list[bytes], counter_challenge: bytes) -> bytes:
         """Verify the initiator's proof; answer with our own or reject."""
-        session_id, is_initiator, peer_nonce, peer_responses, counter_challenge = \
-            wire.decode_auth_response(body)
         _check_session(self.session_id, session_id, role_ok=is_initiator)
         self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
                                   self.challenge_for_peer, peer_responses)
@@ -380,8 +379,7 @@ class AuthResponder(_EngineBase):
         return wire.encode_auth_response(self.session_id, False, self.nonce,
                                          self.sent_responses, b"\x00" * 16)
 
-    def on_result(self, body: bytes, now: float) -> None:
-        session_id, accepted = wire.decode_auth_result(body)
+    def on_result(self, session_id: bytes, accepted: bool, now: float) -> None:
         _check_session(self.session_id, session_id)
         if accepted and self._accept_pending:
             shared, peer_nonce, counter_challenge = self._pending_key_material
@@ -409,17 +407,19 @@ def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Rando
     eng_i = AuthInitiator(initiator, rng, now, peer_user_id=responder.identity.user_id)
     eng_r = AuthResponder(responder, rng, now, peer_user_id=initiator.identity.user_id)
 
-    m1 = eng_i.start()
-    m2 = eng_r.on_commit(wire.decode_frame(m1)[1])
-    m3 = eng_i.on_challenge(wire.decode_frame(m2)[1])
-    m4 = eng_r.on_response(wire.decode_frame(m3)[1])
-    tag4, body4 = wire.decode_frame(m4)
+    def body(frame: bytes) -> bytes:
+        return wire.decode_frame(frame)[1]
+
+    m2 = eng_r.on_commit(*wire.decode_auth_commit(body(eng_i.start())))
+    m3 = eng_i.on_challenge(*wire.decode_auth_challenge(body(m2)))
+    tag4, body4 = wire.decode_frame(eng_r.on_response(*wire.decode_auth_response(body(m3))))
     if tag4 == wire.AUTH_RESULT:
         # Responder rejected outright; the initiator learns only the verdict.
         eng_i._finish(OUTCOME_REJECTED, REASON_PEER_REJECTED)
     else:
-        m5 = eng_i.on_peer_response(body4, now)
-        eng_r.on_result(wire.decode_frame(m5)[1], now)
+        session_id, is_initiator, nonce_r, responses_r, _ = wire.decode_auth_response(body4)
+        m5 = eng_i.on_peer_response(session_id, is_initiator, nonce_r, responses_r, now)
+        eng_r.on_result(*wire.decode_auth_result(body(m5)), now)
 
     specific = [r for r in (eng_i.reason, eng_r.reason)
                 if r not in (REASON_OK, REASON_PEER_REJECTED)]

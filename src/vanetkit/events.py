@@ -6,6 +6,11 @@ parking vacancies are announced when a previously parked vehicle starts
 up with a GPS fix.  Stored events expire on short TTLs and the store is
 pruned every tick.
 
+Two congestion reports describe the same event when they share a road,
+a direction and a location cell; `CELL_SIZE` is the one cell size, and
+`location_cell` the one cell function, that signing, deduplication and
+the wire range checks use.
+
 `evaluate_window` states the congestion predicate over a whole window;
 `CongestionDetector.firing` gives the same answer in O(1) by judging
 each sample once, when it stops being the newest.  The newest sample is
@@ -32,7 +37,6 @@ class DetectionConfig:
     cooldown: float = 300.0        # seconds between observations per road+direction
     parking_ttl: float = 60.0      # seconds a vacancy announcement stays visible
     congestion_ttl: float = 900.0  # seconds an accepted congestion event is retained
-    cell_size: float = 200.0       # meters; same road+direction+cell = same event
 
     def __post_init__(self) -> None:
         if not (0.0 < self.speed_fraction < 1.0):
@@ -82,8 +86,11 @@ class AdvertEvent:
             raise ValueError("advert message exceeds 140 characters")
 
 
-def location_cell(coord: GeoCoordinate, cell_size: float = 200.0) -> tuple[int, int]:
-    return (math.floor(coord.x / cell_size), math.floor(coord.y / cell_size))
+CELL_SIZE = 200.0   # meters; same road+direction+cell = same event
+
+
+def location_cell(coord: GeoCoordinate) -> tuple[int, int]:
+    return (math.floor(coord.x / CELL_SIZE), math.floor(coord.y / CELL_SIZE))
 
 
 def evaluate_window(window: list[tuple[float, VehicleState, float]],
@@ -212,15 +219,6 @@ class ParkingMonitor:
         return ParkingEvent(self.parked.location, now, self.ttl)
 
 
-def store_parked_location(monitor: ParkingMonitor, now: float,
-                          position: GeoCoordinate) -> ParkedLocation | None:
-    return monitor.ignition_off(now, position)
-
-
-def detect_parking_vacancy(monitor: ParkingMonitor, now: float) -> ParkingEvent | None:
-    return monitor.ignition_on(now)
-
-
 class EventStore:
     """Node-local store of received events, pruned by TTL."""
 
@@ -258,10 +256,6 @@ class EventStore:
         return gone
 
 
-def expire_events(store: EventStore, now: float) -> list[tuple[str, bytes]]:
-    return store.expire(now)
-
-
 def walking_route(current: GeoCoordinate, parked: ParkedLocation | None,
                   network: RoadNetwork) -> tuple[list[GeoCoordinate], float] | None:
     """Shortest walking path to the parked car; None when nothing is stored.
@@ -273,7 +267,7 @@ def walking_route(current: GeoCoordinate, parked: ParkedLocation | None,
         return None
     if distance(current, parked.location) == 0:
         return [current], 0.0
-    return path_between_points(network, current, parked.location, respect_oneway=False)
+    return path_between_points(network, current, parked.location)
 
 
 def deliver_advert(advert: AdvertEvent, receiver: GeoCoordinate, now: float,

@@ -4,6 +4,9 @@ Coordinates are planar meters relative to a scenario origin; distances
 are Euclidean, which keeps the radio-range arithmetic exact.  Lanes are
 collapsed to a per-segment one-way/two-way flag.  All operations here
 are pure value transformations driven single-threaded by the simulator.
+`shortest_path` is the one Dijkstra search: route planning calls it on
+the road network, and walking routes on a copy whose snapped segments
+are split at the walker's endpoints.
 """
 
 from __future__ import annotations
@@ -370,93 +373,44 @@ def snap_to_network(network: RoadNetwork, coord: GeoCoordinate) -> SnapPoint:
     return best
 
 
-def path_between_points(network: RoadNetwork, origin: GeoCoordinate, target: GeoCoordinate,
-                        weight: Callable[[RoadSegment, str], float] | None = None,
-                        respect_oneway: bool = False) -> tuple[list[GeoCoordinate], float]:
-    """Shortest polyline over the network between two off-network points.
+def path_between_points(network: RoadNetwork, origin: GeoCoordinate,
+                        target: GeoCoordinate) -> tuple[list[GeoCoordinate], float]:
+    """Shortest walking polyline over the network between two off-network points.
 
-    Endpoints are snapped to their nearest segment point; the search runs
-    over junctions augmented with the two snap points.  Default weight is
-    segment length (walking cost).
+    Endpoints are snapped to their nearest segment point.  Each snapped
+    segment is split at its snap point(s), which become the junctions
+    `@origin` and `@target`, and `shortest_path` searches the result with
+    every segment two-way at its length.  A piece of a split segment costs
+    its share of the segment's length.
     """
-    if weight is None:
-        weight = lambda seg, direction: seg.length
-
-    snap_o = snap_to_network(network, origin)
-    snap_t = snap_to_network(network, target)
-
-    # Virtual nodes: each snap point links to its segment's two junctions
-    # with the partial weight; same-segment snaps also link directly.
-    dist_graph: dict[str, list[tuple[str, float, GeoCoordinate]]] = {}
-
-    def add_edge(a: str, b: str, w: float, b_coord: GeoCoordinate) -> None:
-        dist_graph.setdefault(a, []).append((b, w, b_coord))
-
-    def partial_weight(seg: RoadSegment, meters: float, direction: str) -> float:
-        if seg.length == 0:
-            return 0.0
-        return weight(seg, direction) * (meters / seg.length)
-
-    for j, seg_ids in network.adjacency.items():
-        for seg_id in seg_ids:
-            seg = network.segments[seg_id]
-            try:
-                direction = _enter_segment(network, j, seg_id)
-            except DirectiveError:
-                if respect_oneway:
-                    continue
-                direction = REVERSE
-            other = seg.exit_junction(direction)
-            add_edge(j, other, weight(seg, direction), network.junctions[other])
-
-    for label, snap in (("@origin", snap_o), ("@target", snap_t)):
-        seg = network.segments[snap.segment_id]
-        add_edge(label, seg.junction_a, partial_weight(seg, snap.offset_from_a, REVERSE),
-                 network.junctions[seg.junction_a])
-        add_edge(seg.junction_a, label, partial_weight(seg, snap.offset_from_a, FORWARD), snap.point)
-        rest = seg.length - snap.offset_from_a
-        add_edge(label, seg.junction_b, partial_weight(seg, rest, FORWARD),
-                 network.junctions[seg.junction_b])
-        add_edge(seg.junction_b, label, partial_weight(seg, rest, REVERSE), snap.point)
-
-    if snap_o.segment_id == snap_t.segment_id:
-        seg = network.segments[snap_o.segment_id]
-        along = abs(snap_t.offset_from_a - snap_o.offset_from_a)
-        add_edge("@origin", "@target", partial_weight(seg, along, FORWARD), snap_t.point)
-        add_edge("@target", "@origin", partial_weight(seg, along, FORWARD), snap_o.point)
-
-    coords: dict[str, GeoCoordinate] = {"@origin": snap_o.point, "@target": snap_t.point}
-    coords.update(network.junctions)
-
-    dist: dict[str, float] = {"@origin": 0.0}
-    prev: dict[str, str] = {}
-    heap: list[tuple[float, str]] = [(0.0, "@origin")]
-    done: set[str] = set()
-    while heap:
-        d, here = heapq.heappop(heap)
-        if here in done:
-            continue
-        done.add(here)
-        if here == "@target":
-            break
-        for nxt, w, _ in sorted(dist_graph.get(here, []), key=lambda e: e[0]):
-            nd = d + w
-            if nxt not in dist or nd < dist[nxt]:
-                dist[nxt] = nd
-                prev[nxt] = here
-                heapq.heappush(heap, (nd, nxt))
-
-    if "@target" not in dist:
+    snaps = {"@origin": snap_to_network(network, origin),
+             "@target": snap_to_network(network, target)}
+    junctions = dict(network.junctions)
+    junctions.update((label, snap.point) for label, snap in snaps.items())
+    segments = dict(network.segments)
+    cost: dict[str, float] = {}   # piece id -> walking cost
+    for seg_id in sorted({snap.segment_id for snap in snaps.values()}):
+        seg = segments.pop(seg_id)
+        cuts = sorted((snap.offset_from_a, label) for label, snap in snaps.items()
+                      if snap.segment_id == seg_id)
+        ends = [(0.0, seg.junction_a), *cuts, (seg.length, seg.junction_b)]
+        for (m0, a), (m1, b) in zip(ends, ends[1:]):
+            piece = f"{a}-{b}"
+            segments[piece] = RoadSegment(piece, a, b, junctions[a], junctions[b],
+                                          seg.speed_limit)
+            cost[piece] = 0.0 if seg.length == 0 else seg.length * ((m1 - m0) / seg.length)
+    found = shortest_path(RoadNetwork(junctions, segments), "@origin", "@target",
+                          lambda seg, direction: cost.get(seg.segment_id, seg.length),
+                          respect_oneway=False)
+    if found is None:
         raise ValueError("no path between points")
-
-    names = ["@target"]
-    while names[-1] != "@origin":
-        names.append(prev[names[-1]])
-    names.reverse()
-    points = [coords[n] for n in names]
-    # Drop zero-length duplicates from snapping exactly onto a junction.
-    deduped = [points[0]]
-    for pt in points[1:]:
-        if distance(pt, deduped[-1]) > 0:
-            deduped.append(pt)
-    return deduped, dist["@target"]
+    seg_ids, total = found
+    here = "@origin"
+    points = [junctions[here]]
+    for seg_id in seg_ids:
+        seg = segments[seg_id]
+        here = seg.junction_b if seg.junction_a == here else seg.junction_a
+        # Drop zero-length duplicates from snapping exactly onto a junction.
+        if distance(junctions[here], points[-1]) > 0:
+            points.append(junctions[here])
+    return points, total

@@ -14,12 +14,9 @@ is the whole cooperation incentive.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
-from . import crypto
 from .aggregation import AggregatedEvent
-from .auth import SessionKey
 from .geomodel import GeoCoordinate, RoadNetwork, RoadSegment, shortest_path
 
 CONGESTION_PENALTY = 5.0
@@ -159,28 +156,6 @@ def decide_relay(event: AggregatedEvent, verified: bool, seen: bool,
                                            event.observation.direction):
         return RelayDecision(ACTION_REROUTE_FORWARD)
     return RelayDecision(ACTION_FORWARD)
-
-
-@dataclass(frozen=True)
-class EncryptedPayload:
-    """A sealed event payload bound to one session."""
-    ciphertext: bytes                  # nonce | keycheck | body | tag
-    peer_pseudonym: bytes = b""
-
-    @property
-    def integrity_tag(self) -> bytes:
-        return self.ciphertext[-16:]
-
-
-def encrypt_for_peer(payload: bytes, session: SessionKey,
-                     rng: random.Random) -> EncryptedPayload:
-    blob = crypto.seal(session.key, payload, rng.randbytes(16))
-    return EncryptedPayload(blob, session.peer_pseudonym)
-
-
-def decrypt_from_peer(payload: EncryptedPayload, session: SessionKey) -> bytes:
-    """Round-trip identity; raises WrongKeyError / IntegrityError otherwise."""
-    return crypto.open_sealed(session.key, payload.ciphertext)
 
 
 @dataclass

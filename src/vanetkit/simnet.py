@@ -20,7 +20,7 @@ import math
 import random
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import aggregation, auth, crypto, wire
 from .aggregation import (JourneyContactLog, PendingObservation,
@@ -297,6 +297,11 @@ class _Node:
     def session_peers(self) -> list[str]:
         return sorted(self.sessions)
 
+    def session_neighbors(self, neighbor_ids: list[str]) -> list[str]:
+        """Session peers in radio range, in id order."""
+        present = set(neighbor_ids)
+        return [p for p in self.session_peers() if p in present]
+
     def coop_record(self, peer: str) -> CooperationRecord:
         return self.coop.setdefault(peer, CooperationRecord())
 
@@ -449,7 +454,7 @@ class Simulation:
                        tick: int) -> None:
         session = node.sessions[peer]
         blob = crypto.seal(session.key.key, payload, self.rng.randbytes(16))
-        self._unicast(node, peer, wire.encode_sealed(tag, blob), tick)
+        self._unicast(node, peer, wire.encode_frame(tag, blob), tick)
 
     # -- the main loop -----------------------------------------------------
 
@@ -475,23 +480,23 @@ class Simulation:
             node = self.nodes[node_id]
             park = self._park_index.get((t, node_id))
             if park is not None and node.state.ignition:
-                self._ignition_off(node, t)
+                self._ignition_off(node)
             unpark = self._unpark_index.get((t, node_id))
             if unpark is not None and not node.state.ignition:
-                self._ignition_on(node, t, announce=True)
+                self._ignition_on(node, announce=True)
             if (not node.state.ignition and unpark is None
                     and self._tick_of(node.spec.start) == t):
-                self._ignition_on(node, t, announce=False)
+                self._ignition_on(node, announce=False)
         for find in self.config.finds:
             if self._tick_of(find.t) == t:
-                self._handle_find(find, t)
+                self._handle_find(find)
 
-    def _ignition_off(self, node: _Node, t: int) -> None:
+    def _ignition_off(self, node: _Node) -> None:
         node.state.ignition = False
         node.state.speed = 0.0
         node.parking.ignition_off(self.now, node.position(self.network))
 
-    def _ignition_on(self, node: _Node, t: int, announce: bool) -> None:
+    def _ignition_on(self, node: _Node, announce: bool) -> None:
         node.state.ignition = True
         node.launched = should_launch(node.state.battery, self.config.battery_threshold)
         node.journey.reset()
@@ -509,7 +514,7 @@ class Simulation:
                 event_id = _parking_event_id(event)
                 node.parking_queue.append((event_id, event))
                 node.store.add_parking(event_id, event)
-                self._trace(t, node.id, "detect",
+                self._trace(node.id, "detect",
                             f"parking x={event.location.x:.3f} y={event.location.y:.3f}")
 
     def _build_plan(self, node: _Node) -> RoutePlan | None:
@@ -534,19 +539,19 @@ class Simulation:
                          tuple(segments), tuple(directions), tuple(junctions),
                          cost, position_index=0)
 
-    def _handle_find(self, find: FindDirective, t: int) -> None:
+    def _handle_find(self, find: FindDirective) -> None:
         node = self.nodes[find.vehicle_id]
         result = walking_route(GeoCoordinate(find.x, find.y), node.parking.parked,
                                self.network)
         if result is None:
-            self._trace(t, node.id, "show", "find-route unavailable")
+            self._trace(node.id, "show", "find-route unavailable")
         else:
             _, length = result
-            self._trace(t, node.id, "show", f"find-route length={length:.3f}")
+            self._trace(node.id, "show", f"find-route length={length:.3f}")
 
     # -- phase 2: mobility ---------------------------------------------------
 
-    def _zone_speed(self, node: _Node, t: int) -> float | None:
+    def _zone_speed(self, node: _Node) -> float | None:
         for zone in self._zones.get((node.state.segment_id, node.state.direction), ()):
             if zone.t_start <= self.now < zone.t_end:
                 return zone.speed
@@ -558,7 +563,7 @@ class Simulation:
             node = self.nodes[node_id]
             if not node.state.ignition:
                 continue
-            zone = self._zone_speed(node, t)
+            zone = self._zone_speed(node)
             limit = self.network.segments[node.state.segment_id].speed_limit
             speed = zone if zone is not None else min(node.spec.speed, limit)
             directive = MobilityDirective(speed, node.turns)
@@ -651,10 +656,10 @@ class Simulation:
                 continue
             self._rotate_if_due(node, t)
             self._beacon(node, t, neighbors[node_id])
-            self._sweep_engines(node, t)
+            self._sweep_engines(node)
             self._schedule_auth(node, t, neighbors[node_id])
-            self._gc_sessions(node, t, neighbors[node_id])
-            self._detect(node, t)
+            self._gc_sessions(node, neighbors[node_id])
+            self._detect(node)
             self._corroboration_inbox_sweep(node, t)
             self._corroboration_requests(node, t, neighbors[node_id])
             self._assembly(node, t, neighbors[node_id])
@@ -662,8 +667,8 @@ class Simulation:
             self._advert_broadcast(node, t, neighbors[node_id])
             for peer in sorted(node.coop):
                 node.coop[peer].close_expired(self.now)
-            self._expire_stores(node, t)
-            self._searcher_show(node, t)
+            self._expire_stores(node)
+            self._searcher_show(node)
 
     def _rotate_if_due(self, node: _Node, t: int) -> None:
         if not node.pseudonyms.due(self.now):
@@ -683,7 +688,7 @@ class Simulation:
             self.audit.beacons.append(frame)
         self._broadcast(node, frame, targets, t)
 
-    def _sweep_engines(self, node: _Node, t: int) -> None:
+    def _sweep_engines(self, node: _Node) -> None:
         timeout = self.config.handshake_timeout
         if node.initiators:
             for peer in [p for p, eng in node.initiators.items()
@@ -714,7 +719,7 @@ class Simulation:
             node.initiators[peer] = engine
             self._unicast(node, peer, engine.start(), t)
 
-    def _gc_sessions(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
+    def _gc_sessions(self, node: _Node, neighbor_ids: list[str]) -> None:
         if not node.sessions:
             return
         timeout = self.config.session_timeout
@@ -729,7 +734,7 @@ class Simulation:
         for peer in stale:
             del node.sessions[peer]
 
-    def _detect(self, node: _Node, t: int) -> None:
+    def _detect(self, node: _Node) -> None:
         node.detector.push(self.now, node.state, self.network)
         obs = node.detector.detect(self.now, self.network, node.pseudonyms.current.value)
         if obs is None:
@@ -742,16 +747,18 @@ class Simulation:
                                node.pseudonyms.current.value)
         node.pending[event_id] = PendingObservation(
             obs, own, self.now, self.now + self.config.detection.cooldown)
-        self._trace(t, node.id, "detect",
+        self._trace(node.id, "detect",
                     f"congestion road={obs.road_id} dir={obs.direction}")
 
     def _corroboration_requests(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
-        reachable = set(neighbor_ids)
+        if not node.pending:
+            return
+        reachable = node.session_neighbors(neighbor_ids)
         for event_id in sorted(node.pending):
             pending = node.pending[event_id]
             payload = None   # our own signed observation, encoded for the first send
-            for peer in node.session_peers():
-                if peer in pending.requested_peers or peer not in reachable:
+            for peer in reachable:
+                if peer in pending.requested_peers:
                     continue
                 pending.requested_peers.add(peer)
                 if payload is None:
@@ -759,7 +766,7 @@ class Simulation:
                 self._seal_and_send(node, peer, wire.CORROBORATION_REQUEST, payload, t)
             if pending.requested_peers and event_id not in node.pending_announced:
                 node.pending_announced.add(event_id)
-                self._trace(t, node.id, "announce", f"congestion event={event_id.hex()[:8]}")
+                self._trace(node.id, "announce", f"congestion event={event_id.hex()[:8]}")
 
     def _assembly(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
         rate = avg_users_per_minute(node.journey, self.now)
@@ -780,7 +787,7 @@ class Simulation:
             del node.pending[event_id]
             node.seen_events[event_id] = self.now + self.config.detection.congestion_ttl
             node.store.add_congestion(event_id, event, self.now)
-            self._trace(t, node.id, "aggregate",
+            self._trace(node.id, "aggregate",
                         f"event={event_id.hex()[:8]} sigs={len(event.signatures)} "
                         f"threshold={event.threshold}")
             self._forward_event(node, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
@@ -789,11 +796,9 @@ class Simulation:
     def _parking_announcements(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
         if not node.parking_queue:
             return
-        present = set(neighbor_ids)
-        reachable = [p for p in node.session_peers() if p in present]
+        reachable = node.session_neighbors(neighbor_ids)
         if not reachable:
             return  # retained locally, retried next tick
-        remaining = []
         for event_id, event in node.parking_queue:
             if not event.visible(self.now):
                 continue
@@ -804,8 +809,8 @@ class Simulation:
                     node.coop_record(peer).hand_over(event_id, self.now + self.config.forward_window)
                     self._seal_and_send(node, peer, wire.PARKING_EVENT, payload, t)
             node.transmitted.add(event_id)
-            self._trace(t, node.id, "announce", f"parking event={event_id.hex()[:8]}")
-        node.parking_queue = remaining
+            self._trace(node.id, "announce", f"parking event={event_id.hex()[:8]}")
+        node.parking_queue = []
 
     def _advert_broadcast(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
         adverts = self._advert_carriers.get(node.id)
@@ -813,8 +818,7 @@ class Simulation:
             return
         if self.now - node.last_advert_sent < self.config.advert_period:
             return
-        present = set(neighbor_ids)
-        reachable = [p for p in node.session_peers() if p in present]
+        reachable = node.session_neighbors(neighbor_ids)
         if not reachable:
             return
         node.last_advert_sent = self.now
@@ -825,20 +829,20 @@ class Simulation:
             for peer in reachable:
                 self._seal_and_send(node, peer, wire.ADVERT, payload, t)
 
-    def _expire_stores(self, node: _Node, t: int) -> None:
+    def _expire_stores(self, node: _Node) -> None:
         for kind, event_id in node.store.expire(self.now):
-            self._trace(t, node.id, "expire", f"{kind} event={event_id.hex()[:8]}")
+            self._trace(node.id, "expire", f"{kind} event={event_id.hex()[:8]}")
         for event_id in [e for e, exp in node.seen_events.items() if self.now > exp]:
             del node.seen_events[event_id]
             node.transmitted.discard(event_id)
 
-    def _searcher_show(self, node: _Node, t: int) -> None:
+    def _searcher_show(self, node: _Node) -> None:
         if not node.spec.searcher:
             return
         for event_id, event in node.store.visible_parking(self.now):
             if event_id not in node.shown:
                 node.shown.add(event_id)
-                self._trace(t, node.id, "show",
+                self._trace(node.id, "show",
                             f"parking event={event_id.hex()[:8]} "
                             f"x={event.location.x:.3f} y={event.location.y:.3f}")
 
@@ -864,42 +868,43 @@ class Simulation:
         if tag == wire.AUTH_COMMIT:
             if not allow_sends:
                 return
-            session_id, _, _ = wire.decode_auth_commit(body)
+            session_id, peer_pseudonym, commitments = wire.decode_auth_commit(body)
             party = auth.Party(node.user, node.revocations, node.pseudonyms.current.value)
             engine = auth.AuthResponder(party, self.rng, self.now,
                                         peer_user_id=self.nodes[sender].spec.user_id)
             node.responders[session_id] = (sender, engine)
-            self._unicast(node, sender, engine.on_commit(body), t)
+            self._unicast(node, sender,
+                          engine.on_commit(session_id, peer_pseudonym, commitments), t)
             return
         if tag == wire.AUTH_CHALLENGE:
             engine = node.initiators.get(sender)
             if engine is None or not allow_sends:
                 return
-            self._unicast(node, sender, engine.on_challenge(body), t)
+            self._unicast(node, sender, engine.on_challenge(*wire.decode_auth_challenge(body)), t)
             return
         if tag == wire.AUTH_RESPONSE:
-            session_id, from_initiator, _, _, _ = wire.decode_auth_response(body)
+            session_id, from_initiator, nonce, responses, counter_challenge = \
+                wire.decode_auth_response(body)
             if from_initiator:
                 entry = node.responders.get(session_id)
                 if entry is None or entry[0] != sender or not allow_sends:
                     return
                 _, engine = entry
-                self._unicast(node, sender, engine.on_response(body), t)
+                self._unicast(node, sender, engine.on_response(
+                    session_id, from_initiator, nonce, responses, counter_challenge), t)
                 return
             engine = node.initiators.get(sender)
             if engine is None:
                 return
-            result = engine.on_peer_response(body, self.now)
+            result = engine.on_peer_response(session_id, from_initiator, nonce, responses,
+                                             self.now)
             if allow_sends:
                 self._unicast(node, sender, result, t)
             del node.initiators[sender]
-            if engine.outcome == auth.OUTCOME_ACCEPTED:
-                self._establish_session(node, sender, engine.session_key, t, count_connection=True)
-                if allow_sends:
-                    self._send_revocations(node, sender, t)
+            self._handshake_done(node, sender, engine, t, allow_sends, initiator=True)
             return
         if tag == wire.AUTH_RESULT:
-            session_id, _ = wire.decode_auth_result(body)
+            session_id, accepted = wire.decode_auth_result(body)
             entry = node.responders.pop(session_id, None)
             if entry is None or entry[0] != sender:
                 # A result can also land at a rejected initiator; just drop
@@ -909,16 +914,11 @@ class Simulation:
                     del node.initiators[sender]
                 return
             _, engine = entry
-            engine.on_result(body, self.now)
-            if engine.outcome == auth.OUTCOME_ACCEPTED:
-                self._establish_session(node, sender, engine.session_key, t, count_connection=False)
-                if allow_sends:
-                    self._send_revocations(node, sender, t)
+            engine.on_result(session_id, accepted, self.now)
+            self._handshake_done(node, sender, engine, t, allow_sends, initiator=False)
             return
-        if tag == wire.CHANGE_NOTICE:
-            self._handle_change_notice(node, sender, body)
-            return
-        # Sealed event payloads require an established session with the sender.
+        # Sealed payloads, the pseudonym change notice and every event,
+        # require an established session with the sender.
         session = node.sessions.get(sender)
         if session is None:
             return
@@ -928,13 +928,20 @@ class Simulation:
             return
         self._handle_payload(node, sender, tag, payload, t, neighbors, allow_sends)
 
-    def _establish_session(self, node: _Node, peer: str, key: auth.SessionKey,
-                           t: int, count_connection: bool) -> None:
-        node.sessions[peer] = _Session(key, self.nodes[peer].spec.user_id, self.now)
+    def _handshake_done(self, node: _Node, peer: str, engine, t: int, allow_sends: bool,
+                        initiator: bool) -> None:
+        """Open the session a finished handshake accepted, if it did; the
+        initiator's side counts the connection."""
+        if engine.outcome != auth.OUTCOME_ACCEPTED:
+            return
+        peer_user = self.nodes[peer].spec.user_id
+        node.sessions[peer] = _Session(engine.session_key, peer_user, self.now)
         node.stats.auth_accepted += 1
-        auth.record_journey_contact(node.journey, self.nodes[peer].spec.user_id, self.now)
-        if count_connection:
+        auth.record_journey_contact(node.journey, peer_user, self.now)
+        if initiator:
             self.connections += 1
+        if allow_sends:
+            self._send_revocations(node, peer, t)
 
     def _send_revocations(self, node: _Node, peer: str, t: int) -> None:
         records = [(r.subject, r.misbehavior_count, r.revoked)
@@ -943,20 +950,13 @@ class Simulation:
         self._seal_and_send(node, peer, wire.REVOCATION_SYNC,
                             wire.encode_revocations(records), t)
 
-    def _handle_change_notice(self, node: _Node, sender: str, blob: bytes) -> None:
-        session = node.sessions.get(sender)
-        if session is None:
-            return
-        try:
-            payload = crypto.open_sealed(session.key.key, blob)
-        except (crypto.WrongKeyError, crypto.IntegrityError):
-            return
-        _, new_pseudonym = wire.decode_pseudonym_change(payload)
-        session.key = auth.SessionKey(session.key.key, new_pseudonym,
-                                      session.key.established_at)
-
     def _handle_payload(self, node: _Node, sender: str, tag: int, payload: bytes,
                         t: int, neighbors, allow_sends: bool) -> None:
+        if tag == wire.CHANGE_NOTICE:
+            _, new_pseudonym = wire.decode_pseudonym_change(payload)
+            session = node.sessions[sender]
+            session.key = replace(session.key, peer_pseudonym=new_pseudonym)
+            return
         if tag == wire.REVOCATION_SYNC:
             for subject, count, revoked in wire.decode_revocations(payload):
                 node.revocations.merge_record(subject, count, revoked)
@@ -986,7 +986,7 @@ class Simulation:
             advert = wire.decode_advert(payload)
             advert_id = crypto.sha256(b"vk-advert", payload)[:16]
             node.decrypted_events.append((t, tag, advert_id))
-            self._handle_advert(node, sender, advert_id, advert, t)
+            self._handle_advert(node, sender, advert_id, advert)
             return
 
     def _handle_corroboration_request(self, node: _Node, sender: str, payload: bytes,
@@ -1018,7 +1018,7 @@ class Simulation:
             return False
         if not allow_sends or sender not in node.sessions:
             return True   # would have answered; do not requeue
-        self._trace(t, node.id, "corroborate",
+        self._trace(node.id, "corroborate",
                     f"event={event_id_for(signed.observation).hex()[:8]}")
         self._seal_and_send(node, sender, wire.SIGNED_OBSERVATION,
                             wire.encode_signed_observation(answer), t)
@@ -1051,11 +1051,11 @@ class Simulation:
         self.events_accepted += 1
         node.seen_events[event_id] = self.now + self.config.detection.congestion_ttl
         node.store.add_congestion(event_id, event, self.now)
-        self._trace(t, node.id, "receive",
+        self._trace(node.id, "receive",
                     f"congestion event={event_id.hex()[:8]} sigs={len(event.signatures)}")
         detail = f"congestion event={event_id.hex()[:8]}"
         if decision.action == ACTION_CORROBORATE:
-            self._trace(t, node.id, "corroborate", f"event={event_id.hex()[:8]} aggregate")
+            self._trace(node.id, "corroborate", f"event={event_id.hex()[:8]} aggregate")
         elif decision.action == ACTION_REROUTE_FORWARD and node.plan is not None:
             congested = {(event.observation.road_id, event.observation.direction)}
             new_plan, changed, _ = recompute_route(node.plan, self.network, congested)
@@ -1063,7 +1063,7 @@ class Simulation:
                 node.plan = new_plan
                 node.turns = self._turns_from_plan(node)
             detail += " on-route rerouted" if changed else " on-route"
-        self._trace(t, node.id, "show", detail)
+        self._trace(node.id, "show", detail)
         if allow_sends and decision.action != ACTION_DROP:
             self._forward_event(node, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
                                 event_id, t, neighbors[node.id])
@@ -1087,13 +1087,13 @@ class Simulation:
             return
         node.seen_events[event_id] = event.announced_at + event.ttl
         node.store.add_parking(event_id, event)
-        self._trace(t, node.id, "receive", f"parking event={event_id.hex()[:8]}")
+        self._trace(node.id, "receive", f"parking event={event_id.hex()[:8]}")
         if allow_sends:
             self._forward_event(node, wire.PARKING_EVENT,
                                 wire.encode_parking(event, event_id), event_id, t,
                                 neighbors[node.id])
 
-    def _handle_advert(self, node: _Node, sender: str, advert_id: bytes, advert, t: int) -> None:
+    def _handle_advert(self, node: _Node, sender: str, advert_id: bytes, advert) -> None:
         if advert_id in node.shown:
             return
         try:
@@ -1108,7 +1108,7 @@ class Simulation:
         node.store.add_advert(advert_id, advert)
         if shown:
             node.shown.add(advert_id)
-            self._trace(t, node.id, "show", f"advert company={advert.company_name}")
+            self._trace(node.id, "show", f"advert company={advert.company_name}")
 
     def _forward_event(self, node: _Node, tag: int, payload: bytes, event_id: bytes,
                        t: int, neighbor_ids: list[str]) -> None:
@@ -1116,10 +1116,7 @@ class Simulation:
         if node.spec.freeride or event_id in node.transmitted:
             return
         node.transmitted.add(event_id)
-        reachable = set(neighbor_ids)
-        for peer in node.session_peers():
-            if peer not in reachable:
-                continue
+        for peer in node.session_neighbors(neighbor_ids):
             if cooperation_gate(node.coop_record(peer)) != "serve":
                 continue
             node.coop_record(peer).hand_over(event_id, self.now + self.config.forward_window)
@@ -1135,7 +1132,7 @@ class Simulation:
         that user."""
         report_misbehavior(node.revocations, node.sessions[sender].peer_user)
 
-    def _trace(self, t: int, node_id: str, kind: str, detail: str) -> None:
+    def _trace(self, node_id: str, kind: str, detail: str) -> None:
         self.trace.append(f"{self.now:g} {node_id} {kind} {detail}")
 
 

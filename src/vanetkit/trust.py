@@ -78,12 +78,6 @@ class CertificateRepository:
     def certificates(self) -> list[Certificate]:
         return [self._certs[k] for k in sorted(self._certs)]
 
-    def subject_key(self, subject: str) -> bytes | None:
-        for (subj, _), cert in self._certs.items():
-            if subj == subject:
-                return cert.subject_public_key
-        return None
-
     def candidate_ids(self) -> set[str]:
         """Users this repository can vouch knowing.
 
@@ -108,12 +102,6 @@ class CertificateRepository:
             self._candidate_keys = tuple(sorted(
                 {cert.subject_public_key for cert in self._certs.values()}))
         return self._candidate_keys
-
-    def key_owner(self, public_key: bytes) -> str | None:
-        for cert in self._certs.values():
-            if cert.subject_public_key == public_key:
-                return cert.subject
-        return None
 
 
 def common_friends(repo_a: CertificateRepository, repo_b: CertificateRepository) -> set[str]:
@@ -141,9 +129,6 @@ class Roster:
 
     def __init__(self) -> None:
         self.users: dict[str, UserIdentity] = {}
-
-    def register(self, user_id: str, seed: int | str | bytes) -> UserIdentity:
-        return register_user(self, user_id, seed)
 
     def befriend(self, a: str, b: str) -> None:
         """Mutual signing: both users gain both certificates."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 
-from .events import AdvertEvent, CongestionObservation, ParkingEvent
+from .events import CELL_SIZE, AdvertEvent, CongestionObservation, ParkingEvent
 from .geomodel import FORWARD, REVERSE, GeoCoordinate
 from .aggregation import TIME_QUANTUM, AggregatedEvent, SignedObservation
 from .trust import Certificate
@@ -39,7 +39,6 @@ PARKING_EVENT = 0x13
 ADVERT = 0x14
 REVOCATION_SYNC = 0x15
 
-_CELL_SIZE = 200.0   # the location cell that aggregation signs and deduplicates by
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 PSEUDONYM_LEN = 16
@@ -241,15 +240,7 @@ def decode_auth_result(body: bytes) -> tuple[bytes, bool]:
     return session_id, accepted
 
 
-def encode_change_notice(sealed_blob: bytes) -> bytes:
-    return encode_frame(CHANGE_NOTICE, sealed_blob)
-
-
 # -- sealed event payloads ---------------------------------------------------
-
-def encode_sealed(tag: int, sealed_blob: bytes) -> bytes:
-    return encode_frame(tag, sealed_blob)
-
 
 def _write_coordinate(w: _Writer, c: GeoCoordinate) -> None:
     w.f64(c.x).f64(c.y)
@@ -265,7 +256,7 @@ def _read_quantized(r: _Reader, quantum: float) -> float:
 
 
 def _read_coordinate(r: _Reader) -> GeoCoordinate:
-    return GeoCoordinate(_read_quantized(r, _CELL_SIZE), _read_quantized(r, _CELL_SIZE))
+    return GeoCoordinate(_read_quantized(r, CELL_SIZE), _read_quantized(r, CELL_SIZE))
 
 
 def _write_certificate(w: _Writer, cert: Certificate) -> None:

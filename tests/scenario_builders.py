@@ -2,7 +2,7 @@
 
 from vanetkit.geomodel import FORWARD, load_network
 from vanetkit.simnet import ParkDirective, SimConfig, VehicleSpec
-from vanetkit.trust import Roster
+from vanetkit.trust import Roster, register_user
 
 FREERIDER_ROAD = """
 junction c 0 0
@@ -28,11 +28,11 @@ def freerider_setup(duration=160, seed=11):
     """
     net = load_network(FREERIDER_ROAD)
     roster = Roster()
-    roster.register("ug", 1)
-    roster.register("uf", 2)
-    roster.register("ud", 3)
+    register_user(roster, "ug", 1)
+    register_user(roster, "uf", 2)
+    register_user(roster, "ud", 3)
     for i in range(1, 6):
-        roster.register(f"up{i}", 10 + i)
+        register_user(roster, f"up{i}", 10 + i)
     for uid in ["uf", "ud"] + [f"up{i}" for i in range(1, 6)]:
         roster.befriend("ug", uid)
 
@@ -68,7 +68,7 @@ def privacy_setup(duration=1000, seed=5):
     roster = Roster()
     users = ["user-alpha-000", "user-bravo-111", "user-carol-222", "user-delta-333"]
     for i, uid in enumerate(users):
-        roster.register(uid, 500 + i)
+        register_user(roster, uid, 500 + i)
     roster.befriend(users[0], users[1])
     roster.befriend(users[1], users[2])
     roster.befriend(users[2], users[3])

@@ -21,7 +21,7 @@ from vanetkit.events import CongestionObservation
 from vanetkit.geomodel import FORWARD, GeoCoordinate, load_network
 from vanetkit.relay import plan_cost, plan_route, recompute_route
 from vanetkit.simnet import AuditLog, Simulation, neighbors_in_range
-from vanetkit.trust import Certificate, RevocationStore, Roster
+from vanetkit.trust import Certificate, RevocationStore, Roster, register_user
 from scenario_builders import freerider_setup, privacy_setup
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
@@ -70,7 +70,7 @@ def test_02_single_attacker_immunity():
                       "accepted aggregate in 1000 adversarial attempts"):
         rng = random.Random(202)
         roster = Roster()
-        attacker = roster.register("attacker", 999)
+        attacker = register_user(roster, "attacker", 999)
         store = RevocationStore()
         obs = CongestionObservation("jam", FORWARD, GeoCoordinate(120.0, 30.0),
                                     600.0, b"a" * 16)
@@ -112,7 +112,7 @@ def test_03_authentication_completeness_and_soundness():
             roster = Roster()
             names = [f"u{trial}_{i}" for i in range(n)]
             for i, name in enumerate(names):
-                roster.register(name, trial * 1000 + i)
+                register_user(roster, name, trial * 1000 + i)
             adjacency = {name: {name} for name in names}
             for _ in range(rng.randrange(0, 2 * n)):
                 x, y = rng.sample(names, 2)
@@ -151,8 +151,8 @@ def test_04_replay_resistance():
                       "challenge in 10000 trials"):
         rng = random.Random(404)
         roster = Roster()
-        roster.register("alice", 1)
-        roster.register("bob", 2)
+        register_user(roster, "alice", 1)
+        register_user(roster, "bob", 2)
         roster.befriend("alice", "bob")
         party_a = auth.Party(roster.user("alice"), RevocationStore(), rng.randbytes(16))
         party_b = auth.Party(roster.user("bob"), RevocationStore(), rng.randbytes(16))

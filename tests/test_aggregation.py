@@ -13,7 +13,7 @@ from vanetkit.aggregation import (AggregatedEvent, JourneyContactLog,
                                   verify_aggregate)
 from vanetkit.events import CongestionObservation
 from vanetkit.geomodel import FORWARD, GeoCoordinate
-from vanetkit.trust import RevocationStore, Roster
+from vanetkit.trust import RevocationStore, Roster, register_user
 
 
 def oracle_required(rate):
@@ -65,7 +65,7 @@ def observation(road="r1", direction=FORWARD, x=150.0, y=40.0, t=500.0,
 
 
 def signer(roster, uid, seed):
-    ident = roster.register(uid, seed)
+    ident = register_user(roster, uid, seed)
     return ident
 
 
@@ -238,15 +238,14 @@ def test_verifier_independence():
     assert verify_aggregate(event, a) == verify_aggregate(event, b)
 
 
-def reference_assemble(observation, signatures, rate, promoter_pseudonym, now,
-                       cell_size=200.0):
+def reference_assemble(observation, signatures, rate, promoter_pseudonym, now):
     """The promoter's rule with every signature verified, whatever the pool size."""
-    cell = observation_cell(observation, cell_size)
+    cell = observation_cell(observation)
     usable, keys, pseudonyms = [], set(), set()
     for signed in signatures:
-        if observation_cell(signed.observation, cell_size) != cell:
+        if observation_cell(signed.observation) != cell:
             continue
-        if not signed.verify(cell_size):
+        if not signed.verify():
             continue
         key = signed.signer_certificate.subject_public_key
         if key in keys or signed.signer_pseudonym in pseudonyms:

@@ -7,7 +7,7 @@ from vanetkit.aggregation import JourneyContactLog
 from vanetkit.auth import (AuthScheduler, Party, PseudonymState, emit_beacon,
                            record_journey_contact, rotate_pseudonym,
                            zk_mutual_authenticate)
-from vanetkit.trust import RevocationStore, Roster
+from vanetkit.trust import RevocationStore, Roster, register_user
 
 
 def make_party(roster, user_id, rng):
@@ -19,7 +19,7 @@ def chain_roster():
     """a-F1-b and b-F2-c: a/b share F1, b/c share F2, a/c share nothing."""
     roster = Roster()
     for uid, seed in [("a", 1), ("b", 2), ("c", 3), ("F1", 4), ("F2", 5)]:
-        roster.register(uid, seed)
+        register_user(roster, uid, seed)
     roster.befriend("a", "F1")
     roster.befriend("b", "F1")
     roster.befriend("b", "F2")
@@ -50,8 +50,8 @@ def test_reject_without_common_friend():
 def test_direct_friends_authenticate():
     rng = random.Random(3)
     roster = Roster()
-    roster.register("a", 1)
-    roster.register("b", 2)
+    register_user(roster, "a", 1)
+    register_user(roster, "b", 2)
     roster.befriend("a", "b")
     a, b = make_party(roster, "a", rng), make_party(roster, "b", rng)
     transcript, keys = zk_mutual_authenticate(a, b, rng, now=0.0)
@@ -97,7 +97,7 @@ def test_completeness_over_random_rosters():
         n = rng.randrange(4, 12)
         roster = Roster()
         for i in range(n):
-            roster.register(f"u{i}", 1000 + trial * 100 + i)
+            register_user(roster, f"u{i}", 1000 + trial * 100 + i)
         adjacency = {f"u{i}": {f"u{i}"} for i in range(n)}
         for _ in range(rng.randrange(0, 2 * n)):
             x, y = rng.sample(range(n), 2)
@@ -237,29 +237,29 @@ def test_engines_refuse_messages_of_another_session():
     roster = chain_roster()
     initiator = auth.AuthInitiator(make_party(roster, "a", rng), rng, 0.0)
     responder = auth.AuthResponder(make_party(roster, "b", rng), rng, 0.0)
-    _, commit = wire.decode_frame(initiator.start())
-    _, challenge = wire.decode_frame(responder.on_commit(commit))
-    other = bytes(b ^ 0xFF for b in initiator.session_id)
-
     def body(frame):
         return wire.decode_frame(frame)[1]
 
-    stray_challenge = body(wire.encode_auth_challenge(other, b"p" * 16, b"c" * 16, []))
+    commit = wire.decode_auth_commit(body(initiator.start()))
+    challenge = wire.decode_auth_challenge(body(responder.on_commit(*commit)))
+    other = bytes(b ^ 0xFF for b in initiator.session_id)
+
     with pytest.raises(auth.SessionMismatchError):
-        initiator.on_challenge(stray_challenge)
+        initiator.on_challenge(other, b"p" * 16, b"c" * 16, [])
     assert initiator.peer_commitments == []
-    _, response = wire.decode_frame(initiator.on_challenge(challenge))
-    stray_response = body(wire.encode_auth_response(other, True, b"n" * 16, [], b"c" * 16))
-    wrong_role = body(wire.encode_auth_response(initiator.session_id, False, b"n" * 16, [],
-                                                b"c" * 16))
+    response = wire.decode_auth_response(body(initiator.on_challenge(*challenge)))
+    stray_response = (other, True, b"n" * 16, [], b"c" * 16)
+    wrong_role = (initiator.session_id, False, b"n" * 16, [], b"c" * 16)
     for message in (stray_response, wrong_role):
         with pytest.raises(auth.SessionMismatchError):
-            responder.on_response(message)
+            responder.on_response(*message)
     assert responder.outcome is None and responder.matched == []
-    _, counter = wire.decode_frame(responder.on_response(response))
-    _, result = wire.decode_frame(initiator.on_peer_response(counter, 1.0))
+    session_id, is_initiator, nonce, responses, _ = wire.decode_auth_response(
+        body(responder.on_response(*response)))
+    result = wire.decode_auth_result(body(initiator.on_peer_response(
+        session_id, is_initiator, nonce, responses, 1.0)))
     with pytest.raises(auth.SessionMismatchError):
-        responder.on_result(body(wire.encode_auth_result(other, True)), 1.0)
+        responder.on_result(other, True, 1.0)
     assert responder.outcome is None
-    responder.on_result(result, 1.0)
+    responder.on_result(*result, 1.0)
     assert initiator.outcome == responder.outcome == auth.OUTCOME_ACCEPTED

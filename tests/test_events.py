@@ -172,7 +172,7 @@ def test_walking_route_random_points_match_brute_force_junctions():
 def make_advert(company="cafe", message="espresso half price", x=100.0, y=0.0,
                 radius=100.0, expiration=1000.0):
     roster = trust.Roster()
-    ident = roster.register(company, 9)
+    ident = trust.register_user(roster, company, 9)
     cert = ident.self_certificate
     return events.AdvertEvent(company, message, GeoCoordinate(x, y), radius,
                               expiration, "", cert)

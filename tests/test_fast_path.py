@@ -23,7 +23,7 @@ from vanetkit.auth import Party, zk_mutual_authenticate
 from vanetkit.events import (AdvertEvent, CongestionDetector, CongestionObservation,
                              DetectionConfig, ParkingEvent, evaluate_window)
 from vanetkit.geomodel import FORWARD, REVERSE, GeoCoordinate, VehicleState, load_network
-from vanetkit.trust import Certificate, RevocationStore, Roster
+from vanetkit.trust import Certificate, RevocationStore, Roster, register_user
 
 
 # -- reference codecs: one slice per field ------------------------------------
@@ -368,7 +368,7 @@ def test_commitments_responses_and_matches_equal_the_reference(keys, nonce, chal
 def _kat_roster():
     roster = Roster()
     for uid, seed in [("a", 1), ("b", 2), ("c", 3), ("F1", 4), ("F2", 5)]:
-        roster.register(uid, seed)
+        register_user(roster, uid, seed)
     for pair in [("a", "F1"), ("b", "F1"), ("b", "F2"), ("c", "F2")]:
         roster.befriend(*pair)
     return roster

@@ -1,9 +1,12 @@
+import heapq
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vanetkit import geomodel
+from vanetkit import geomodel, kits
 from vanetkit.geomodel import (FORWARD, DocumentError, GeoCoordinate,
                                MobilityDirective, VehicleState, advance_vehicle,
                                distance, grid_document, load_network)
@@ -187,3 +190,150 @@ def test_connected_component_check():
     net = load_network(doc)
     assert net.connected({"a", "b", "c"})
     assert not net.connected({"a", "x"})
+
+
+def reference_path_between_points(network, origin, target):
+    """`path_between_points` as it was, with its own Dijkstra loop over
+    junctions augmented with the two snap points, for its one use: every
+    segment two-way at length cost.  The new one must match it bit for bit."""
+    def weight(seg, direction):
+        return seg.length
+
+    snap_o = geomodel.snap_to_network(network, origin)
+    snap_t = geomodel.snap_to_network(network, target)
+    dist_graph = {}
+
+    def add_edge(a, b, w, b_coord):
+        dist_graph.setdefault(a, []).append((b, w, b_coord))
+
+    def partial_weight(seg, meters, direction):
+        if seg.length == 0:
+            return 0.0
+        return weight(seg, direction) * (meters / seg.length)
+
+    for j, seg_ids in network.adjacency.items():
+        for seg_id in seg_ids:
+            seg = network.segments[seg_id]
+            direction = FORWARD if seg.junction_a == j else geomodel.REVERSE
+            other = seg.exit_junction(direction)
+            add_edge(j, other, weight(seg, direction), network.junctions[other])
+
+    for label, snap in (("@origin", snap_o), ("@target", snap_t)):
+        seg = network.segments[snap.segment_id]
+        add_edge(label, seg.junction_a, partial_weight(seg, snap.offset_from_a, geomodel.REVERSE),
+                 network.junctions[seg.junction_a])
+        add_edge(seg.junction_a, label, partial_weight(seg, snap.offset_from_a, FORWARD), snap.point)
+        rest = seg.length - snap.offset_from_a
+        add_edge(label, seg.junction_b, partial_weight(seg, rest, FORWARD),
+                 network.junctions[seg.junction_b])
+        add_edge(seg.junction_b, label, partial_weight(seg, rest, geomodel.REVERSE), snap.point)
+
+    if snap_o.segment_id == snap_t.segment_id:
+        seg = network.segments[snap_o.segment_id]
+        along = abs(snap_t.offset_from_a - snap_o.offset_from_a)
+        add_edge("@origin", "@target", partial_weight(seg, along, FORWARD), snap_t.point)
+        add_edge("@target", "@origin", partial_weight(seg, along, FORWARD), snap_o.point)
+
+    coords = {"@origin": snap_o.point, "@target": snap_t.point}
+    coords.update(network.junctions)
+
+    dist = {"@origin": 0.0}
+    prev = {}
+    heap = [(0.0, "@origin")]
+    done = set()
+    while heap:
+        d, here = heapq.heappop(heap)
+        if here in done:
+            continue
+        done.add(here)
+        if here == "@target":
+            break
+        for nxt, w, _ in sorted(dist_graph.get(here, []), key=lambda e: e[0]):
+            nd = d + w
+            if nxt not in dist or nd < dist[nxt]:
+                dist[nxt] = nd
+                prev[nxt] = here
+                heapq.heappush(heap, (nd, nxt))
+
+    if "@target" not in dist:
+        raise ValueError("no path between points")
+
+    names = ["@target"]
+    while names[-1] != "@origin":
+        names.append(prev[names[-1]])
+    names.reverse()
+    points = [coords[n] for n in names]
+    deduped = [points[0]]
+    for pt in points[1:]:
+        if distance(pt, deduped[-1]) > 0:
+            deduped.append(pt)
+    return deduped, dist["@target"]
+
+
+def _kit_road(name):
+    with tempfile.TemporaryDirectory() as directory:
+        kits.generate_kit(name, directory)
+        with open(os.path.join(directory, "road.txt")) as fh:
+            return fh.read()
+
+
+_KIT_ROADS = [_kit_road(name) for name in kits.KIT_NAMES]
+
+
+@st.composite
+def _walking_network(draw):
+    """A kit road, or a grid with some streets one-way or missing."""
+    if draw(st.booleans()):
+        return load_network(draw(st.sampled_from(_KIT_ROADS)))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    spacing = draw(st.sampled_from([0.1, 1.0, 37.5, 150.0, 300.0, 333.3]))
+    lines = []
+    for line in grid_document(rows, cols, spacing=spacing).splitlines():
+        if line.startswith("segment"):
+            kind = draw(st.sampled_from(["twoway", "twoway", "oneway", "gone"]))
+            if kind == "gone":
+                continue
+            line = line.replace("twoway", kind)
+        lines.append(line)
+    if not any(line.startswith("segment") for line in lines):
+        lines.append("segment s j0_0 j0_1 50 twoway")
+    return load_network("\n".join(lines) + "\n")
+
+
+@st.composite
+def _walking_point(draw, network):
+    """A junction exactly, a point on (or beside) a segment, or anywhere."""
+    kind = draw(st.sampled_from(["junction", "segment", "free"]))
+    if kind == "junction":
+        return network.junctions[draw(st.sampled_from(sorted(network.junctions)))]
+    xs = [c.x for c in network.junctions.values()]
+    ys = [c.y for c in network.junctions.values()]
+    if kind == "free":
+        return GeoCoordinate(draw(st.floats(min(xs) - 50, max(xs) + 50)),
+                             draw(st.floats(min(ys) - 50, max(ys) + 50)))
+    seg = network.segments[draw(st.sampled_from(sorted(network.segments)))]
+    p = seg.point_at(draw(st.floats(0.0, 1.0)) * seg.length)
+    return GeoCoordinate(p.x, p.y + draw(st.sampled_from([0.0, 0.0, 3.0, -7.25])))
+
+
+def _walk(network, origin, target, route):
+    try:
+        points, cost = route(network, origin, target)
+    except ValueError as exc:
+        return str(exc)
+    return [(p.x.hex(), p.y.hex()) for p in points], cost.hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_path_between_points_matches_its_own_dijkstra_bit_for_bit(data):
+    network = data.draw(_walking_network())
+    origin = data.draw(_walking_point(network))
+    if data.draw(st.booleans()):
+        # both points on one segment
+        seg = network.segments[geomodel.snap_to_network(network, origin).segment_id]
+        target = seg.point_at(data.draw(st.floats(0.0, 1.0)) * seg.length)
+    else:
+        target = data.draw(_walking_point(network))
+    assert (_walk(network, origin, target, geomodel.path_between_points)
+            == _walk(network, origin, target, reference_path_between_points))

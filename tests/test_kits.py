@@ -103,7 +103,7 @@ def test_aggregate_propagates_hop_by_hop_without_amplification():
     """A relay line: each hop forwards a verified event exactly once."""
     from vanetkit.geomodel import FORWARD, load_network
     from vanetkit.simnet import CongestionZone, SimConfig
-    from vanetkit.trust import Roster
+    from vanetkit.trust import Roster, register_user
 
     road = """
 junction a 0 0
@@ -116,7 +116,7 @@ segment tail m z 20 twoway
     roster = Roster()
     names = ["uD", "uC"] + [f"uR{i}" for i in range(1, 6)]
     for i, name in enumerate(names):
-        roster.register(name, 40 + i)
+        register_user(roster, name, 40 + i)
     for left, right in zip(names, names[1:]):
         roster.befriend(left, right)
 

@@ -25,8 +25,8 @@ def _raised_under_optimize(body: str) -> str:
 
 _CASES = {
     "MissingCertificateError": """
-        from vanetkit.trust import Roster
-        identity = Roster().register("u", 1)
+        from vanetkit.trust import Roster, register_user
+        identity = register_user(Roster(), "u", 1)
         identity.repository._certs.clear()
         identity.self_certificate
     """,
@@ -45,16 +45,16 @@ _CASES = {
     "MissingSessionKeyError": """
         import random
         from vanetkit import auth
-        from vanetkit.trust import RevocationStore, Roster
+        from vanetkit.trust import RevocationStore, Roster, register_user
         roster = Roster()
         for uid, seed in [("a", 1), ("b", 2), ("F", 3)]:
-            roster.register(uid, seed)
+            register_user(roster, uid, seed)
         roster.befriend("a", "F")
         roster.befriend("b", "F")
         on_result = auth.AuthResponder.on_result
 
-        def keyless_on_result(self, body, now):
-            on_result(self, body, now)
+        def keyless_on_result(self, session_id, accepted, now):
+            on_result(self, session_id, accepted, now)
             self.session_key = None
 
         auth.AuthResponder.on_result = keyless_on_result

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from vanetkit.geomodel import FORWARD, GeoCoordinate, load_network
 from vanetkit.simnet import (ParkDirective, SimConfig, Simulation, VehicleSpec,
                              collect_metrics, in_radio_range, neighbors_in_range)
-from vanetkit.trust import Roster
+from vanetkit.trust import Roster, register_user
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
 
@@ -30,7 +30,7 @@ segment main a b 50 twoway
 NETWORK = load_network(STRAIGHT_ROAD)
 ROSTER = Roster()
 for _i in range(MAX_NODES):
-    ROSTER.register(f"u{_i:02d}", _i + 1)
+    register_user(ROSTER, f"u{_i:02d}", _i + 1)
 
 
 def _placed(points, inactive=()):
@@ -109,7 +109,7 @@ def test_beacon_to_a_departed_or_parked_receiver_is_lost():
     of range and n3 has switched its ignition off, so only n4 receives."""
     roster = Roster()
     for i in range(4):
-        roster.register(f"u{i}", i + 1)
+        register_user(roster, f"u{i}", i + 1)
     config = SimConfig(seed=3, duration=10, name="departure", vehicles=[
         VehicleSpec("n1", "u0", "main", 100.0, FORWARD, speed=0.0),
         VehicleSpec("n2", "u1", "main", 160.0, FORWARD, speed=50.0),
@@ -146,7 +146,7 @@ def test_conservation_counts_queued_beacon_receivers_not_records():
     queued; conservation holds with in-flight counted per receiver."""
     roster = Roster()
     for i in range(4):
-        roster.register(f"u{i}", i + 1)
+        register_user(roster, f"u{i}", i + 1)
     config = SimConfig(seed=5, duration=10, name="cluster", vehicles=[
         VehicleSpec(f"n{i}", f"u{i}", "main", 100.0 + 10 * i, FORWARD, speed=0.0)
         for i in range(4)])

@@ -2,15 +2,12 @@ import random
 
 import pytest
 
-from vanetkit import crypto
 from vanetkit.aggregation import AggregatedEvent
-from vanetkit.auth import SessionKey
 from vanetkit.events import CongestionObservation
 from vanetkit.geomodel import FORWARD, GeoCoordinate, grid_document, load_network
 from vanetkit.relay import (ACTION_CORROBORATE, ACTION_DROP, ACTION_FORWARD,
                             ACTION_REROUTE_FORWARD, CooperationRecord,
-                            cooperation_gate, decide_relay, decrypt_from_peer,
-                            encrypt_for_peer, plan_cost, plan_route,
+                            cooperation_gate, decide_relay, plan_cost, plan_route,
                             recompute_route, route_affected)
 
 
@@ -134,27 +131,6 @@ def test_empty_congestion_set_recomputes_to_shortest_base_path():
     net = grid()
     plan = plan_route(net, "j0_0", "j3_3")
     assert plan.cost == enumerate_paths_cost(net, "j0_0", "j3_3", set())
-
-
-def test_encrypt_decrypt_roundtrip_and_separation():
-    rng = random.Random(3)
-    session_a = SessionKey(crypto.sha256(b"a"), b"p" * 16, 0.0)
-    session_b = SessionKey(crypto.sha256(b"b"), b"q" * 16, 0.0)
-    payload = encrypt_for_peer(b"event bytes", session_a, rng)
-    assert decrypt_from_peer(payload, session_a) == b"event bytes"
-    with pytest.raises(crypto.WrongKeyError):
-        decrypt_from_peer(payload, session_b)
-
-
-def test_encrypted_payload_tamper_detection():
-    rng = random.Random(4)
-    session = SessionKey(crypto.sha256(b"a"), b"p" * 16, 0.0)
-    payload = encrypt_for_peer(b"event bytes", session, rng)
-    blob = bytearray(payload.ciphertext)
-    blob[-1] ^= 0x80
-    tampered = type(payload)(bytes(blob), payload.peer_pseudonym)
-    with pytest.raises(crypto.IntegrityError):
-        decrypt_from_peer(tampered, session)
 
 
 def test_cooperation_gate():

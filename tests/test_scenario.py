@@ -138,3 +138,11 @@ def test_advert_package_certificate_checked(tmp_path):
     advert_path.write_text("\n".join(broken) + "\n")
     _, problems = scenario.load_bundle(str(tmp_path))
     assert any("does not verify" in p for p in problems)
+
+
+def test_cell_size_is_refused_not_ignored(tmp_path):
+    """The event cell is one protocol constant; a scenario that tries to set
+    it is told so instead of running with a setting that does nothing."""
+    text = GOOD_SCENARIO + "cell_size 10\n"
+    _, problems = scenario.load_bundle(write_bundle(tmp_path, text, GOOD_ROAD, GOOD_ROSTER))
+    assert problems == ["line 8: unknown scenario statement 'cell_size'"]

@@ -10,11 +10,11 @@ from vanetkit.aggregation import (PendingObservation, SignedObservation, event_i
                                   sign_observation)
 from vanetkit.events import AdvertEvent, CongestionObservation
 from vanetkit.geomodel import FORWARD, REVERSE, GeoCoordinate, load_network
-from vanetkit.simnet import (CongestionZone, ConservationError, ParkDirective,
+from vanetkit.simnet import (AuditLog, CongestionZone, ConservationError, ParkDirective,
                              SimConfig, Simulation, VehicleSpec, assign_obus,
                              collect_metrics, neighbors_in_range, run_simulation,
                              should_launch)
-from vanetkit.trust import Roster, UnknownUserError
+from vanetkit.trust import Roster, UnknownUserError, register_user
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
 
@@ -28,9 +28,9 @@ segment main a b 50 twoway
 def two_node_setup(gap=50.0, shared_friend=True, duration=100):
     net = load_network(STRAIGHT_ROAD)
     roster = Roster()
-    roster.register("ua", 1)
-    roster.register("ub", 2)
-    roster.register("F", 3)
+    register_user(roster, "ua", 1)
+    register_user(roster, "ub", 2)
+    register_user(roster, "F", 3)
     if shared_friend:
         roster.befriend("ua", "F")
         roster.befriend("ub", "F")
@@ -162,8 +162,8 @@ def test_different_seed_changes_nothing_structural():
 def test_lost_packets_on_range_departure():
     net = load_network(STRAIGHT_ROAD)
     roster = Roster()
-    roster.register("ua", 1)
-    roster.register("ub", 2)
+    register_user(roster, "ua", 1)
+    register_user(roster, "ub", 2)
     roster.befriend("ua", "ub")
     # n2 drives away at 50 km/h (13.9 m/s): the pair starts in range and
     # separates, so some frames launched in range must die in flight.
@@ -197,8 +197,8 @@ def test_corroboration_request_retries_until_peer_authenticates():
     asks the corroborator that shows up later."""
     net = load_network(STRAIGHT_ROAD)
     roster = Roster()
-    roster.register("ua", 1)
-    roster.register("ub", 2)
+    register_user(roster, "ua", 1)
+    register_user(roster, "ub", 2)
     roster.befriend("ua", "ub")
     config = SimConfig(
         seed=5, duration=150, name="late-helper",
@@ -230,10 +230,10 @@ def test_overlapping_zones_first_in_config_order_applies():
     for now, speed in [(0.0, 20.0), (10.0, 5.0), (35.0, 5.0), (49.5, 5.0),
                        (50.0, 20.0), (79.0, 20.0), (80.0, None)]:
         sim.now = now
-        assert sim._zone_speed(node, int(now)) == speed
+        assert sim._zone_speed(node) == speed
     node.state = dataclasses.replace(node.state, direction=REVERSE)
     sim.now = 35.0
-    assert sim._zone_speed(node, 35) == 1.0
+    assert sim._zone_speed(node) == 1.0
 
 
 def test_radio_symmetry_every_tick():
@@ -369,10 +369,8 @@ def test_malformed_and_mismatched_frames_are_dropped_and_counted(tmp_path):
     assert d.initiators["C"] is engine and engine.peer_commitments == []
     assert engine.outcome is None and sim.in_flight == []
     # The engines check the role flag too, not only the session id.
-    _, wrong_role = wire.decode_frame(wire.encode_auth_response(
-        engine.session_id, True, b"n" * 16, [], b"c" * 16))
     with pytest.raises(auth.SessionMismatchError):
-        engine.on_peer_response(wrong_role, sim.now)
+        engine.on_peer_response(engine.session_id, True, b"n" * 16, [], sim.now)
     del d.initiators["C"]
     collect_metrics(sim)
 
@@ -405,7 +403,7 @@ def test_corroboration_request_from_outside_the_roster_is_dropped(tmp_path):
     sim = _chain_sim(tmp_path / "chain")
     sim.run()
     outsiders = Roster()
-    mallory = outsiders.register("mallory", 99)
+    mallory = register_user(outsiders, "mallory", 99)
     obs = CongestionObservation("main1", FORWARD, GeoCoordinate(280.0, 0.0), 100.0, b"m" * 16)
     signed = sign_observation(obs, mallory.keys.private_key, mallory.self_certificate, b"m" * 16)
     bad = SignedObservation(obs, signed.signer_pseudonym, signed.signer_certificate,
@@ -440,7 +438,7 @@ def test_sealed_observation_with_unencodable_number_is_dropped(tmp_path, tag, fi
     offset = 2 + len(obs.road_id) + 1 + {"x": 0, "y": 8, "detected_at": 16}[field]
     payload = payload[:offset] + struct.pack(">d", value) + payload[offset + 8:]
     blob = crypto.seal(c.sessions["D"].key.key, payload, bytes(16))
-    frame = wire.encode_sealed(tag, blob)
+    frame = wire.encode_frame(tag, blob)
     events, pending, trace = list(c.decrypted_events), dict(c.pending), list(sim.trace)
     sim._handle_frame(c, "D", frame, 121, neighbors, True)
     assert sim.malformed_frames == 1
@@ -476,7 +474,7 @@ def test_a_rejected_aggregate_blames_its_sender_not_its_first_signer(tmp_path):
                                             None, 2)
         assert aggregation.verify_aggregate(event, c.revocations) == (False, "bad-signature")
         blob = crypto.seal(c.sessions["D"].key.key, wire.encode_aggregate(event), bytes(16))
-        sim._handle_frame(c, "D", wire.encode_sealed(wire.AGGREGATED_EVENT, blob), 121,
+        sim._handle_frame(c, "D", wire.encode_frame(wire.AGGREGATED_EVENT, blob), 121,
                           neighbors, True)
     assert sim.events_rejected == rejected + 3
     assert "ur" not in c.revocations.records
@@ -504,6 +502,46 @@ def test_an_advert_with_a_bad_certificate_blames_its_sender_not_the_named_subjec
     cert = dataclasses.replace(cert, signature=cert.signature[:-1] + bytes([cert.signature[-1] ^ 1]))
     advert = AdvertEvent("ur-shop", "sale", GeoCoordinate(280.0, 0.0), 500.0, 1e6, "logo", cert)
     blob = crypto.seal(c.sessions["D"].key.key, wire.encode_advert(advert), bytes(16))
-    sim._handle_frame(c, "D", wire.encode_sealed(wire.ADVERT, blob), 121, neighbors, True)
+    sim._handle_frame(c, "D", wire.encode_frame(wire.ADVERT, blob), 121, neighbors, True)
     assert "ur" not in c.revocations.records
     assert c.revocations.records["ud"].misbehavior_count == 1
+
+
+def test_a_rotation_reaches_the_peer_session(tmp_path):
+    """A node that rotates its pseudonym tells each session peer; at the end
+    of a run the peer's session carries the node's current pseudonym."""
+    config, net, roster = two_node_setup(duration=700)
+    sim = Simulation(config, net, roster)
+    sim.audit = AuditLog()
+    sim.run()
+    n1, n2 = sim.nodes["n1"], sim.nodes["n2"]
+    for node, peer in ((n1, n2), (n2, n1)):
+        assert any(r[1] == node.id for r in sim.audit.rotations)
+        assert peer.sessions[node.id].key.peer_pseudonym == node.pseudonyms.current.value
+
+
+def test_change_notices_need_a_session_and_an_intact_seal(tmp_path):
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    _, neighbors = sim._adjacency()
+    c = sim.nodes["C"]
+    before, malformed = c.sessions["D"].key, sim.malformed_frames
+    change = wire.encode_pseudonym_change(b"o" * 16, b"n" * 16)
+    sealed = crypto.seal(before.key, change, bytes(16))
+
+    def notice(blob):
+        sim._handle_frame(c, "D", wire.encode_frame(wire.CHANGE_NOTICE, blob), 121,
+                          neighbors, True)
+
+    notice(crypto.seal(crypto.sha256(b"another session"), change, bytes(16)))
+    notice(sealed[:-1] + bytes([sealed[-1] ^ 1]))
+    session = c.sessions.pop("D")
+    notice(sealed)
+    assert "D" not in c.sessions
+    c.sessions["D"] = session
+    assert session.key == before and sim.malformed_frames == malformed
+    notice(crypto.seal(before.key, change[:-1], bytes(16)))
+    assert session.key == before and sim.malformed_frames == malformed + 1
+    notice(sealed)
+    assert session.key == dataclasses.replace(before, peer_pseudonym=b"n" * 16)
+    assert sim.malformed_frames == malformed + 1

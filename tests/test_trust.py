@@ -13,9 +13,9 @@ from vanetkit.trust import (DuplicateUserError, RevocationStore, Roster,
 def star_roster():
     """Hub H signed by/signing leaves L1..L5."""
     roster = Roster()
-    roster.register("H", 0)
+    register_user(roster, "H", 0)
     for i in range(1, 6):
-        roster.register(f"L{i}", i)
+        register_user(roster, f"L{i}", i)
         roster.befriend("H", f"L{i}")
     return roster
 
@@ -45,8 +45,8 @@ def test_distinct_seeds_give_distinct_keys():
 
 def test_sign_friend_updates_both_repositories():
     roster = Roster()
-    a = roster.register("a", 1)
-    b = roster.register("b", 2)
+    a = register_user(roster, "a", 1)
+    b = register_user(roster, "b", 2)
     cert = sign_friend(a, b)
     assert cert in a.repository.certificates()
     assert cert in b.repository.certificates()
@@ -56,9 +56,9 @@ def test_sign_friend_updates_both_repositories():
 
 def test_candidate_keys_are_cached_until_a_certificate_is_added():
     roster = Roster()
-    a = roster.register("a", 1)
-    b = roster.register("b", 2)
-    c = roster.register("c", 3)
+    a = register_user(roster, "a", 1)
+    b = register_user(roster, "b", 2)
+    c = register_user(roster, "c", 3)
     repo = a.repository
     keys = repo.candidate_keys()
     assert keys == (a.keys.public_key,)
@@ -74,8 +74,8 @@ def test_candidate_keys_are_cached_until_a_certificate_is_added():
 
 def test_mutual_signing_gives_mutual_edges():
     roster = Roster()
-    roster.register("a", 1)
-    roster.register("b", 2)
+    register_user(roster, "a", 1)
+    register_user(roster, "b", 2)
     roster.befriend("a", "b")
     graph = TrustGraph.from_roster(roster)
     assert ("a", "b") in graph.edges and ("b", "a") in graph.edges
@@ -87,7 +87,7 @@ def test_trust_graph_counts_for_10_users_15_friendships():
              (5, 8), (6, 9), (7, 8), (8, 9), (2, 9), (3, 7), (4, 6)]
     roster = Roster()
     for i in range(10):
-        roster.register(f"u{i}", i)
+        register_user(roster, f"u{i}", i)
     expected = {(f"u{i}", f"u{i}") for i in range(10)}   # self-loops
     for a, b in pairs:
         roster.befriend(f"u{a}", f"u{b}")
@@ -101,8 +101,8 @@ def test_trust_graph_counts_for_10_users_15_friendships():
 
 def test_trust_graph_edges_require_verification():
     roster = Roster()
-    a = roster.register("a", 1)
-    b = roster.register("b", 2)
+    a = register_user(roster, "a", 1)
+    b = register_user(roster, "b", 2)
     good = sign_friend(a, b)
     bad = trust.Certificate("b", b.keys.public_key, "a", bytes(64))
     a.repository.add(bad)   # overwrites the (b, a) slot with a forgery
@@ -115,8 +115,8 @@ def test_trust_graph_edges_require_verification():
 def test_certificate_tamper_detection():
     rng = random.Random(5)
     roster = Roster()
-    a = roster.register("a", 1)
-    b = roster.register("b", 2)
+    a = register_user(roster, "a", 1)
+    b = register_user(roster, "b", 2)
     cert = sign_friend(a, b)
     for _ in range(1000):
         i = rng.randrange(len(cert.subject_public_key))
@@ -134,8 +134,8 @@ def test_common_friends_examples():
     assert common_friends(l1, l2) == {"H"}
     # Disjoint: two leaves of different, unconnected stars.
     other = Roster()
-    other.register("X", 77)
-    other.register("Y", 78)
+    register_user(other, "X", 77)
+    register_user(other, "Y", 78)
     assert common_friends(other.user("X").repository, other.user("Y").repository) == set()
 
 

@@ -6,7 +6,7 @@ from vanetkit import wire
 from vanetkit.aggregation import AggregatedEvent, sign_observation
 from vanetkit.events import AdvertEvent, CongestionObservation, ParkingEvent
 from vanetkit.geomodel import FORWARD, GeoCoordinate
-from vanetkit.trust import Roster
+from vanetkit.trust import Roster, register_user
 
 
 def test_frame_roundtrip_and_length_check():
@@ -53,7 +53,7 @@ def observation():
 
 def test_signed_observation_roundtrip_preserves_verification():
     roster = Roster()
-    ident = roster.register("u", 1)
+    ident = register_user(roster, "u", 1)
     signed = sign_observation(observation(), ident.keys.private_key,
                               ident.self_certificate, b"q" * 16)
     decoded = wire.decode_signed_observation(wire.encode_signed_observation(signed))
@@ -63,8 +63,8 @@ def test_signed_observation_roundtrip_preserves_verification():
 
 def test_aggregate_roundtrip():
     roster = Roster()
-    a = roster.register("a", 1)
-    b = roster.register("b", 2)
+    a = register_user(roster, "a", 1)
+    b = register_user(roster, "b", 2)
     obs = observation()
     sigs = (sign_observation(obs, a.keys.private_key, a.self_certificate, b"a" * 16),
             sign_observation(obs, b.keys.private_key, b.self_certificate, b"b" * 16))
@@ -83,7 +83,7 @@ def test_parking_roundtrip():
 
 def test_advert_roundtrip():
     roster = Roster()
-    ident = roster.register("shop", 3)
+    ident = register_user(roster, "shop", 3)
     advert = AdvertEvent("shop", "two for one", GeoCoordinate(5.0, 6.0),
                          150.0, 900.0, "logo42", ident.self_certificate)
     assert wire.decode_advert(wire.encode_advert(advert)) == advert
@@ -117,7 +117,7 @@ def test_text_that_is_not_utf8_is_a_wire_error():
 def test_observation_numbers_must_fit_the_canonical_encoding(x, t, ok):
     obs = CongestionObservation("road9", FORWARD, GeoCoordinate(x, -42.25), t, b"q" * 16)
     roster = Roster()
-    ident = roster.register("u", 1)
+    ident = register_user(roster, "u", 1)
     if ok:
         signed = sign_observation(obs, ident.keys.private_key, ident.self_certificate, b"q" * 16)
         assert wire.decode_signed_observation(wire.encode_signed_observation(signed)) == signed
