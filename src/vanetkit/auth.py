@@ -24,6 +24,15 @@ the key over label, challenge and nonce (RFC 2104), finished from the
 key's inner and outer states after their first block.  Those states are
 memoised in `_HMAC_STATES`, one entry per distinct certificate key, as
 `crypto._PUBLIC_KEYS` memoises public keys.
+
+A side's commitments, and its responses, are one `bytes` block of 32-byte
+fields in slot order, as on the wire: the engines hold, send and receive
+blocks, and `match_keys` reads the peer's at 32-byte offsets.  One block
+costs a single object where a list of fields costs one per field, and
+most handshakes are held open only to end in rejection.  Padding fields
+come from one `rng.randbytes(32 * n)` draw cut in slot order, which
+yields the same bytes as `n` draws of 32.  `AuthTranscript` alone splits
+the blocks into tuples of fields.
 """
 
 from __future__ import annotations
@@ -133,6 +142,7 @@ def emit_beacon(state: PseudonymState, tick: int) -> tuple[Beacon, bytes]:
 _COMMIT_LABEL = b"vk-commit"
 _RESPONSE_LABEL = b"vk-resp"
 _HMAC_BLOCK = 64   # sha256 block size
+_FIELD_LEN = 32     # one commitment or response; sha256 and HMAC-SHA256 digests
 
 
 def _commitment_prefix(nonce: bytes):
@@ -168,9 +178,16 @@ def _response(key: bytes, message: bytes) -> bytes:
     return outer.digest()
 
 
+def _padding(slots: list[bytes | None], rng: random.Random):
+    """Iterator over a random field per padding slot, in slot order, cut
+    from one draw: the same bytes as one `randbytes(32)` per slot."""
+    pad = rng.randbytes(_FIELD_LEN * slots.count(None))
+    return iter([pad[i:i + _FIELD_LEN] for i in range(0, len(pad), _FIELD_LEN)])
+
+
 def build_commitments(keys: Sequence[bytes], nonce: bytes,
-                      rng: random.Random) -> tuple[list[bytes], list[bytes | None]]:
-    """Commitment list padded and shuffled to hide which slots are real.
+                      rng: random.Random) -> tuple[bytes, list[bytes | None]]:
+    """Commitment block padded and shuffled to hide which slots are real.
 
     Returns the commitments plus a slot map carrying the key behind each
     real slot (None for padding), which the prover needs for responses.
@@ -180,48 +197,58 @@ def build_commitments(keys: Sequence[bytes], nonce: bytes,
         slots.append(None)
     rng.shuffle(slots)
     prefix = _commitment_prefix(nonce)
+    pads = _padding(slots, rng)
     commitments = []
     for key in slots:
         if key is None:
-            commitments.append(rng.randbytes(32))
+            commitments.append(next(pads))
         else:
             h = prefix.copy()
             h.update(key)
             commitments.append(h.digest())
-    return commitments, slots
+    return b"".join(commitments), slots
 
 
 def build_responses(slots: list[bytes | None], challenge: bytes, nonce: bytes,
-                    rng: random.Random) -> list[bytes]:
+                    rng: random.Random) -> bytes:
     message = _RESPONSE_LABEL + challenge + nonce
-    return [_response(k, message) if k is not None else rng.randbytes(32)
-            for k in slots]
+    pads = _padding(slots, rng)
+    return b"".join([_response(k, message) if k is not None else next(pads)
+                     for k in slots])
 
 
-def match_keys(own_keys: Sequence[bytes], commitments: list[bytes], nonce: bytes,
-               challenge: bytes, responses: list[bytes]) -> list[bytes]:
-    """Keys of ours consistent with some commitment/response pair."""
-    if len(commitments) != len(responses):
+def match_keys(own_keys: Sequence[bytes], commitments: bytes, nonce: bytes,
+               challenge: bytes, responses: bytes) -> list[bytes]:
+    """Keys of ours consistent with a commitment/response pair: the first
+    commitment field equal to the key's commitment has the key's response
+    in the same field of `responses`.  Fields start at multiples of 32."""
+    if len(commitments) != len(responses) or len(commitments) % _FIELD_LEN:
         return []
-    index = {c: i for i, c in enumerate(commitments)}
     prefix = _commitment_prefix(nonce)
     message = _RESPONSE_LABEL + challenge + nonce
     matched = []
     for key in own_keys:
         h = prefix.copy()
         h.update(key)
-        i = index.get(h.digest())
-        if i is not None and responses[i] == _response(key, message):
+        digest = h.digest()
+        at = commitments.find(digest)
+        while at > 0 and at % _FIELD_LEN:
+            at = commitments.find(digest, at + 1)
+        if at >= 0 and responses.startswith(_response(key, message), at):
             matched.append(key)
     return matched
 
 
-def _session_key_bytes(session_id: bytes, commitments_i: list[bytes],
-                       commitments_r: list[bytes], challenge_r: bytes, challenge_i: bytes,
+def _session_key_bytes(session_id: bytes, commitments_i: bytes,
+                       commitments_r: bytes, challenge_r: bytes, challenge_i: bytes,
                        shared_key: bytes, nonce_i: bytes, nonce_r: bytes) -> bytes:
-    transcript = crypto.sha256(session_id, b"".join(commitments_i), b"".join(commitments_r),
+    transcript = crypto.sha256(session_id, commitments_i, commitments_r,
                                challenge_r, challenge_i)
     return crypto.sha256(b"vk-skey", transcript, shared_key, nonce_i, nonce_r)
+
+
+def _fields(block: bytes) -> tuple[bytes, ...]:
+    return tuple(block[i:i + _FIELD_LEN] for i in range(0, len(block), _FIELD_LEN))
 
 
 @dataclass
@@ -261,7 +288,7 @@ class _EngineBase:
         self.reason = REASON_OK
         self.session_key: SessionKey | None = None
         self.matched: list[bytes] = []
-        self.sent_responses: list[bytes] = []
+        self.sent_responses = b""
 
     def _peer_revoked(self) -> bool:
         return (self.peer_user_id is not None
@@ -295,7 +322,7 @@ class AuthInitiator(_EngineBase):
         self.session_id = rng.randbytes(16)
         self.nonce = rng.randbytes(16)
         self.commitments, self._slots = build_commitments(self.keys, self.nonce, rng)
-        self.peer_commitments: list[bytes] = []
+        self.peer_commitments = b""
         self.challenge_for_peer = b""
         self.challenge_from_peer = b""
         self.peer_pseudonym = b""
@@ -304,7 +331,7 @@ class AuthInitiator(_EngineBase):
         return wire.encode_auth_commit(self.session_id, self.party.pseudonym, self.commitments)
 
     def on_challenge(self, session_id: bytes, peer_pseudonym: bytes, challenge: bytes,
-                     peer_commitments: list[bytes]) -> bytes:
+                     peer_commitments: bytes) -> bytes:
         _check_session(self.session_id, session_id)
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
@@ -315,7 +342,7 @@ class AuthInitiator(_EngineBase):
                                          self.sent_responses, self.challenge_for_peer)
 
     def on_peer_response(self, session_id: bytes, is_initiator: bool, peer_nonce: bytes,
-                         peer_responses: list[bytes], now: float) -> bytes:
+                         peer_responses: bytes, now: float) -> bytes:
         """Verify the responder's proof and emit the final result frame."""
         _check_session(self.session_id, session_id, role_ok=not is_initiator)
         self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
@@ -344,15 +371,15 @@ class AuthResponder(_EngineBase):
         self.session_id = b""
         self.nonce = rng.randbytes(16)
         self.challenge_for_peer = rng.randbytes(CHALLENGE_LEN)
-        self.commitments: list[bytes] = []
+        self.commitments = b""
         self._slots: list[bytes | None] = []
-        self.peer_commitments: list[bytes] = []
+        self.peer_commitments = b""
         self.peer_pseudonym = b""
         self._accept_pending = False
         self._pending_key_material: tuple | None = None
 
     def on_commit(self, session_id: bytes, peer_pseudonym: bytes,
-                  peer_commitments: list[bytes]) -> bytes:
+                  peer_commitments: bytes) -> bytes:
         self.session_id = session_id
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
@@ -361,7 +388,7 @@ class AuthResponder(_EngineBase):
                                           self.challenge_for_peer, self.commitments)
 
     def on_response(self, session_id: bytes, is_initiator: bool, peer_nonce: bytes,
-                    peer_responses: list[bytes], counter_challenge: bytes) -> bytes:
+                    peer_responses: bytes, counter_challenge: bytes) -> bytes:
         """Verify the initiator's proof; answer with our own or reject."""
         _check_session(self.session_id, session_id, role_ok=is_initiator)
         self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
@@ -427,14 +454,14 @@ def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Rando
     transcript = AuthTranscript(
         initiator_pseudonym=initiator.pseudonym,
         responder_pseudonym=responder.pseudonym,
-        commitments_initiator=tuple(eng_i.commitments),
-        commitments_responder=tuple(eng_r.commitments),
+        commitments_initiator=_fields(eng_i.commitments),
+        commitments_responder=_fields(eng_r.commitments),
         challenge_to_initiator=eng_r.challenge_for_peer,
         challenge_to_responder=eng_i.challenge_for_peer,
         nonce_initiator=eng_i.nonce,
         nonce_responder=eng_r.nonce,
-        responses_initiator=tuple(eng_i.sent_responses),
-        responses_responder=tuple(eng_r.sent_responses),
+        responses_initiator=_fields(eng_i.sent_responses),
+        responses_responder=_fields(eng_r.sent_responses),
         outcome=OUTCOME_ACCEPTED if eng_i.outcome == OUTCOME_ACCEPTED
         and eng_r.outcome == OUTCOME_ACCEPTED else OUTCOME_REJECTED,
         reason=specific[0] if specific else REASON_OK,

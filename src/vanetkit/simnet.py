@@ -38,6 +38,11 @@ from .trust import RevocationStore, Roster, report_misbehavior
 
 _BATTERY_ORDER = {level: i for i, level in enumerate(BATTERY_LEVELS)}
 
+# Why a sealed frame was dropped unopened (`Simulation.sealed_drops`).
+DROP_NO_SESSION = "no-session"
+DROP_WRONG_KEY = "wrong-key"
+DROP_INTEGRITY = "integrity"
+
 # Cell-list buckets are this much wider than the radio range.  A pair that
 # passes `in_radio_range` is at most r(1 + 3 * 2**-53) apart per axis, and
 # rounding x / side moves the quotient by less than 1e-9 while |x| < 1e6 r,
@@ -352,6 +357,8 @@ class Simulation:
         # Received frames that failed to decode or did not continue the
         # handshake they named; dropped, and not part of the metrics CSV.
         self.malformed_frames = 0
+        # Sealed frames dropped unopened, by reason; not part of the CSV.
+        self.sealed_drops = {DROP_NO_SESSION: 0, DROP_WRONG_KEY: 0, DROP_INTEGRITY: 0}
         self.in_flight: list[_Delivery | _Broadcast] = []
         self.now = 0.0
         self._min_seg_len = min(s.length for s in network.segments.values())
@@ -921,10 +928,15 @@ class Simulation:
         # require an established session with the sender.
         session = node.sessions.get(sender)
         if session is None:
+            self.sealed_drops[DROP_NO_SESSION] += 1
             return
         try:
             payload = crypto.open_sealed(session.key.key, body)
-        except (crypto.WrongKeyError, crypto.IntegrityError):
+        except crypto.WrongKeyError:
+            self.sealed_drops[DROP_WRONG_KEY] += 1
+            return
+        except crypto.IntegrityError:
+            self.sealed_drops[DROP_INTEGRITY] += 1
             return
         self._handle_payload(node, sender, tag, payload, t, neighbors, allow_sends)
 

@@ -8,10 +8,11 @@ sealed per session and the frame body is the sealed blob.
 The handshake messages are the bulk of what is decoded, so the codecs
 avoid per-field work: every fixed-width field has a module-level
 `struct.Struct`, `_Reader` reads at an offset with `unpack_from` and
-slices only the byte fields it returns, and `_Reader.blocks` checks the
-bounds of a whole commitment or response block once and cuts it with
-one cached layout.  The beacon and handshake encoders join their parts
-in one call.  Errors and their messages are those of a field-by-field
+slices only the byte fields it returns.  A handshake's commitments or
+responses travel and are held as one block: a `bytes` of 32-byte fields
+behind a one-byte count, cut from the body with one slice and written
+after `len(block) // 32`.  The beacon and handshake encoders join their
+parts in one call.  Errors and their messages are those of a field-by-field
 reader: `record truncated`, `trailing bytes in record`, `frame
 truncated`, `frame length mismatch`.
 """
@@ -57,9 +58,6 @@ _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 _U32_PAIR = struct.Struct(">II")
 _HEADER = struct.Struct(">IB")   # frame length (tag + body), tag
-# (count, size) -> layout of `count` fixed-size fields; a count is a u8, so
-# at most 256 layouts per field size
-_BLOCK_LAYOUTS: dict[tuple[int, int], struct.Struct] = {}
 
 
 class _Writer:
@@ -92,8 +90,8 @@ class _Writer:
 
 
 class _Reader:
-    """Reads fields at an offset into one bytes object; only `raw`, `blob`
-    and `blocks` slice."""
+    """Reads fields at an offset into one bytes object; only `raw` and
+    `blob` slice."""
 
     __slots__ = ("data", "pos", "end")
 
@@ -125,15 +123,6 @@ class _Reader:
     def raw(self, n: int) -> bytes:
         pos = self._advance(n)
         return self.data[pos:pos + n]
-
-    def blocks(self, count: int, size: int) -> list[bytes]:
-        """`count` fields of `size` bytes, bounds-checked once and cut by
-        one `unpack_from`."""
-        pos = self._advance(count * size)
-        layout = _BLOCK_LAYOUTS.get((count, size))
-        if layout is None:
-            layout = _BLOCK_LAYOUTS[count, size] = struct.Struct(">" + f"{size}s" * count)
-        return list(layout.unpack_from(self.data, pos))
 
     def blob(self) -> bytes:
         return self.raw(self.u16())
@@ -179,50 +168,58 @@ def decode_beacon(body: bytes) -> tuple[bytes, int, int]:
 
 # -- authentication handshake ----------------------------------------------
 
-def encode_auth_commit(session_id: bytes, pseudonym: bytes, commitments: list[bytes]) -> bytes:
-    body = b"".join((session_id, pseudonym, _U8.pack(len(commitments)), *commitments))
+def _block_count(block: bytes) -> bytes:
+    """The u8 field count written in front of a block of 32-byte fields."""
+    count, rest = divmod(len(block), COMMITMENT_LEN)
+    if rest or count > 255:
+        raise WireError("block is not at most 255 fields of 32 bytes")
+    return _U8.pack(count)
+
+
+def encode_auth_commit(session_id: bytes, pseudonym: bytes, commitments: bytes) -> bytes:
+    body = b"".join((session_id, pseudonym, _block_count(commitments), commitments))
     return encode_frame(AUTH_COMMIT, body)
 
 
-def decode_auth_commit(body: bytes) -> tuple[bytes, bytes, list[bytes]]:
+def decode_auth_commit(body: bytes) -> tuple[bytes, bytes, bytes]:
     r = _Reader(body)
     session_id = r.raw(16)
     pseudonym = r.raw(PSEUDONYM_LEN)
-    commitments = r.blocks(r.u8(), COMMITMENT_LEN)
+    commitments = r.raw(r.u8() * COMMITMENT_LEN)
     r.expect_end()
     return session_id, pseudonym, commitments
 
 
 def encode_auth_challenge(session_id: bytes, pseudonym: bytes, challenge: bytes,
-                          commitments: list[bytes]) -> bytes:
-    body = b"".join((session_id, pseudonym, challenge, _U8.pack(len(commitments)),
-                     *commitments))
+                          commitments: bytes) -> bytes:
+    body = b"".join((session_id, pseudonym, challenge, _block_count(commitments),
+                     commitments))
     return encode_frame(AUTH_CHALLENGE, body)
 
 
-def decode_auth_challenge(body: bytes) -> tuple[bytes, bytes, bytes, list[bytes]]:
+def decode_auth_challenge(body: bytes) -> tuple[bytes, bytes, bytes, bytes]:
     r = _Reader(body)
     session_id = r.raw(16)
     pseudonym = r.raw(PSEUDONYM_LEN)
     challenge = r.raw(CHALLENGE_LEN)
-    commitments = r.blocks(r.u8(), COMMITMENT_LEN)
+    commitments = r.raw(r.u8() * COMMITMENT_LEN)
     r.expect_end()
     return session_id, pseudonym, challenge, commitments
 
 
 def encode_auth_response(session_id: bytes, initiator: bool, nonce: bytes,
-                         responses: list[bytes], counter_challenge: bytes) -> bytes:
+                         responses: bytes, counter_challenge: bytes) -> bytes:
     body = b"".join((session_id, b"\x01" if initiator else b"\x00", nonce,
-                     _U8.pack(len(responses)), *responses, counter_challenge))
+                     _block_count(responses), responses, counter_challenge))
     return encode_frame(AUTH_RESPONSE, body)
 
 
-def decode_auth_response(body: bytes) -> tuple[bytes, bool, bytes, list[bytes], bytes]:
+def decode_auth_response(body: bytes) -> tuple[bytes, bool, bytes, bytes, bytes]:
     r = _Reader(body)
     session_id = r.raw(16)
     initiator = r.u8() == 1
     nonce = r.raw(16)
-    responses = r.blocks(r.u8(), RESPONSE_LEN)
+    responses = r.raw(r.u8() * RESPONSE_LEN)
     counter_challenge = r.raw(CHALLENGE_LEN)
     r.expect_end()
     return session_id, initiator, nonce, responses, counter_challenge

@@ -159,18 +159,18 @@ def test_04_replay_resistance():
         transcript, _ = auth.zk_mutual_authenticate(party_a, party_b, rng, 0.0)
         assert transcript.outcome == auth.OUTCOME_ACCEPTED
         verifier_keys = roster.user("bob").repository.candidate_keys()
-        assert auth.match_keys(verifier_keys, list(transcript.commitments_initiator),
+        assert auth.match_keys(verifier_keys, b"".join(transcript.commitments_initiator),
                                transcript.nonce_initiator,
                                transcript.challenge_to_initiator,
-                               list(transcript.responses_initiator))
+                               b"".join(transcript.responses_initiator))
         accepted = 0
         for _ in range(10000):
             fresh = rng.randbytes(16)
             if fresh == transcript.challenge_to_initiator:
                 continue
-            if auth.match_keys(verifier_keys, list(transcript.commitments_initiator),
+            if auth.match_keys(verifier_keys, b"".join(transcript.commitments_initiator),
                                transcript.nonce_initiator, fresh,
-                               list(transcript.responses_initiator)):
+                               b"".join(transcript.responses_initiator)):
                 accepted += 1
         assert accepted == 0
 

@@ -88,7 +88,7 @@ def ref_decode_beacon(body):
 def ref_decode_auth_commit(body):
     r = _RefReader(body)
     session_id, pseudonym = r.raw(16), r.raw(16)
-    commitments = [r.raw(32) for _ in range(r.u8())]
+    commitments = b"".join([r.raw(32) for _ in range(r.u8())])
     r.expect_end()
     return session_id, pseudonym, commitments
 
@@ -96,7 +96,7 @@ def ref_decode_auth_commit(body):
 def ref_decode_auth_challenge(body):
     r = _RefReader(body)
     session_id, pseudonym, challenge = r.raw(16), r.raw(16), r.raw(16)
-    commitments = [r.raw(32) for _ in range(r.u8())]
+    commitments = b"".join([r.raw(32) for _ in range(r.u8())])
     r.expect_end()
     return session_id, pseudonym, challenge, commitments
 
@@ -106,7 +106,7 @@ def ref_decode_auth_response(body):
     session_id = r.raw(16)
     initiator = r.u8() == 1
     nonce = r.raw(16)
-    responses = [r.raw(32) for _ in range(r.u8())]
+    responses = b"".join([r.raw(32) for _ in range(r.u8())])
     counter = r.raw(16)
     r.expect_end()
     return session_id, initiator, nonce, responses, counter
@@ -196,17 +196,17 @@ def ref_encode_beacon(pseudonym, sequence, tick):
 
 def ref_encode_auth_commit(session_id, pseudonym, commitments):
     return ref_encode_frame(wire.AUTH_COMMIT, session_id + pseudonym
-                            + bytes([len(commitments)]) + b"".join(commitments))
+                            + bytes([len(commitments) // 32]) + commitments)
 
 
 def ref_encode_auth_challenge(session_id, pseudonym, challenge, commitments):
     return ref_encode_frame(wire.AUTH_CHALLENGE, session_id + pseudonym + challenge
-                            + bytes([len(commitments)]) + b"".join(commitments))
+                            + bytes([len(commitments) // 32]) + commitments)
 
 
 def ref_encode_auth_response(session_id, initiator, nonce, responses, counter):
     return ref_encode_frame(wire.AUTH_RESPONSE, session_id + bytes([1 if initiator else 0])
-                            + nonce + bytes([len(responses)]) + b"".join(responses)
+                            + nonce + bytes([len(responses) // 32]) + responses
                             + counter)
 
 
@@ -222,7 +222,7 @@ def _b(n):
 
 _TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
 _NUMBER = st.floats(min_value=-1e7, max_value=1e7, allow_nan=False)
-_BLOCKS = st.lists(_b(32), max_size=20)
+_BLOCKS = st.lists(_b(32), max_size=20).map(b"".join)
 _CERT = st.builds(Certificate, _TEXT, _b(32), _TEXT, _b(64))
 _OBS = st.builds(CongestionObservation, _TEXT, st.sampled_from([FORWARD, REVERSE]),
                  st.builds(GeoCoordinate, _NUMBER, _NUMBER), _NUMBER, _b(16))
@@ -324,7 +324,8 @@ def test_error_messages_are_kept():
         wire.decode_frame(b"\x00\x00\x00\x01")
     with pytest.raises(wire.WireError, match="^frame length mismatch$"):
         wire.decode_frame(wire.encode_frame(1, b"ab") + b"c")
-    body = wire.decode_frame(wire.encode_auth_commit(b"s" * 16, b"p" * 16, [b"c" * 32] * 3))[1]
+    body = wire.decode_frame(wire.encode_auth_commit(b"s" * 16, b"p" * 16,
+                                                     b"".join([b"c" * 32] * 3)))[1]
     with pytest.raises(wire.WireError, match="^record truncated$"):
         wire.decode_auth_commit(body[:-1])
     with pytest.raises(wire.WireError, match="^trailing bytes in record$"):
@@ -345,24 +346,83 @@ def test_precomputed_hmac_equals_hmac_digest_for_every_key_length(message):
 def _ref_build_commitments(keys, nonce, rng):
     slots = list(keys) + [None] * max(0, auth.PAD_COMMITMENTS - len(keys))
     rng.shuffle(slots)
-    return [crypto.sha256(b"vk-commit", nonce, k) if k is not None else rng.randbytes(32)
-            for k in slots], slots
+    return b"".join([crypto.sha256(b"vk-commit", nonce, k) if k is not None
+                     else rng.randbytes(32) for k in slots]), slots
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_b(32), max_size=20, unique=True), _b(16), _b(16), st.integers(0, 2**32))
+@given(st.lists(_b(32), max_size=26, unique=True), _b(16), _b(16), st.integers(0, 2**32))
 def test_commitments_responses_and_matches_equal_the_reference(keys, nonce, challenge, seed):
     rng, ref_rng = random.Random(seed), random.Random(seed)
     commitments, slots = auth.build_commitments(keys, nonce, rng)
     assert (commitments, slots) == _ref_build_commitments(keys, nonce, ref_rng)
     responses = auth.build_responses(slots, challenge, nonce, rng)
-    assert responses == [crypto.hmac_sha256(k, b"vk-resp", challenge, nonce)
-                         if k is not None else ref_rng.randbytes(32) for k in slots]
+    assert responses == b"".join([crypto.hmac_sha256(k, b"vk-resp", challenge, nonce)
+                                  if k is not None else ref_rng.randbytes(32) for k in slots])
     assert rng.getstate() == ref_rng.getstate()
     own = keys[: len(keys) // 2] + [hashlib.sha256(k).digest() for k in keys[len(keys) // 2:]]
     assert auth.match_keys(own, commitments, nonce, challenge, responses) == \
         keys[: len(keys) // 2]
     assert auth.match_keys(keys, commitments, nonce, b"x" * 16, responses) == []
+
+
+@pytest.mark.parametrize("n_keys", range(27))
+def test_padding_from_one_draw_equals_a_draw_per_field(n_keys):
+    """From no real key to more than `PAD_COMMITMENTS` (no padding at all),
+    the one padding draw per block gives the bytes and RNG state of one
+    `randbytes(32)` per padding slot."""
+    keys = [random.Random(i).randbytes(32) for i in range(n_keys)]
+    rng, ref_rng = random.Random(n_keys), random.Random(n_keys)
+    commitments, slots = auth.build_commitments(keys, b"n" * 16, rng)
+    assert (commitments, slots) == _ref_build_commitments(keys, b"n" * 16, ref_rng)
+    assert len(commitments) == 32 * max(n_keys, auth.PAD_COMMITMENTS)
+    assert slots.count(None) == max(0, auth.PAD_COMMITMENTS - n_keys)
+    responses = auth.build_responses(slots, b"c" * 16, b"n" * 16, rng)
+    assert responses == b"".join([crypto.hmac_sha256(k, b"vk-resp", b"c" * 16, b"n" * 16)
+                                  if k is not None else ref_rng.randbytes(32) for k in slots])
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def _pair(key, nonce, challenge):
+    return (crypto.sha256(b"vk-commit", nonce, key),
+            crypto.hmac_sha256(key, b"vk-resp", challenge, nonce))
+
+
+def test_match_keys_reads_whole_fields_only():
+    """A key's commitment matches only at a 32-byte field boundary, with its
+    response in the same field of the response block."""
+    key, nonce, challenge = b"k" * 32, b"n" * 16, b"c" * 16
+    commitment, response = _pair(key, nonce, challenge)
+    filler = b"\xee" * 32
+    assert auth.match_keys([key], filler + commitment, nonce, challenge,
+                           filler + response) == [key]
+    # the same digest straddling two fields, at every unaligned offset
+    for shift in range(1, 32):
+        commitments = filler[:shift] + commitment + filler[shift:]
+        for responses in (filler[:shift] + response + filler[shift:], response + filler):
+            assert auth.match_keys([key], commitments, nonce, challenge, responses) == []
+    # an unaligned copy ahead of the aligned one does not hide it
+    commitments = filler[:8] + commitment + filler[8:] + commitment
+    assert auth.match_keys([key], commitments, nonce, challenge,
+                           filler * 2 + response) == [key]
+    # a response in another field than its commitment does not match
+    assert auth.match_keys([key], commitment + filler, nonce, challenge,
+                           filler + response) == []
+
+
+@pytest.mark.parametrize("commitments_len, responses_len",
+                         [(64, 32), (32, 64), (0, 32), (33, 33), (63, 63), (65, 65)])
+def test_match_keys_refuses_blocks_of_unequal_or_partial_fields(commitments_len,
+                                                                responses_len):
+    key, nonce, challenge = b"k" * 32, b"n" * 16, b"c" * 16
+    commitment, response = _pair(key, nonce, challenge)
+    commitments = (commitment * 3)[:commitments_len]
+    responses = (response * 3)[:responses_len]
+    assert auth.match_keys([key], commitments, nonce, challenge, responses) == []
+    whole = 32 * (min(commitments_len, responses_len) // 32)
+    if whole:
+        assert auth.match_keys([key], commitments[:whole], nonce, challenge,
+                               responses[:whole]) == [key]
 
 
 def _kat_roster():

@@ -10,7 +10,8 @@ from vanetkit.aggregation import (PendingObservation, SignedObservation, event_i
                                   sign_observation)
 from vanetkit.events import AdvertEvent, CongestionObservation
 from vanetkit.geomodel import FORWARD, REVERSE, GeoCoordinate, load_network
-from vanetkit.simnet import (AuditLog, CongestionZone, ConservationError, ParkDirective,
+from vanetkit.simnet import (DROP_INTEGRITY, DROP_NO_SESSION, DROP_WRONG_KEY, AuditLog,
+                             CongestionZone, ConservationError, ParkDirective,
                              SimConfig, Simulation, VehicleSpec, assign_obus,
                              collect_metrics, neighbors_in_range, run_simulation,
                              should_launch)
@@ -361,16 +362,16 @@ def test_malformed_and_mismatched_frames_are_dropped_and_counted(tmp_path):
     engine = auth.AuthInitiator(party, random.Random(1), sim.now)
     d.initiators["C"] = engine
     other = bytes(16) if engine.session_id != bytes(16) else b"\x01" * 16
-    challenge = wire.encode_auth_challenge(other, b"p" * 16, b"c" * 16, [])
-    response = wire.encode_auth_response(other, False, b"n" * 16, [], b"c" * 16)
+    challenge = wire.encode_auth_challenge(other, b"p" * 16, b"c" * 16, b"")
+    response = wire.encode_auth_response(other, False, b"n" * 16, b"", b"c" * 16)
     for frame in (challenge, response):
         sim._handle_frame(d, "C", frame, 999, neighbors, True)
     assert sim.malformed_frames == 4
-    assert d.initiators["C"] is engine and engine.peer_commitments == []
+    assert d.initiators["C"] is engine and engine.peer_commitments == b""
     assert engine.outcome is None and sim.in_flight == []
     # The engines check the role flag too, not only the session id.
     with pytest.raises(auth.SessionMismatchError):
-        engine.on_peer_response(engine.session_id, True, b"n" * 16, [], sim.now)
+        engine.on_peer_response(engine.session_id, True, b"n" * 16, b"", sim.now)
     del d.initiators["C"]
     collect_metrics(sim)
 
@@ -545,3 +546,31 @@ def test_change_notices_need_a_session_and_an_intact_seal(tmp_path):
     notice(sealed)
     assert session.key == dataclasses.replace(before, peer_pseudonym=b"n" * 16)
     assert sim.malformed_frames == malformed + 1
+
+
+def test_sealed_frames_dropped_unopened_are_counted_by_reason(tmp_path):
+    """A sealed frame from a peer without a session, one sealed under a
+    stale session key and one whose ciphertext was altered are each dropped
+    with their own count, outside `malformed_frames`, and change nothing."""
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    _, neighbors = sim._adjacency()
+    c = sim.nodes["C"]
+    assert "D" in c.sessions and sim.sealed_drops == {
+        DROP_NO_SESSION: 0, DROP_WRONG_KEY: 0, DROP_INTEGRITY: 0}
+    payload = wire.encode_revocations([("ud", 1, False)])
+    key = c.sessions["D"].key.key
+    stale = crypto.seal(crypto.sha256(b"an earlier session", key), payload, bytes(16))
+    fresh = crypto.seal(key, payload, bytes(16))
+    tampered = fresh[:30] + bytes([fresh[30] ^ 1]) + fresh[31:]
+    # C forgets its session with another peer, which then still sends to it.
+    gone = next(p for p in sorted(c.sessions) if p != "D")
+    orphan = crypto.seal(c.sessions.pop(gone).key.key, payload, bytes(16))
+    records, trace = dict(c.revocations.records), list(sim.trace)
+    for sender, blob in (("D", stale), ("D", tampered), ("D", stale), (gone, orphan)):
+        sim._handle_frame(c, sender, wire.encode_frame(wire.REVOCATION_SYNC, blob), 121,
+                          neighbors, True)
+    assert sim.sealed_drops == {DROP_NO_SESSION: 1, DROP_WRONG_KEY: 2, DROP_INTEGRITY: 1}
+    assert sim.malformed_frames == 0
+    assert c.revocations.records == records and sim.trace == trace
+    assert "D" in c.sessions and c.sessions["D"].key.key == key

@@ -28,7 +28,7 @@ def test_beacon_roundtrip():
 def test_auth_message_roundtrips():
     rng = random.Random(1)
     sid, pseu = rng.randbytes(16), rng.randbytes(16)
-    commits = [rng.randbytes(32) for _ in range(16)]
+    commits = b"".join([rng.randbytes(32) for _ in range(16)])
     _, body = wire.decode_frame(wire.encode_auth_commit(sid, pseu, commits))
     assert wire.decode_auth_commit(body) == (sid, pseu, commits)
 
@@ -37,13 +37,45 @@ def test_auth_message_roundtrips():
     assert wire.decode_auth_challenge(body) == (sid, pseu, chal, commits)
 
     nonce = rng.randbytes(16)
-    responses = [rng.randbytes(32) for _ in range(16)]
+    responses = b"".join([rng.randbytes(32) for _ in range(16)])
     counter = rng.randbytes(16)
     _, body = wire.decode_frame(wire.encode_auth_response(sid, True, nonce, responses, counter))
     assert wire.decode_auth_response(body) == (sid, True, nonce, responses, counter)
 
     _, body = wire.decode_frame(wire.encode_auth_result(sid, True))
     assert wire.decode_auth_result(body) == (sid, True)
+
+
+_HANDSHAKE_ENCODERS = {
+    "commit": lambda block: wire.encode_auth_commit(b"s" * 16, b"p" * 16, block),
+    "challenge": lambda block: wire.encode_auth_challenge(b"s" * 16, b"p" * 16, b"c" * 16,
+                                                          block),
+    "response": lambda block: wire.encode_auth_response(b"s" * 16, True, b"n" * 16, block,
+                                                        b"c" * 16),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HANDSHAKE_ENCODERS))
+@pytest.mark.parametrize("length", [1, 31, 33, 32 * 16 + 16, 32 * 256, 32 * 300])
+def test_handshake_encoders_refuse_bad_blocks(kind, length):
+    """A block must be whole 32-byte fields, at most 255 of them: the
+    count in front of it is one byte."""
+    with pytest.raises(wire.WireError):
+        _HANDSHAKE_ENCODERS[kind](b"\x07" * length)
+
+
+@pytest.mark.parametrize("kind", sorted(_HANDSHAKE_ENCODERS))
+def test_handshake_blocks_of_0_and_255_fields_roundtrip(kind):
+    # decoder, index of the block in its result, offset of the count byte
+    decode, at, count_at = {"commit": (wire.decode_auth_commit, 2, 32),
+                            "challenge": (wire.decode_auth_challenge, 3, 48),
+                            "response": (wire.decode_auth_response, 3, 33)}[kind]
+    for count in (0, 255):
+        block = random.Random(count).randbytes(32 * count)
+        _, body = wire.decode_frame(_HANDSHAKE_ENCODERS[kind](block))
+        assert body[count_at] == count
+        decoded = decode(body)[at]
+        assert decoded == block and type(decoded) is bytes
 
 
 def observation():
