@@ -22,6 +22,7 @@ window of `k`.  The 43 rows cover every 32-byte scalar, take about
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 
@@ -125,6 +126,18 @@ def sign(private: bytes, message: bytes) -> bytes:
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
+    """Schnorr check; results for `bytes` arguments are memoised.
+
+    A run verifies the same signature many times (a self-certificate
+    with every observation it covers, an aggregate at every receiver),
+    and the answer depends on the arguments alone.  Other argument
+    types, such as `bytearray`, are checked afresh every time."""
+    if type(public) is bytes and type(message) is bytes and type(signature) is bytes:
+        return _verify_memo(public, message, signature)
+    return _verify(public, message, signature)
+
+
+def _verify(public: bytes, message: bytes, signature: bytes) -> bool:
     if len(public) != PUBLIC_KEY_LEN or len(signature) != SIGNATURE_LEN:
         return False
     y = int.from_bytes(public, "big")
@@ -135,6 +148,12 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     e = _challenge_scalar(signature[:32], public, message)
     # g^s == r * y^e (mod p)
     return _g_pow(s) == (r * pow(y, e, GROUP_P)) % GROUP_P
+
+
+# A busy run checks a few hundred distinct signatures; the bound keeps a
+# long sweep from holding every one it ever saw.
+_VERIFY_MEMO_SIZE = 2048
+_verify_memo = functools.lru_cache(maxsize=_VERIFY_MEMO_SIZE)(_verify)
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:

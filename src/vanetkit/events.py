@@ -270,6 +270,17 @@ def walking_route(current: GeoCoordinate, parked: ParkedLocation | None,
     return path_between_points(network, current, parked.location)
 
 
+def advert_certificate_verifies(cert: Certificate,
+                                signer_key: Callable[[str], bytes | None] | None = None) -> bool:
+    """Self-certified adverts verify against their embedded key; otherwise
+    `signer_key` resolves the signer, and an unknown signer (None) fails."""
+    if cert.signer == cert.subject:
+        key = cert.subject_public_key
+    else:
+        key = signer_key(cert.signer) if signer_key else None
+    return key is not None and cert.verify(key)
+
+
 def deliver_advert(advert: AdvertEvent, receiver: GeoCoordinate, now: float,
                    filters: set[str] | None = None,
                    signer_key: Callable[[str], bytes | None] | None = None) -> bool:
@@ -282,13 +293,8 @@ def deliver_advert(advert: AdvertEvent, receiver: GeoCoordinate, now: float,
     Raises ValueError on an invalid certificate so callers can report
     the source.
     """
-    cert = advert.certificate
-    if cert.signer == cert.subject:
-        key = cert.subject_public_key
-    else:
-        key = signer_key(cert.signer) if signer_key else None
-    if key is None or not cert.verify(key):
-        raise ValueError(f"advert certificate from {cert.subject!r} does not verify")
+    if not advert_certificate_verifies(advert.certificate, signer_key):
+        raise ValueError(f"advert certificate from {advert.certificate.subject!r} does not verify")
     if now >= advert.expiration:
         return False
     if distance(receiver, advert.location) > advert.area_radius:

@@ -33,7 +33,7 @@ import dataclasses
 import os
 from dataclasses import dataclass, field
 
-from .events import AdvertEvent, DetectionConfig
+from .events import AdvertEvent, DetectionConfig, advert_certificate_verifies
 from .geomodel import DocumentError, GeoCoordinate, RoadNetwork, load_network
 from .simnet import (CongestionZone, FindDirective, ParkDirective, SimConfig,
                      Simulation, VehicleSpec)
@@ -251,9 +251,11 @@ def load_bundle(directory: str) -> tuple[ScenarioBundle | None, list[str]]:
             with open(path) as fh:
                 advert = load_advert(fh.read(), roster, problems)
             if advert is not None:
-                if not advert.certificate.verify(
-                        roster.users.get(advert.certificate.signer,
-                                         roster.users[advert.certificate.subject]).keys.public_key):
+                signer = advert.certificate.signer
+                if signer != advert.certificate.subject and signer not in roster.users:
+                    problems.append(f"advert certificate signer {signer!r} in {rel} not in roster")
+                elif not advert_certificate_verifies(
+                        advert.certificate, lambda uid: roster.users[uid].keys.public_key):
                     problems.append(f"advert certificate in {rel} does not verify")
                 else:
                     config.adverts.append((vehicle_id, advert))

@@ -6,6 +6,14 @@ edges form the trust graph that authentication later intersects.
 Misbehavior reports devaluate a user and revoke after a threshold;
 revocation knowledge merges after every successful authentication.
 
+Certificates are issued when a roster is loaded and signed the first
+time their `signature` is read: `make_certificate` keeps the signer's
+private key in the certificate's private `_unsigned` attribute, and the
+first read makes the Schnorr signature with `crypto.sign`, stores it and
+drops the key.  Signing is deterministic, so every reader gets the bytes
+an eager signature would have had, and a certificate shared by two
+repositories is signed once.  A simulated run reads few certificates.
+
 Repositories are value-semantic stores; the simulator serializes all
 mutations, so no locking is needed anywhere in this module.
 """
@@ -43,6 +51,23 @@ def _cert_message(subject: str, subject_public_key: bytes) -> bytes:
     return crypto.sha256(b"vk-cert", subject.encode(), subject_public_key)
 
 
+class _SignOnRead:
+    """`Certificate.signature` while it is pending.
+
+    A non-data descriptor: an instance that holds its signature shadows
+    it, so it runs only for a certificate from `make_certificate` whose
+    signature was never read.  It signs, stores the signature as a plain
+    attribute and drops the signer's private key."""
+
+    def __get__(self, cert, owner=None):
+        if cert is None:
+            return self
+        signature = crypto.sign(cert._unsigned, _cert_message(cert.subject, cert.subject_public_key))
+        object.__setattr__(cert, "signature", signature)
+        object.__delattr__(cert, "_unsigned")
+        return signature
+
+
 @dataclass(frozen=True)
 class Certificate:
     """A signer's attestation binding `subject` to `subject_public_key`."""
@@ -57,10 +82,20 @@ class Certificate:
                              self.signature)
 
 
+# Installed after the decorator, which would otherwise take the descriptor
+# for the field's default value.  Equality, hashing, repr and
+# dataclasses.replace read the field as an attribute, so they sign a
+# pending certificate first and never see its key.
+Certificate.signature = _SignOnRead()
+
+
 def make_certificate(subject: str, subject_public_key: bytes, signer: str,
                      signer_private_key: bytes) -> Certificate:
-    sig = crypto.sign(signer_private_key, _cert_message(subject, subject_public_key))
-    return Certificate(subject, subject_public_key, signer, sig)
+    """Issue a certificate that is signed the first time its `signature` is read."""
+    cert = Certificate(subject, subject_public_key, signer, None)
+    object.__delattr__(cert, "signature")
+    object.__setattr__(cert, "_unsigned", signer_private_key)
+    return cert
 
 
 class CertificateRepository:

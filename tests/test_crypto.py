@@ -168,3 +168,46 @@ def test_one_shot_hashes_match_incremental_references(key, parts):
         m.update(part)
     assert crypto.sha256(*parts) == h.digest()
     assert crypto.hmac_sha256(key, *parts) == m.digest()
+
+
+_scalars = st.one_of(st.binary(min_size=32, max_size=32), st.binary(max_size=40))
+_signatures = st.one_of(st.binary(min_size=64, max_size=64), st.binary(max_size=70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scalars, st.binary(max_size=40), _signatures)
+def test_verify_memo_matches_uncached_check_on_random_inputs(public, message, signature):
+    expected = crypto._verify(public, message, signature)
+    assert crypto.verify(public, message, signature) is expected
+    assert crypto.verify(public, message, signature) is expected     # answered from the memo
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(min_size=1, max_size=16), st.binary(max_size=48),
+       st.sampled_from(("key", "msg", "sig")), st.integers(0, 1 << 16), st.integers(0, 7))
+def test_verify_memo_after_cached_true(seed, message, target, index, bit):
+    """A memoised True for the genuine triple never leaks to a triple that
+    differs from it in one byte."""
+    private = crypto.derive_private_key(seed)
+    genuine = [crypto.public_key(private), message, crypto.sign(private, message)]
+    assert crypto.verify(*genuine)
+    tampered = list(genuine)
+    field = ("key", "msg", "sig").index(target)
+    blob = bytearray(tampered[field] or b"\x00")
+    blob[index % len(blob)] ^= 1 << bit
+    tampered[field] = bytes(blob)
+    assert crypto.verify(*tampered) is crypto._verify(*tampered) is False
+    assert crypto.verify(*genuine)
+
+
+def test_verify_memo_takes_only_bytes():
+    private = crypto.derive_private_key(b"memo")
+    public = crypto.public_key(private)
+    signature = crypto.sign(private, b"m")
+    crypto._verify_memo.cache_clear()
+    assert crypto.verify(bytearray(public), b"m", signature)
+    assert crypto.verify(public, memoryview(b"m"), signature)
+    assert crypto._verify_memo.cache_info().currsize == 0
+    assert crypto.verify(public, b"m", signature)
+    assert crypto._verify_memo.cache_info().currsize == 1
+    assert crypto._verify_memo.cache_info().maxsize == crypto._VERIFY_MEMO_SIZE

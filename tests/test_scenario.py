@@ -140,6 +140,36 @@ def test_advert_package_certificate_checked(tmp_path):
     assert any("does not verify" in p for p in problems)
 
 
+def _set_advert_signer(tmp_path, signer):
+    advert_path = tmp_path / "advert.txt"
+    lines = []
+    for line in advert_path.read_text().splitlines():
+        if line.startswith("cert"):
+            fields = line.split()
+            fields[2] = signer
+            line = " ".join(fields)
+        lines.append(line)
+    advert_path.write_text("\n".join(lines) + "\n")
+
+
+def test_advert_certificate_from_unknown_signer_refused(tmp_path):
+    """Delivery can resolve no key for a signer outside the roster, so every
+    receiver would reject the advert and report its carrier; validation
+    says so instead of checking the signature against the subject's key."""
+    kits.generate_kit("advert", str(tmp_path))
+    _set_advert_signer(tmp_path, "mallory")
+    bundle, problems = scenario.load_bundle(str(tmp_path))
+    assert bundle is None
+    assert problems == ["advert certificate signer 'mallory' in advert.txt not in roster"]
+
+
+def test_advert_certificate_checked_against_the_named_signer(tmp_path):
+    kits.generate_kit("advert", str(tmp_path))
+    _set_advert_signer(tmp_path, "uf")          # in the roster, but it made no such signature
+    _, problems = scenario.load_bundle(str(tmp_path))
+    assert problems == ["advert certificate in advert.txt does not verify"]
+
+
 def test_cell_size_is_refused_not_ignored(tmp_path):
     """The event cell is one protocol constant; a scenario that tries to set
     it is told so instead of running with a setting that does nothing."""

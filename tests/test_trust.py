@@ -1,8 +1,13 @@
+import dataclasses
+import gc
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vanetkit import trust
+from vanetkit import crypto, kits, scenario, trust
 from vanetkit.geomodel import DocumentError
 from vanetkit.trust import (DuplicateUserError, RevocationStore, Roster,
                             TrustGraph, UnknownUserError, common_friends,
@@ -202,3 +207,108 @@ def test_roster_file_reports_all_problems():
     with pytest.raises(DocumentError) as err:
         load_roster(text)
     assert len(err.value.problems) == 3
+
+
+# -- certificates are signed on first read --------------------------------------
+
+@pytest.fixture
+def sign_calls(monkeypatch):
+    calls = []
+    real_sign = crypto.sign
+    monkeypatch.setattr(crypto, "sign", lambda *a: calls.append(a) or real_sign(*a))
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:vehicle count")
+def test_loading_and_building_a_demo_signs_nothing(tmp_path, sign_calls):
+    directory = kits.demo_bundle(str(tmp_path / "demo"), vehicle_count=60, duration=5,
+                                 seed=3, grid=4)
+    bundle, problems = scenario.load_bundle(directory)
+    assert problems == []
+    bundle.build()
+    assert sign_calls == []
+    dump = trust.dump_certificates(bundle.roster)
+    assert len(sign_calls) == dump.count("\n")      # each certificate once, when read
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 3), st.integers(0, 10_000))
+def test_lazy_certificates_equal_eager_ones(user_count, friends, seed):
+    roster = load_roster(kits.demo_roster_text(user_count, friends_per_user=friends, seed=seed))
+    for identity in roster.users.values():
+        for cert in identity.repository.certificates():
+            signer = roster.users[cert.signer].keys.private_key
+            eager = trust.Certificate(
+                cert.subject, cert.subject_public_key, cert.signer,
+                crypto.sign(signer, trust._cert_message(cert.subject, cert.subject_public_key)))
+            assert hash(cert) == hash(eager)
+            assert cert == eager
+            assert cert.signature == eager.signature
+
+
+# sha256 of dump_certificates for each kit's roster, recorded while every
+# certificate was still signed at load.
+_KIT_CERTIFICATE_DIGESTS = {
+    "congestion-chain": "c97a1552a08a5df04544745d60c6564c4d9f9291a2b7e0c3f41bb67fa8670c98",
+    "parking": "0ea14de984983803272ccfa134c72ab16d5e84628b597ecccec646410ba52410",
+    "find-car": "bb0206a3e9e2c04051d8c48e67c060929677290812468482c3253500ba48b031",
+    "advert": "ea770bb2cda51acbae78c53b05719c55bb1ad9cb5cb35e31017a6f3a60596e40",
+}
+
+
+@pytest.mark.parametrize("name", kits.KIT_NAMES)
+def test_kit_certificates_known_answer(name, tmp_path):
+    kits.generate_kit(name, str(tmp_path))
+    roster = load_roster((tmp_path / "roster.txt").read_text())
+    dump = trust.dump_certificates(roster)
+    assert hashlib.sha256(dump.encode()).hexdigest() == _KIT_CERTIFICATE_DIGESTS[name]
+
+
+def test_shared_certificate_is_signed_once(sign_calls):
+    roster = Roster()
+    a, b = register_user(roster, "a", 1), register_user(roster, "b", 2)
+    cert = sign_friend(a, b)
+    held_by_a = a.repository._certs[("b", "a")]
+    held_by_b = b.repository._certs[("b", "a")]
+    assert held_by_a is held_by_b is cert
+    assert held_by_a.signature == held_by_b.signature
+    assert len(sign_calls) == 1
+    assert held_by_b.verify(a.keys.public_key)
+
+
+def _reachable(root):
+    """Every object reachable from `root`, classes and modules left out."""
+    seen, todo = {id(root): root}, [root]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if id(ref) not in seen and not isinstance(ref, type):
+                seen[id(ref)] = ref
+                todo.append(ref)
+    return seen.values()
+
+
+def test_pending_key_is_dropped_once_signed():
+    roster = Roster()
+    a, b = register_user(roster, "a", 1), register_user(roster, "b", 2)
+    private = a.keys.private_key
+    cert = sign_friend(a, b)
+    assert any(obj is private for obj in _reachable(cert))     # pending until read
+    text = repr(cert)
+    assert private.hex() not in text and repr(private) not in text
+    assert [f.name for f in dataclasses.fields(cert)] == [
+        "subject", "subject_public_key", "signer", "signature", "trust_weight"]
+    assert "_unsigned" not in vars(cert)
+    assert not any(obj is private for obj in _reachable(cert))
+
+
+def test_certificate_stays_a_frozen_value():
+    roster = Roster()
+    a, b = register_user(roster, "a", 1), register_user(roster, "b", 2)
+    cert = sign_friend(a, b)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.signature = bytes(64)
+    weighted = dataclasses.replace(cert, trust_weight=2)
+    assert weighted.signature == cert.signature and weighted.trust_weight == 2
+    explicit = trust.Certificate("b", b.keys.public_key, "a", bytes(64))
+    assert vars(explicit)["signature"] == bytes(64)
+    assert not explicit.verify(a.keys.public_key)
