@@ -15,6 +15,12 @@ the shared key and both nonces, and exchange revocation knowledge.
 
 Engines are pure state machines advanced by delivered wire messages;
 the simulator serializes delivery, one engine instance per session.
+Each step happens at most once: a step the engine has already taken, or
+cannot take yet, raises `SessionMismatchError` before it changes any
+state or draws from the RNG, so a replayed message shifts no later
+draw.  An engine keeps only what a later step reads: the slot map is
+dropped once the responses are built, and the responses themselves go
+out in the frame and are not kept.
 
 Hashing is the cost of a handshake, so it is done from prepared states
 with byte-equal results.  A commitment is
@@ -288,7 +294,6 @@ class _EngineBase:
         self.reason = REASON_OK
         self.session_key: SessionKey | None = None
         self.matched: list[bytes] = []
-        self.sent_responses = b""
 
     def _peer_revoked(self) -> bool:
         return (self.peer_user_id is not None
@@ -300,16 +305,18 @@ class _EngineBase:
 
 
 class SessionMismatchError(Exception):
-    """A handshake message names another session than the engine's, or
-    claims the wrong role; the engine's state is left untouched."""
+    """A handshake message names another session than the engine's,
+    claims the wrong role, or repeats or skips a step; the engine's state
+    is left untouched."""
 
 
 class MissingSessionKeyError(RuntimeError):
     """Both engines accepted a handshake but one of them holds no session key."""
 
 
-def _check_session(expected: bytes, got: bytes, role_ok: bool = True) -> None:
-    if got != expected or not role_ok:
+def _check_session(expected: bytes, got: bytes, role_ok: bool = True,
+                   step_ok: bool = True) -> None:
+    if got != expected or not role_ok or not step_ok:
         raise SessionMismatchError("handshake message does not continue this session")
 
 
@@ -321,6 +328,7 @@ class AuthInitiator(_EngineBase):
         super().__init__(party, rng, now, peer_user_id)
         self.session_id = rng.randbytes(16)
         self.nonce = rng.randbytes(16)
+        # the key behind each commitment slot, until the responses are built
         self.commitments, self._slots = build_commitments(self.keys, self.nonce, rng)
         self.peer_commitments = b""
         self.challenge_for_peer = b""
@@ -332,19 +340,21 @@ class AuthInitiator(_EngineBase):
 
     def on_challenge(self, session_id: bytes, peer_pseudonym: bytes, challenge: bytes,
                      peer_commitments: bytes) -> bytes:
-        _check_session(self.session_id, session_id)
+        _check_session(self.session_id, session_id, step_ok=self._slots is not None)
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
         self.challenge_from_peer = challenge
         self.challenge_for_peer = self.rng.randbytes(CHALLENGE_LEN)
-        self.sent_responses = build_responses(self._slots, challenge, self.nonce, self.rng)
+        responses = build_responses(self._slots, challenge, self.nonce, self.rng)
+        self._slots = None
         return wire.encode_auth_response(self.session_id, True, self.nonce,
-                                         self.sent_responses, self.challenge_for_peer)
+                                         responses, self.challenge_for_peer)
 
     def on_peer_response(self, session_id: bytes, is_initiator: bool, peer_nonce: bytes,
                          peer_responses: bytes, now: float) -> bytes:
         """Verify the responder's proof and emit the final result frame."""
-        _check_session(self.session_id, session_id, role_ok=not is_initiator)
+        _check_session(self.session_id, session_id, role_ok=not is_initiator,
+                       step_ok=self._slots is None and self.outcome is None)
         self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
                                   self.challenge_for_peer, peer_responses)
         if not self.matched:
@@ -372,7 +382,8 @@ class AuthResponder(_EngineBase):
         self.nonce = rng.randbytes(16)
         self.challenge_for_peer = rng.randbytes(CHALLENGE_LEN)
         self.commitments = b""
-        self._slots: list[bytes | None] = []
+        # the key behind each commitment slot, from the commit until the responses
+        self._slots: list[bytes | None] | None = None
         self.peer_commitments = b""
         self.peer_pseudonym = b""
         self._accept_pending = False
@@ -380,6 +391,8 @@ class AuthResponder(_EngineBase):
 
     def on_commit(self, session_id: bytes, peer_pseudonym: bytes,
                   peer_commitments: bytes) -> bytes:
+        if self.commitments:
+            raise SessionMismatchError("handshake already committed")
         self.session_id = session_id
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
@@ -390,7 +403,9 @@ class AuthResponder(_EngineBase):
     def on_response(self, session_id: bytes, is_initiator: bool, peer_nonce: bytes,
                     peer_responses: bytes, counter_challenge: bytes) -> bytes:
         """Verify the initiator's proof; answer with our own or reject."""
-        _check_session(self.session_id, session_id, role_ok=is_initiator)
+        _check_session(self.session_id, session_id, role_ok=is_initiator,
+                       step_ok=self._slots is not None)
+        slots, self._slots = self._slots, None
         self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
                                   self.challenge_for_peer, peer_responses)
         if not self.matched:
@@ -402,12 +417,13 @@ class AuthResponder(_EngineBase):
         shared = min(self.matched)
         self._pending_key_material = (shared, peer_nonce, counter_challenge)
         self._accept_pending = True
-        self.sent_responses = build_responses(self._slots, counter_challenge, self.nonce, self.rng)
-        return wire.encode_auth_response(self.session_id, False, self.nonce,
-                                         self.sent_responses, b"\x00" * 16)
+        return wire.encode_auth_response(
+            self.session_id, False, self.nonce,
+            build_responses(slots, counter_challenge, self.nonce, self.rng), b"\x00" * 16)
 
     def on_result(self, session_id: bytes, accepted: bool, now: float) -> None:
-        _check_session(self.session_id, session_id)
+        _check_session(self.session_id, session_id,
+                       step_ok=self._slots is None and self.outcome != OUTCOME_ACCEPTED)
         if accepted and self._accept_pending:
             shared, peer_nonce, counter_challenge = self._pending_key_material
             key = _session_key_bytes(self.session_id, self.peer_commitments, self.commitments,
@@ -438,8 +454,9 @@ def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Rando
         return wire.decode_frame(frame)[1]
 
     m2 = eng_r.on_commit(*wire.decode_auth_commit(body(eng_i.start())))
-    m3 = eng_i.on_challenge(*wire.decode_auth_challenge(body(m2)))
-    tag4, body4 = wire.decode_frame(eng_r.on_response(*wire.decode_auth_response(body(m3))))
+    m3 = wire.decode_auth_response(body(eng_i.on_challenge(*wire.decode_auth_challenge(body(m2)))))
+    responses_i, responses_r = m3[3], b""
+    tag4, body4 = wire.decode_frame(eng_r.on_response(*m3))
     if tag4 == wire.AUTH_RESULT:
         # Responder rejected outright; the initiator learns only the verdict.
         eng_i._finish(OUTCOME_REJECTED, REASON_PEER_REJECTED)
@@ -460,8 +477,8 @@ def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Rando
         challenge_to_responder=eng_i.challenge_for_peer,
         nonce_initiator=eng_i.nonce,
         nonce_responder=eng_r.nonce,
-        responses_initiator=_fields(eng_i.sent_responses),
-        responses_responder=_fields(eng_r.sent_responses),
+        responses_initiator=_fields(responses_i),
+        responses_responder=_fields(responses_r),
         outcome=OUTCOME_ACCEPTED if eng_i.outcome == OUTCOME_ACCEPTED
         and eng_r.outcome == OUTCOME_ACCEPTED else OUTCOME_REJECTED,
         reason=specific[0] if specific else REASON_OK,

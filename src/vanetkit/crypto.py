@@ -165,6 +165,13 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return bytes(out[:length])
 
 
+def _xor(data: bytes, stream: bytes) -> bytes:
+    """`data` XOR `stream`, byte by byte, as one integer operation;
+    `stream` is exactly as long as `data`."""
+    n = len(data)
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+
+
 def seal(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
     """Encrypt-then-MAC under a session key.
 
@@ -174,7 +181,7 @@ def seal(key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
     if len(nonce) != _NONCE_LEN:
         raise ValueError("nonce must be 16 bytes")
     keycheck = sha256(b"vk-kc", key, nonce)[:_KEYCHECK_LEN]
-    ct = bytes(a ^ b for a, b in zip(plaintext, _keystream(key, nonce, len(plaintext))))
+    ct = _xor(plaintext, _keystream(key, nonce, len(plaintext)))
     tag = hmac_sha256(sha256(b"vk-mac", key), nonce, keycheck, ct)[:_TAG_LEN]
     return nonce + keycheck + ct + tag
 
@@ -191,4 +198,4 @@ def open_sealed(key: bytes, blob: bytes) -> bytes:
     expect = hmac_sha256(sha256(b"vk-mac", key), nonce, keycheck, ct)[:_TAG_LEN]
     if not _hmac.compare_digest(tag, expect):
         raise IntegrityError("authentication tag mismatch")
-    return bytes(a ^ b for a, b in zip(ct, _keystream(key, nonce, len(ct))))
+    return _xor(ct, _keystream(key, nonce, len(ct)))

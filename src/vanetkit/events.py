@@ -15,7 +15,9 @@ the wire range checks use.
 `CongestionDetector.firing` gives the same answer in O(1) by judging
 each sample once, when it stops being the newest.  The newest sample is
 always read live, because the simulator changes the ignition and speed
-of a vehicle's current state in place when it parks or starts.
+of a vehicle's current state in place when it parks or starts.  Older
+samples are not kept: the detector holds their times, and a state is
+freed as soon as a newer one is pushed.
 """
 
 from __future__ import annotations
@@ -124,19 +126,24 @@ def evaluate_window(window: list[tuple[float, VehicleState, float]],
 class CongestionDetector:
     """Per-node sliding window over recent samples, with emission cooldown.
 
-    `firing()` equals `evaluate_window(self.window, config)` in O(1).  A
-    sample that is no longer the newest never changes again (the
-    simulator pushes a fresh state every tick), so `push` judges it once,
-    when the next sample arrives, and keeps the push number of the newest
-    one that breaks the predicate.  The newest sample is read live: the
-    simulator turns the ignition off and on, and zeroes the speed, in
-    place on the state it last pushed.
+    `firing()` equals `evaluate_window` over the window of samples pushed
+    since the last change of road or direction, cut to the shortest
+    suffix still spanning the sustain window, in O(1).  A sample that is
+    no longer the newest never changes again (the simulator pushes a
+    fresh state every tick and changes no road or direction in place), so
+    `push` judges it once, when the next sample arrives, and keeps the
+    push number of the newest one that breaks the predicate.  After that
+    only its time is needed, so the detector keeps the window's sample
+    times and the newest `(state, limit)`.  The newest sample is read
+    live: the simulator turns the ignition off and on, and zeroes the
+    speed, in place on the state it last pushed.
     """
 
     def __init__(self, config: DetectionConfig, has_gps: bool = True):
         self.config = config
         self.has_gps = has_gps
-        self.window: list[tuple[float, VehicleState, float]] = []
+        self.times: list[float] = []          # the window's sample times, oldest first
+        self.newest: tuple[VehicleState, float] | None = None   # (state, segment limit)
         self.last_emitted: dict[tuple[str, str], float] = {}
         self._pushed = 0         # samples pushed so far
         self._broken_at = -1     # push number of the newest breaking non-newest sample
@@ -145,43 +152,40 @@ class CongestionDetector:
         if not self.has_gps:
             return
         limit = network.segments[state.segment_id].speed_limit
-        window = self.window
-        if window:
-            _, prev, prev_limit = window[-1]
+        times = self.times
+        if self.newest is not None:
+            prev, prev_limit = self.newest
             if prev.segment_id != state.segment_id or prev.direction != state.direction:
-                window.clear()
+                times.clear()
             elif (not prev.ignition
                   or prev.speed >= self.config.speed_fraction * prev_limit):
                 self._broken_at = self._pushed - 1
-        window.append((now, state, limit))
+        times.append(now)
+        self.newest = (state, limit)
         self._pushed += 1
         # Keep the shortest suffix still spanning the sustain window.
-        while len(window) >= 2 and window[1][0] <= now - self.config.sustain_window:
-            window.pop(0)
+        while len(times) >= 2 and times[1] <= now - self.config.sustain_window:
+            times.pop(0)
 
     def firing(self) -> bool:
         """Sustained-low-speed predicate holds right now, cooldown aside."""
-        window = self.window
-        if len(window) < 2:
+        times = self.times
+        if len(times) < 2:
             return False
-        t0, first, _ = window[0]
-        t1, last, limit = window[-1]
+        last, limit = self.newest
         config = self.config
-        if t1 - t0 < config.sustain_window or limit < config.min_limit:
+        if times[-1] - times[0] < config.sustain_window or limit < config.min_limit:
             return False
-        if self._broken_at >= self._pushed - len(window):
+        if self._broken_at >= self._pushed - len(times):
             return False   # a breaking sample is still inside the window
-        return (last.ignition
-                and last.segment_id == first.segment_id
-                and last.direction == first.direction
-                and not last.speed >= config.speed_fraction * limit)
+        return last.ignition and not last.speed >= config.speed_fraction * limit
 
     def detect_candidate(self, now: float, network: RoadNetwork,
                          observer_pseudonym: bytes) -> CongestionObservation | None:
         """Current observation candidate, ignoring the emission cooldown."""
         if not self.firing():
             return None
-        _, state, _ = self.window[-1]
+        state, _ = self.newest
         return CongestionObservation(state.segment_id, state.direction,
                                      state.position(network), now, observer_pseudonym)
 

@@ -635,10 +635,14 @@ class Simulation:
     # -- phase 4: deliveries ---------------------------------------------------
 
     def _delivery_step(self, t: int, positions, neighbors, allow_sends: bool) -> None:
+        """Deliver every frame sent before tick `t`.  Each delivery, and its
+        frame, is released as soon as it has been handled, so that frames
+        handled early in the tick are not held while later ones send."""
         due = [d for d in self.in_flight if d.sent_at < t]
         self.in_flight = [d for d in self.in_flight if d.sent_at >= t]
         radio_range = self.config.radio_range
-        for delivery in due:
+        for i, delivery in enumerate(due):
+            due[i] = None
             sender = self.nodes[delivery.sender]
             origin = positions[delivery.sender]
             handle = type(delivery) is _Delivery
@@ -876,6 +880,8 @@ class Simulation:
             if not allow_sends:
                 return
             session_id, peer_pseudonym, commitments = wire.decode_auth_commit(body)
+            if session_id in node.responders:
+                raise auth.SessionMismatchError("handshake already committed")
             party = auth.Party(node.user, node.revocations, node.pseudonyms.current.value)
             engine = auth.AuthResponder(party, self.rng, self.now,
                                         peer_user_id=self.nodes[sender].spec.user_id)
@@ -899,6 +905,9 @@ class Simulation:
                 _, engine = entry
                 self._unicast(node, sender, engine.on_response(
                     session_id, from_initiator, nonce, responses, counter_challenge), t)
+                if engine.outcome is not None:
+                    # Rejected: nothing more can arrive for this session.
+                    del node.responders[session_id]
                 return
             engine = node.initiators.get(sender)
             if engine is None:

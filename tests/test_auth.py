@@ -314,3 +314,73 @@ def test_open_handshakes_hold_their_fields_as_blocks():
     initiator(0), responder(0)      # memoised keys and hash states
     assert _retained_per_item(initiator) <= block + _ENGINE_ALLOWANCE
     assert _retained_per_item(responder) <= 2 * block + _ENGINE_ALLOWANCE
+
+
+def _handshake_to_step(peer, upto):
+    """Engines for a and `peer` of the chain roster, advanced through the
+    first `upto` of the five messages; returns the RNG, both engines and
+    each step taken as (engine method, its arguments)."""
+    rng = random.Random(13)
+    roster = chain_roster()
+    a, b = make_party(roster, "a", rng), make_party(roster, peer, rng)
+    eng_i, eng_r = auth.AuthInitiator(a, rng, 0.0), auth.AuthResponder(b, rng, 0.0)
+    taken = []
+
+    def take(step, *args):
+        taken.append((step, args))
+        return step(*args)
+
+    def body(frame):
+        return wire.decode_frame(frame)[1]
+
+    out = take(eng_r.on_commit, *wire.decode_auth_commit(body(eng_i.start())))
+    if upto > 1:
+        out = take(eng_i.on_challenge, *wire.decode_auth_challenge(body(out)))
+    if upto > 2:
+        out = take(eng_r.on_response, *wire.decode_auth_response(body(out)))
+    if upto > 3:
+        out = take(eng_i.on_peer_response, *wire.decode_auth_response(body(out))[:4], 0.0)
+    if upto > 4:
+        take(eng_r.on_result, *wire.decode_auth_result(body(out)), 0.0)
+    return rng, eng_i, eng_r, taken
+
+
+@pytest.mark.parametrize("upto", [1, 2, 3, 4, 5])
+def test_each_handshake_step_happens_once(upto):
+    """A repeated step raises before it changes the engine or draws from
+    the RNG, so a replayed message cannot shift the run's later draws."""
+    rng, eng_i, eng_r, taken = _handshake_to_step("b", upto)
+    step, args = taken[-1]
+    engine = step.__self__
+    state, before = dict(vars(engine)), rng.getstate()
+    with pytest.raises(auth.SessionMismatchError):
+        step(*args)
+    assert vars(engine) == state and rng.getstate() == before
+    if upto == 5:
+        assert eng_i.outcome == eng_r.outcome == auth.OUTCOME_ACCEPTED
+
+
+def test_a_rejecting_responder_cannot_be_asked_again():
+    rng, eng_i, eng_r, taken = _handshake_to_step("c", 3)
+    assert eng_r.outcome == auth.OUTCOME_REJECTED
+    step, args = taken[-1]
+    before = rng.getstate()
+    with pytest.raises(auth.SessionMismatchError):
+        step(*args)
+    assert rng.getstate() == before and eng_r.reason == auth.REASON_NO_COMMON_FRIEND
+
+
+def test_steps_out_of_order_are_refused():
+    _, eng_i, eng_r, _ = _handshake_to_step("b", 1)
+    with pytest.raises(auth.SessionMismatchError):       # no challenge yet
+        eng_i.on_peer_response(eng_i.session_id, False, b"n" * 16, b"", 0.0)
+    with pytest.raises(auth.SessionMismatchError):       # no response yet
+        eng_r.on_result(eng_r.session_id, True, 0.0)
+    assert eng_i.outcome is None and eng_r.outcome is None
+
+
+def test_engines_drop_the_slot_map_once_the_responses_are_built():
+    _, eng_i, eng_r, _ = _handshake_to_step("b", 1)
+    assert eng_i._slots is not None and eng_r._slots is not None
+    _, eng_i, eng_r, _ = _handshake_to_step("b", 3)
+    assert eng_i._slots is None and eng_r._slots is None

@@ -75,6 +75,24 @@ def test_empty_payload_roundtrip():
     assert crypto.open_sealed(key, blob) == b""
 
 
+@settings(max_examples=300, deadline=None)
+@given(key=st.binary(min_size=32, max_size=32), nonce=st.binary(min_size=16, max_size=16),
+       plaintext=st.binary(max_size=200))
+@example(key=bytes(32), nonce=bytes(16), plaintext=b"")
+@example(key=bytes(32), nonce=bytes(16), plaintext=b"\x00" * 33)
+def test_seal_and_open_xor_the_keystream_byte_by_byte(key, nonce, plaintext):
+    """Both directions XOR with one integer operation; the reference is
+    the per-byte XOR with the keystream, leading zero bytes included."""
+    def per_byte(data):
+        stream = crypto._keystream(key, nonce, len(data))
+        return bytes(a ^ b for a, b in zip(data, stream))
+
+    blob = crypto.seal(key, plaintext, nonce)
+    ct = blob[16 + 8:len(blob) - 16]
+    assert ct == per_byte(plaintext)
+    assert crypto.open_sealed(key, blob) == plaintext == per_byte(ct)
+
+
 def test_public_key_memo_returns_the_derived_key(monkeypatch):
     private = crypto.derive_private_key(b"memo")
     derived = pow(crypto.GROUP_G, int.from_bytes(private, "big"),

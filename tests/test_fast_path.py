@@ -4,8 +4,9 @@
 reads, precomputed hash states, an incremental window predicate) that
 must not change a byte, an RNG draw or a decision.  Each is compared here
 with a straightforward implementation: the slice-per-field `_Reader`
-decoders, `hmac.digest`, `crypto.sha256` and `evaluate_window`.  The
-handshake frames are also pinned by known answers.
+decoders, `hmac.digest`, `crypto.sha256` and `evaluate_window` over a
+window rebuilt from the test's own push history.  The handshake frames
+and transcripts are also pinned by known answers.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import hmac
 import math
 import random
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -468,11 +470,66 @@ def test_handshake_frames_match_known_answers(monkeypatch, peer, frames, session
     assert hashlib.sha256(rng.randbytes(8)).hexdigest() == after
 
 
+def _transcripts_digest(seed):
+    """sha256 over eight handshakes between random users of a random
+    roster, some of them revoked by their peer, and the RNG after them."""
+    rng = random.Random(seed)
+    roster = Roster()
+    users = [f"u{i}" for i in range(10)]
+    for i, uid in enumerate(users):
+        register_user(roster, uid, 1000 * seed + i)
+    for _ in range(rng.randrange(4, 30)):
+        roster.befriend(*rng.sample(users, 2))
+    digest = hashlib.sha256()
+    for round_ in range(8):
+        parties = [Party(roster.user(u), RevocationStore(set(roster.users)), rng.randbytes(16))
+                   for u in rng.sample(users, 2)]
+        if rng.random() < 0.3:
+            judge = rng.randrange(2)
+            for _ in range(3):
+                parties[judge].revocations.report(parties[1 - judge].identity.user_id)
+        transcript, keys = zk_mutual_authenticate(*parties, rng, now=float(round_))
+        digest.update(repr((transcript, keys)).encode())
+    digest.update(rng.randbytes(8))
+    return digest.hexdigest()
+
+
+# The six rosters cover acceptance and all three kinds of rejection.  The
+# digests were recorded with engines that kept the response blocks they
+# sent, so they check that taking the blocks from the frames changes nothing.
+TRANSCRIPTS_KAT = [
+    (1, "088e272d72c84e015bc1ab20c465b7b40877d314a02428253c5c4d32af06dc2a"),
+    (2, "b22f3625013e16e2aabc4e646ab1c41224ce587d625a6c3c9cfc9c4da95207fb"),
+    (3, "d1025a08f7d3263805a53f54c38721a450544a613592c20bae9ca21f491df75e"),
+    (4, "7af389dc4bb0dc4b2ca91c6b8d403f94a2245e0715ae33606bb7b044cb9ea230"),
+    (5, "62df35877815f15ac27518b51c78656ffb10008321900eab54d90794e61f3b28"),
+    (6, "91e8607cbf4c4dda5e2307ae42b6f93aa92014bab2c6dc2472595af224128378"),
+]
+
+
+@pytest.mark.parametrize("seed, digest", TRANSCRIPTS_KAT)
+def test_transcripts_match_known_answers(seed, digest):
+    assert _transcripts_digest(seed) == digest
+
+
 # -- the incremental congestion predicate ---------------------------------------
 
 _ROAD = load_network("junction a 0 0\njunction b 500 0\njunction c 500 400\n"
                      "segment fast a b 60 twoway\nsegment slow b c 20 twoway\n")
 _CONFIG = DetectionConfig(speed_fraction=0.4, sustain_window=4.0, min_limit=30.0)
+
+
+def _push_reference(window, now, state, limit, config):
+    """Apply one push to a reference window of (time, state, limit)
+    samples: a new road or direction starts a new window, which is then
+    cut to the shortest suffix still spanning the sustain window."""
+    if window and (window[-1][1].segment_id != state.segment_id
+                   or window[-1][1].direction != state.direction):
+        window.clear()
+    window.append((now, state, limit))
+    while len(window) >= 2 and window[1][0] <= now - config.sustain_window:
+        window.pop(0)
+
 
 # Mostly samples that keep the predicate, so that windows fill up and fire;
 # each other kind breaks it one way.
@@ -496,6 +553,7 @@ def test_firing_equals_evaluate_window(steps):
     per tick; the newest is switched off and on and slowed in place, as
     `Simulation._ignition_off` and `_ignition_on` do."""
     detector = CongestionDetector(_CONFIG)
+    window = []
     now, last = 0.0, None
     for step in steps:
         if step[0] == "push":
@@ -503,23 +561,40 @@ def test_firing_equals_evaluate_window(steps):
             now += dt
             last = VehicleState("v", segment, direction, 1.0, speed, ignition=ignition)
             detector.push(now, last, _ROAD)
+            _push_reference(window, now, last, _ROAD.segments[segment].speed_limit, _CONFIG)
         elif last is not None and step[0] == "ignition":
             last.ignition = step[1]
         elif last is not None:
             last.speed = step[1]
-        assert detector.firing() == evaluate_window(detector.window, _CONFIG)
+        assert detector.firing() == evaluate_window(window, _CONFIG)
+        assert detector.times == [t for t, _, _ in window]
 
 
 def test_firing_reads_the_newest_sample_live():
     detector = CongestionDetector(_CONFIG)
+    window = []
     for t in range(6):
         newest = VehicleState("v", "fast", FORWARD, 1.0, 5.0)
         detector.push(float(t), newest, _ROAD)
+        _push_reference(window, float(t), newest, 60.0, _CONFIG)
     for field, value, fires in (("ignition", False, False), ("ignition", True, True),
                                 ("speed", 24.0, False), ("speed", float("nan"), True),
                                 ("speed", 0.0, True)):
         setattr(newest, field, value)
-        assert detector.firing() == evaluate_window(detector.window, _CONFIG) == fires
+        assert detector.firing() == evaluate_window(window, _CONFIG) == fires
+
+
+def test_a_pushed_state_is_freed_once_a_newer_one_is_pushed():
+    detector = CongestionDetector(_CONFIG)
+    refs = []
+    for t in range(8):
+        state = VehicleState("v", "fast", FORWARD, 1.0, 5.0)
+        refs.append(weakref.ref(state))
+        detector.push(float(t), state, _ROAD)
+        del state
+        assert all(ref() is None for ref in refs[:-1])
+        assert refs[-1]() is detector.newest[0]   # the newest is read live
+    assert detector.firing() and len(detector.times) == 5
 
 
 @pytest.mark.parametrize("kit", ["congestion-chain", "parking"])
@@ -528,14 +603,22 @@ def test_firing_equals_evaluate_window_through_a_run(tmp_path, monkeypatch, kit)
     bundle, problems = scenario.load_bundle(str(tmp_path / kit))
     assert problems == []
     calls = []
-    firing = CongestionDetector.firing
+    windows = {}          # detector -> its reference window
+    firing, push = CongestionDetector.firing, CongestionDetector.push
+
+    def recorded(self, now, state, network):
+        push(self, now, state, network)
+        if self.has_gps:
+            _push_reference(windows.setdefault(self, []), now, state,
+                            network.segments[state.segment_id].speed_limit, self.config)
 
     def checked(self):
         result = firing(self)
         calls.append(result)
-        assert result == evaluate_window(self.window, self.config)
+        assert result == evaluate_window(windows.get(self, []), self.config)
         return result
 
+    monkeypatch.setattr(CongestionDetector, "push", recorded)
     monkeypatch.setattr(CongestionDetector, "firing", checked)
     bundle.build().run()
     assert calls and (kit == "parking" or any(calls))

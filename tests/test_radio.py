@@ -166,6 +166,41 @@ def test_conservation_counts_queued_beacon_receivers_not_records():
     assert totals.generated == totals.received + totals.lost + stats.in_flight
 
 
+def test_each_delivery_is_released_once_handled():
+    """A frame is not held by the delivery step after its receiver has
+    handled it, while the rest of the tick is still being delivered."""
+    roster = Roster()
+    for i in range(2):
+        register_user(roster, f"u{i}", i + 1)
+    config = SimConfig(seed=5, duration=10, name="pair", vehicles=[
+        VehicleSpec(f"n{i}", f"u{i}", "main", 100.0 + 10 * i, FORWARD, speed=0.0)
+        for i in range(2)])
+    sim = Simulation(config, NETWORK, roster)
+    sim._script_step(0)
+    sim._mobility_step(0)
+    positions, neighbors = sim._adjacency()
+    frames = [bytes([0xFF, 0, i, 1]) for i in range(4)]   # undecodable: dropped and counted
+
+    def refs():
+        return [sys.getrefcount(f) for f in frames]
+
+    own = refs()
+    for i in range(4):
+        sim._unicast(sim.nodes["n0"], "n1", frames[i], 0)
+    extra = []
+    handle = sim._handle_frame
+
+    def counted(node, sender, frame, *args):
+        extra.append([n - m for n, m in zip(refs(), own)])
+        handle(node, sender, frame, *args)
+
+    sim._handle_frame = counted
+    sim._delivery_step(1, positions, neighbors, allow_sends=True)
+    assert len(extra) == 4 and sim.malformed_frames == 4
+    for i, row in enumerate(extra):
+        assert row[:i] == [0] * i and row[i + 1:] == [1] * (3 - i)
+
+
 def test_importing_the_package_does_not_load_numpy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)

@@ -117,6 +117,54 @@ def test_no_common_friend_means_no_connection():
     assert stats.per_node["n1"].auth_attempts >= 1
 
 
+def test_a_rejecting_responder_leaves_its_node(monkeypatch):
+    """No more can arrive for a session the responder rejected, so the
+    node drops it at once instead of at the handshake timeout."""
+    config, net, roster = two_node_setup(shared_friend=False, duration=4)
+    sim = Simulation(config, net, roster)
+    rejected = []
+    on_response = auth.AuthResponder.on_response
+
+    def recorded(engine, *args):
+        frame = on_response(engine, *args)
+        rejected.append(engine)
+        return frame
+
+    monkeypatch.setattr(auth.AuthResponder, "on_response", recorded)
+    # commit at t0, challenge t1, response t2: n2 rejects it at t3
+    sim.run()
+    assert [e.outcome for e in rejected] == [auth.OUTCOME_REJECTED]
+    assert sim.nodes["n2"].responders == {} and sim.now < config.handshake_timeout
+    assert sim.nodes["n1"].initiators == {}    # the verdict reached n1 in the drain
+
+
+def test_replayed_handshake_messages_change_no_draw():
+    """Every handshake frame arrives twice.  The replays of the commit,
+    the challenge and the initiator's response are refused and counted;
+    the later ones find no engine.  The run draws exactly what a clean
+    run draws."""
+    config, net, roster = two_node_setup(duration=30)
+    clean = Simulation(config, net, roster)
+    clean.run()
+    sim = Simulation(config, net, roster)
+    unicast = sim._unicast
+
+    def twice(node, peer, frame, tick):
+        unicast(node, peer, frame, tick)
+        if wire.decode_frame(frame)[0] in (wire.AUTH_COMMIT, wire.AUTH_CHALLENGE,
+                                           wire.AUTH_RESPONSE, wire.AUTH_RESULT):
+            unicast(node, peer, frame, tick)
+
+    sim._unicast = twice
+    stats = sim.run()
+    assert sim.malformed_frames == 3 and clean.malformed_frames == 0
+    assert sim.rng.getstate() == clean.rng.getstate()
+    assert stats.connections == 1 and sim.trace == clean.trace
+    for node_id, peer in (("n1", "n2"), ("n2", "n1")):
+        assert (sim.nodes[node_id].sessions[peer].key
+                == clean.nodes[node_id].sessions[peer].key)
+
+
 def test_out_of_range_nodes_never_connect():
     config, net, roster = two_node_setup(gap=80.0)
     stats, _ = run_simulation(config, net, roster)
