@@ -6,10 +6,11 @@ pseudonymous beaconing with zero-knowledge mutual authentication,
 congestion/parking detection, threshold-corroborated event aggregation,
 and cooperative relaying with an encrypted-exchange incentive.
 
-The simulator half (`vanetkit.simnet`) drives scripted road scenarios
-tick by tick under a single seeded random stream and reports per-node
-packet metrics.  `vanetkit.kits` generates ready-made scenario bundles;
-`vanetkit.cli` is the operator surface.
+The simulator half (`vanetkit.simnet`, over the `vanetkit.radio`
+transport) drives scripted road scenarios tick by tick under a single
+seeded random stream and reports per-node packet metrics.  `vanetkit.kits`
+generates ready-made scenario bundles; `vanetkit.cli` is the operator
+surface.
 """
 
 from .geomodel import (FORWARD, REVERSE, GeoCoordinate, MobilityDirective,
@@ -31,8 +32,8 @@ from .aggregation import (AggregatedEvent, JourneyContactLog, SignedObservation,
                           required_signatures, sign_observation, verify_aggregate)
 from .relay import (CooperationRecord, RelayDecision, RoutePlan, cooperation_gate,
                     decide_relay, plan_route, recompute_route, route_affected)
+from .radio import neighbors_in_range
 from .simnet import (AuditLog, NetworkStats, NodeStats, SimConfig, Simulation,
-                     assign_obus, collect_metrics, neighbors_in_range,
-                     run_simulation, should_launch)
+                     assign_obus, collect_metrics, run_simulation, should_launch)
 
 __version__ = "0.1.0"

@@ -39,11 +39,16 @@ def _summary(stats: NetworkStats) -> str:
     return "\n".join(lines)
 
 
+def _load(directory: str) -> scenario.ScenarioBundle | None:
+    """The loaded bundle, or None after printing each of its problems."""
+    bundle, problems = scenario.load_bundle(directory)
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return None if problems else bundle
+
+
 def cmd_validate(args) -> int:
-    bundle, problems = scenario.load_bundle(args.bundle)
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
+    if (bundle := _load(args.bundle)) is None:
         return EXIT_VALIDATION
     print(f"ok: scenario {bundle.config.name!r}, "
           f"{bundle.config.total_vehicles()} vehicles, "
@@ -57,10 +62,7 @@ def _output_paths(out_dir: str, name: str, seed: int) -> tuple[str, str]:
 
 
 def cmd_run(args) -> int:
-    bundle, problems = scenario.load_bundle(args.bundle)
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
+    if (bundle := _load(args.bundle)) is None:
         return EXIT_VALIDATION
     config = bundle.config
     if args.seed is not None:
@@ -72,9 +74,7 @@ def cmd_run(args) -> int:
             print(f"error: {path} exists (use --force to overwrite)", file=sys.stderr)
             return EXIT_RUNTIME
     try:
-        sim = scenario.ScenarioBundle(bundle.directory, config, bundle.road_path,
-                                      bundle.roster_path, bundle.advert_paths,
-                                      bundle.network, bundle.roster).build()
+        sim = dataclasses.replace(bundle, config=config).build()
         stats = sim.run()
     except Exception as err:   # simulation failures are runtime errors
         print(f"error: {err}", file=sys.stderr)
@@ -105,10 +105,7 @@ def cmd_sweep(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    bundle, problems = scenario.load_bundle(args.bundle)
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
+    if (bundle := _load(args.bundle)) is None:
         return EXIT_VALIDATION
     out_dir = args.out or args.bundle
     os.makedirs(out_dir, exist_ok=True)
@@ -124,10 +121,7 @@ def cmd_sweep(args) -> int:
         if args.seed is not None:
             config.seed = args.seed
         try:
-            sim = scenario.ScenarioBundle(bundle.directory, config, bundle.road_path,
-                                          bundle.roster_path, bundle.advert_paths,
-                                          bundle.network, bundle.roster).build()
-            stats = sim.run()
+            stats = dataclasses.replace(bundle, config=config).build().run()
         except Exception as err:
             print(f"error: run at {param}={value} failed: {err}", file=sys.stderr)
             status = EXIT_RUNTIME

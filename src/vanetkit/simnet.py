@@ -1,11 +1,12 @@
 """Deterministic discrete-event simulation of the protocol stack.
 
-Each tick advances three layers in a fixed order: vehicle mobility,
-node energy (which vehicles carry an on-board unit and pass the battery
-gate), and peer-to-peer communication over a unit-disk radio.  Messages
-sent at tick t are delivered at t+1 if the receiver is still active and
-within radio range, otherwise they count as lost; a final drain pass
-resolves the last tick's traffic so packet conservation holds exactly:
+Each tick runs five phases in a fixed order: the script (ignition,
+parking and the battery gate that decides which equipped vehicles launch
+the stack), vehicle mobility, radio adjacency, delivery of the frames
+sent on earlier ticks, and each active node's protocol step.  The
+transport is `radio`'s: it decides who hears whom, holds the frames in
+flight and counts every packet.  After the last tick the radio is closed
+and one more delivery drains it, so packet conservation holds exactly:
 
     sum(generated) == sum(received) + sum(lost) + in_flight_at_end
 
@@ -31,6 +32,7 @@ from .events import (AdvertEvent, CongestionDetector, DetectionConfig,
 from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, GeoCoordinate,
                        MobilityDirective, RoadNetwork, VehicleState,
                        advance_vehicle)
+from .radio import Radio
 from .relay import (ACTION_CORROBORATE, ACTION_DROP, ACTION_REROUTE_FORWARD,
                     CooperationRecord, RoutePlan, cooperation_gate,
                     decide_relay, recompute_route)
@@ -42,19 +44,6 @@ _BATTERY_ORDER = {level: i for i, level in enumerate(BATTERY_LEVELS)}
 DROP_NO_SESSION = "no-session"
 DROP_WRONG_KEY = "wrong-key"
 DROP_INTEGRITY = "integrity"
-
-# Cell-list buckets are this much wider than the radio range.  A pair that
-# passes `in_radio_range` is at most r(1 + 3 * 2**-53) apart per axis, and
-# rounding x / side moves the quotient by less than 1e-9 while |x| < 1e6 r,
-# so with this margin such a pair always lands in the same or an adjacent
-# cell.  With side == r it need not: x = -1e-15 falls in cell -1 and x = r
-# in cell 1, yet r - (-1e-15) rounds to r, which is in range.
-_CELL_MARGIN = 1e-6
-
-
-def in_radio_range(dx: float, dy: float, radio_range: float) -> bool:
-    """The one unit-disk predicate: inclusive, in exact squared metres."""
-    return dx * dx + dy * dy <= radio_range * radio_range
 
 
 def should_launch(battery: str, threshold: str) -> bool:
@@ -75,21 +64,6 @@ def assign_obus(vehicle_ids, obu_fraction: float, seed: int) -> set[str]:
     rng.shuffle(ids)
     n = math.floor(obu_fraction * len(ids) + 0.5)
     return set(ids[:n])
-
-
-def neighbors_in_range(positions: dict[str, tuple[float, float]], node_id: str,
-                       radio_range: float, active: set[str] | None = None) -> set[str]:
-    """Active nodes within the radio range (inclusive), excluding self."""
-    x0, y0 = positions[node_id]
-    out = set()
-    for nid, (x, y) in positions.items():
-        if nid == node_id:
-            continue
-        if active is not None and nid not in active:
-            continue
-        if in_radio_range(x - x0, y - y0, radio_range):
-            out.add(nid)
-    return out
 
 
 @dataclass
@@ -182,10 +156,6 @@ class SimConfig:
         return len(self.vehicles) + self.vehicle_count
 
 
-class ConservationError(RuntimeError):
-    """Packets generated differ from packets received, lost and in flight."""
-
-
 @dataclass
 class NodeStats:
     generated: int = 0
@@ -255,6 +225,13 @@ class _Session:
 class _Node:
     """Runtime state of one vehicle's protocol stack inside the simulator."""
 
+    __slots__ = ("spec", "id", "user", "state", "turns", "equipped", "launched",
+                 "pseudonyms", "revocations", "sessions", "initiators", "responders",
+                 "scheduler", "journey", "detector", "parking", "store", "pending",
+                 "pending_announced", "corroboration_inbox", "parking_queue",
+                 "seen_events", "transmitted", "coop", "plan", "stats", "shown",
+                 "decrypted_events", "last_advert_sent")
+
     def __init__(self, spec: VehicleSpec, sim: "Simulation"):
         self.spec = spec
         self.id = spec.vehicle_id
@@ -296,45 +273,13 @@ class _Node:
     def active(self) -> bool:
         return self.equipped and self.launched and self.state.ignition
 
-    def position(self, network: RoadNetwork) -> GeoCoordinate:
-        return self.state.position(network)
-
-    def session_peers(self) -> list[str]:
-        return sorted(self.sessions)
-
     def session_neighbors(self, neighbor_ids: list[str]) -> list[str]:
         """Session peers in radio range, in id order."""
         present = set(neighbor_ids)
-        return [p for p in self.session_peers() if p in present]
+        return [p for p in sorted(self.sessions) if p in present]
 
     def coop_record(self, peer: str) -> CooperationRecord:
         return self.coop.setdefault(peer, CooperationRecord())
-
-
-@dataclass(slots=True)
-class _Delivery:
-    """One unicast frame in flight; its receiver handles it on arrival."""
-    sender: str
-    receiver: str
-    frame: bytes
-    sent_at: int
-
-    @property
-    def receivers(self) -> tuple[str]:
-        return (self.receiver,)
-
-
-@dataclass(slots=True)
-class _Broadcast:
-    """One beacon frame in flight to every radio neighbour of its sender.
-
-    Receivers ignore beacons, so arrival is only counted: received for
-    each receiver still reachable, lost for each other one.
-    """
-    sender: str
-    receivers: tuple[str, ...]
-    frame: bytes
-    sent_at: int
 
 
 class Simulation:
@@ -359,7 +304,7 @@ class Simulation:
         self.malformed_frames = 0
         # Sealed frames dropped unopened, by reason; not part of the CSV.
         self.sealed_drops = {DROP_NO_SESSION: 0, DROP_WRONG_KEY: 0, DROP_INTEGRITY: 0}
-        self.in_flight: list[_Delivery | _Broadcast] = []
+        self.radio = Radio(config.radio_range)
         self.now = 0.0
         self._min_seg_len = min(s.length for s in network.segments.values())
         # (segment, direction) -> its zones in config order; the first active one applies
@@ -391,6 +336,11 @@ class Simulation:
         for park in config.parks:
             self._park_index[(tick_of(park.t_off), park.vehicle_id)] = park
         self._unpark_index = {(tick_of(p.t_on), p.vehicle_id): p for p in config.parks}
+
+    @property
+    def in_flight(self) -> list:
+        """The radio's frames in flight."""
+        return self.radio.in_flight
 
     # -- scenario construction -------------------------------------------
 
@@ -444,25 +394,6 @@ class Simulation:
             prev = nxt
         return route
 
-    # -- transport ---------------------------------------------------------
-
-    def _unicast(self, node: _Node, peer: str, frame: bytes, tick: int) -> None:
-        node.stats.sent += 1
-        node.stats.generated += 1
-        self.in_flight.append(_Delivery(node.id, peer, frame, tick))
-
-    def _broadcast(self, node: _Node, frame: bytes, targets: list[str], tick: int) -> None:
-        node.stats.broadcasted += 1
-        node.stats.generated += len(targets)
-        if targets:
-            self.in_flight.append(_Broadcast(node.id, tuple(targets), frame, tick))
-
-    def _seal_and_send(self, node: _Node, peer: str, tag: int, payload: bytes,
-                       tick: int) -> None:
-        session = node.sessions[peer]
-        blob = crypto.seal(session.key.key, payload, self.rng.randbytes(16))
-        self._unicast(node, peer, wire.encode_frame(tag, blob), tick)
-
     # -- the main loop -----------------------------------------------------
 
     def run(self) -> NetworkStats:
@@ -472,12 +403,13 @@ class Simulation:
             self._script_step(t)
             self._mobility_step(t)
             positions, neighbors = self._adjacency()
-            self._delivery_step(t, positions, neighbors, allow_sends=True)
+            self._delivery_step(t, positions, neighbors)
             self._node_step(t, positions, neighbors)
         # Final drain: resolve traffic sent on the last tick; no new sends.
         self.now = steps * self.config.tick
+        self.radio.close()
         positions, neighbors = self._adjacency()
-        self._delivery_step(steps, positions, neighbors, allow_sends=False)
+        self._delivery_step(steps, positions, neighbors)
         return collect_metrics(self)
 
     # -- phase 1: scripted ignition and journeys ---------------------------
@@ -501,7 +433,7 @@ class Simulation:
     def _ignition_off(self, node: _Node) -> None:
         node.state.ignition = False
         node.state.speed = 0.0
-        node.parking.ignition_off(self.now, node.position(self.network))
+        node.parking.ignition_off(self.now, node.state.position(self.network))
 
     def _ignition_on(self, node: _Node, announce: bool) -> None:
         node.state.ignition = True
@@ -587,76 +519,18 @@ class Simulation:
                 plan.position_index = i
                 return
 
-    # -- phase 3: radio adjacency ---------------------------------------------
+    # -- phases 3 and 4: radio adjacency and deliveries ---------------------
 
     def _adjacency(self) -> tuple[dict[str, GeoCoordinate], dict[str, list[str]]]:
-        """Every node's position, and each active node's active neighbours
-        in id order.
+        """Every node's position, and each active node's active neighbours."""
+        positions = {nid: self.nodes[nid].state.position(self.network)
+                     for nid in sorted(self.nodes)}
+        return positions, self.radio.neighbors(self.nodes, positions)
 
-        A cell list: active nodes are bucketed into square cells a hair
-        wider than the radio range (see _CELL_MARGIN), so every pair in
-        range shares a cell or sits in adjacent ones.  Each cell is tested
-        against itself and the four cells ahead of it, which visits every
-        adjacent pair of cells once.
-        """
-        radio_range = self.config.radio_range
-        side = radio_range * (1.0 + _CELL_MARGIN)
-        positions = {}
-        neighbors: dict[str, list[str]] = {}
-        cells: dict[tuple[int, int], list[tuple[str, float, float]]] = {}
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            p = positions[nid] = node.position(self.network)
-            neighbors[nid] = []
-            if node.active:
-                key = (math.floor(p.x / side), math.floor(p.y / side))
-                cells.setdefault(key, []).append((nid, p.x, p.y))
-        for (cx, cy), members in cells.items():
-            for i, (a, xa, ya) in enumerate(members):
-                near = neighbors[a]
-                for b, xb, yb in members[i + 1:]:
-                    if in_radio_range(xb - xa, yb - ya, radio_range):
-                        near.append(b)
-                        neighbors[b].append(a)
-            for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
-                others = cells.get(key)
-                if others is None:
-                    continue
-                for a, xa, ya in members:
-                    near = neighbors[a]
-                    for b, xb, yb in others:
-                        if in_radio_range(xb - xa, yb - ya, radio_range):
-                            near.append(b)
-                            neighbors[b].append(a)
-        for near in neighbors.values():
-            near.sort()
-        return positions, neighbors
-
-    # -- phase 4: deliveries ---------------------------------------------------
-
-    def _delivery_step(self, t: int, positions, neighbors, allow_sends: bool) -> None:
-        """Deliver every frame sent before tick `t`.  Each delivery, and its
-        frame, is released as soon as it has been handled, so that frames
-        handled early in the tick are not held while later ones send."""
-        due = [d for d in self.in_flight if d.sent_at < t]
-        self.in_flight = [d for d in self.in_flight if d.sent_at >= t]
-        radio_range = self.config.radio_range
-        for i, delivery in enumerate(due):
-            due[i] = None
-            sender = self.nodes[delivery.sender]
-            origin = positions[delivery.sender]
-            handle = type(delivery) is _Delivery
-            for peer in delivery.receivers:
-                receiver = self.nodes[peer]
-                here = positions[peer]
-                if not (receiver.active and in_radio_range(here.x - origin.x,
-                                                           here.y - origin.y, radio_range)):
-                    sender.stats.lost += 1
-                    continue
-                receiver.stats.received += 1
-                if handle:
-                    self._handle_frame(receiver, delivery.sender, delivery.frame, t,
-                                       neighbors, allow_sends)
+    def _delivery_step(self, t: int, positions, neighbors) -> None:
+        """Deliver every frame sent before tick `t`, handling each unicast."""
+        self.radio.deliver(t, self.nodes, positions, lambda node, sender, frame:
+                           self._handle_frame(node, sender, frame, t, neighbors))
 
     # -- phase 5: per-node protocol actions -------------------------------------
 
@@ -685,19 +559,19 @@ class Simulation:
         if not node.pseudonyms.due(self.now):
             return
         old = node.pseudonyms.current.value
-        sessions = {peer: node.sessions[peer].key for peer in node.session_peers()}
+        sessions = {peer: node.sessions[peer].key for peer in sorted(node.sessions)}
         new, notices = auth.rotate_pseudonym(node.pseudonyms, self.now, self.rng, sessions)
         if self.audit is not None:
             self.audit.rotations.append((t, node.id, old, new.value))
             self.audit.notices.extend((node.id, peer, frame) for peer, frame in notices)
         for peer, frame in notices:
-            self._unicast(node, peer, frame, t)
+            self.radio.unicast(node, peer, frame, t)
 
     def _beacon(self, node: _Node, t: int, targets: list[str]) -> None:
         _, frame = auth.emit_beacon(node.pseudonyms, t)
         if self.audit is not None:
             self.audit.beacons.append(frame)
-        self._broadcast(node, frame, targets, t)
+        self.radio.broadcast(node, frame, targets, t)
 
     def _sweep_engines(self, node: _Node) -> None:
         timeout = self.config.handshake_timeout
@@ -728,7 +602,7 @@ class Simulation:
             engine = auth.AuthInitiator(party, self.rng, self.now,
                                         peer_user_id=self.nodes[peer].spec.user_id)
             node.initiators[peer] = engine
-            self._unicast(node, peer, engine.start(), t)
+            self.radio.unicast(node, peer, engine.start(), t)
 
     def _gc_sessions(self, node: _Node, neighbor_ids: list[str]) -> None:
         if not node.sessions:
@@ -859,26 +733,22 @@ class Simulation:
 
     # -- frame handling -----------------------------------------------------
 
-    def _handle_frame(self, node: _Node, sender: str, frame: bytes, t: int,
-                      neighbors, allow_sends: bool) -> None:
+    def _handle_frame(self, node: _Node, sender: str, frame: bytes, t: int, neighbors) -> None:
         """Handle one received frame.  Any byte string is accepted: a frame
         that fails to decode, or names another handshake than the one in
         progress, is dropped and counted in `malformed_frames`.  Every
         handler decodes before it changes any state, so a dropped frame
         leaves none behind."""
         try:
-            self._dispatch_frame(node, sender, frame, t, neighbors, allow_sends)
+            self._dispatch_frame(node, sender, frame, t, neighbors)
         except (wire.WireError, auth.SessionMismatchError):
             self.malformed_frames += 1
 
-    def _dispatch_frame(self, node: _Node, sender: str, frame: bytes, t: int,
-                        neighbors, allow_sends: bool) -> None:
+    def _dispatch_frame(self, node: _Node, sender: str, frame: bytes, t: int, neighbors) -> None:
         tag, body = wire.decode_frame(frame)
         if tag == wire.BEACON:
             return
         if tag == wire.AUTH_COMMIT:
-            if not allow_sends:
-                return
             session_id, peer_pseudonym, commitments = wire.decode_auth_commit(body)
             if session_id in node.responders:
                 raise auth.SessionMismatchError("handshake already committed")
@@ -886,24 +756,24 @@ class Simulation:
             engine = auth.AuthResponder(party, self.rng, self.now,
                                         peer_user_id=self.nodes[sender].spec.user_id)
             node.responders[session_id] = (sender, engine)
-            self._unicast(node, sender,
-                          engine.on_commit(session_id, peer_pseudonym, commitments), t)
+            self.radio.unicast(node, sender,
+                               engine.on_commit(session_id, peer_pseudonym, commitments), t)
             return
         if tag == wire.AUTH_CHALLENGE:
             engine = node.initiators.get(sender)
-            if engine is None or not allow_sends:
-                return
-            self._unicast(node, sender, engine.on_challenge(*wire.decode_auth_challenge(body)), t)
+            if engine is not None:
+                self.radio.unicast(node, sender,
+                                   engine.on_challenge(*wire.decode_auth_challenge(body)), t)
             return
         if tag == wire.AUTH_RESPONSE:
             session_id, from_initiator, nonce, responses, counter_challenge = \
                 wire.decode_auth_response(body)
             if from_initiator:
                 entry = node.responders.get(session_id)
-                if entry is None or entry[0] != sender or not allow_sends:
+                if entry is None or entry[0] != sender:
                     return
                 _, engine = entry
-                self._unicast(node, sender, engine.on_response(
+                self.radio.unicast(node, sender, engine.on_response(
                     session_id, from_initiator, nonce, responses, counter_challenge), t)
                 if engine.outcome is not None:
                     # Rejected: nothing more can arrive for this session.
@@ -912,12 +782,10 @@ class Simulation:
             engine = node.initiators.get(sender)
             if engine is None:
                 return
-            result = engine.on_peer_response(session_id, from_initiator, nonce, responses,
-                                             self.now)
-            if allow_sends:
-                self._unicast(node, sender, result, t)
+            self.radio.unicast(node, sender, engine.on_peer_response(
+                session_id, from_initiator, nonce, responses, self.now), t)
             del node.initiators[sender]
-            self._handshake_done(node, sender, engine, t, allow_sends, initiator=True)
+            self._handshake_done(node, sender, engine, t, initiator=True)
             return
         if tag == wire.AUTH_RESULT:
             session_id, accepted = wire.decode_auth_result(body)
@@ -931,7 +799,7 @@ class Simulation:
                 return
             _, engine = entry
             engine.on_result(session_id, accepted, self.now)
-            self._handshake_done(node, sender, engine, t, allow_sends, initiator=False)
+            self._handshake_done(node, sender, engine, t, initiator=False)
             return
         # Sealed payloads, the pseudonym change notice and every event,
         # require an established session with the sender.
@@ -947,12 +815,12 @@ class Simulation:
         except crypto.IntegrityError:
             self.sealed_drops[DROP_INTEGRITY] += 1
             return
-        self._handle_payload(node, sender, tag, payload, t, neighbors, allow_sends)
+        self._handle_payload(node, sender, tag, payload, t, neighbors)
 
-    def _handshake_done(self, node: _Node, peer: str, engine, t: int, allow_sends: bool,
-                        initiator: bool) -> None:
-        """Open the session a finished handshake accepted, if it did; the
-        initiator's side counts the connection."""
+    def _handshake_done(self, node: _Node, peer: str, engine, t: int, initiator: bool) -> None:
+        """Open the session a finished handshake accepted, if it did, and send
+        the peer our revocation records; the initiator's side counts the
+        connection."""
         if engine.outcome != auth.OUTCOME_ACCEPTED:
             return
         peer_user = self.nodes[peer].spec.user_id
@@ -961,18 +829,13 @@ class Simulation:
         auth.record_journey_contact(node.journey, peer_user, self.now)
         if initiator:
             self.connections += 1
-        if allow_sends:
-            self._send_revocations(node, peer, t)
-
-    def _send_revocations(self, node: _Node, peer: str, t: int) -> None:
-        records = [(r.subject, r.misbehavior_count, r.revoked)
-                   for r in node.revocations.records.values()]
-        records.sort()
+        records = sorted((r.subject, r.misbehavior_count, r.revoked)
+                         for r in node.revocations.records.values())
         self._seal_and_send(node, peer, wire.REVOCATION_SYNC,
                             wire.encode_revocations(records), t)
 
     def _handle_payload(self, node: _Node, sender: str, tag: int, payload: bytes,
-                        t: int, neighbors, allow_sends: bool) -> None:
+                        t: int, neighbors) -> None:
         if tag == wire.CHANGE_NOTICE:
             _, new_pseudonym = wire.decode_pseudonym_change(payload)
             session = node.sessions[sender]
@@ -983,7 +846,7 @@ class Simulation:
                 node.revocations.merge_record(subject, count, revoked)
             return
         if tag == wire.CORROBORATION_REQUEST:
-            self._handle_corroboration_request(node, sender, payload, t, allow_sends)
+            self._handle_corroboration_request(node, sender, payload, t)
             return
         if tag == wire.SIGNED_OBSERVATION:
             signed = wire.decode_signed_observation(payload)
@@ -996,12 +859,12 @@ class Simulation:
         if tag == wire.AGGREGATED_EVENT:
             event = wire.decode_aggregate(payload)
             node.decrypted_events.append((t, tag, event.event_id))
-            self._handle_aggregate(node, sender, event, t, neighbors, allow_sends)
+            self._handle_aggregate(node, sender, event, t, neighbors)
             return
         if tag == wire.PARKING_EVENT:
             event_id, event = wire.decode_parking(payload)
             node.decrypted_events.append((t, tag, event_id))
-            self._handle_parking(node, sender, event_id, event, t, neighbors, allow_sends)
+            self._handle_parking(node, sender, event_id, event, t, neighbors)
             return
         if tag == wire.ADVERT:
             advert = wire.decode_advert(payload)
@@ -1011,7 +874,7 @@ class Simulation:
             return
 
     def _handle_corroboration_request(self, node: _Node, sender: str, payload: bytes,
-                                      t: int, allow_sends: bool) -> None:
+                                      t: int) -> None:
         signed = wire.decode_signed_observation(payload)
         node.decrypted_events.append((t, wire.CORROBORATION_REQUEST, b""))
         if not signed.verify():
@@ -1019,14 +882,13 @@ class Simulation:
             return
         if node.revocations.is_revoked(signed.signer_certificate.subject):
             return
-        if not self._answer_corroboration(node, sender, signed, t, allow_sends):
+        if not self._answer_corroboration(node, sender, signed, t):
             # Not stuck (yet): keep the request while the jam could still
             # reach us, bounded by the promoter's pending window.
             node.corroboration_inbox[event_id_for(signed.observation)] = (
                 sender, signed, self.now + self.config.detection.cooldown)
 
-    def _answer_corroboration(self, node: _Node, sender: str, signed, t: int,
-                              allow_sends: bool) -> bool:
+    def _answer_corroboration(self, node: _Node, sender: str, signed, t: int) -> bool:
         own_obs = None
         if node.detector.firing():
             own_obs = node.detector.detect_candidate(self.now, self.network,
@@ -1037,7 +899,7 @@ class Simulation:
                                          node.pseudonyms.current.value)
         if answer is None:
             return False
-        if not allow_sends or sender not in node.sessions:
+        if self.radio.closed or sender not in node.sessions:
             return True   # would have answered; do not requeue
         self._trace(node.id, "corroborate",
                     f"event={event_id_for(signed.observation).hex()[:8]}")
@@ -1050,11 +912,10 @@ class Simulation:
             sender, signed, expires = node.corroboration_inbox[event_id]
             if self.now > expires:
                 del node.corroboration_inbox[event_id]
-            elif self._answer_corroboration(node, sender, signed, t, allow_sends=True):
+            elif self._answer_corroboration(node, sender, signed, t):
                 del node.corroboration_inbox[event_id]
 
-    def _handle_aggregate(self, node: _Node, sender: str, event, t: int,
-                          neighbors, allow_sends: bool) -> None:
+    def _handle_aggregate(self, node: _Node, sender: str, event, t: int, neighbors) -> None:
         event_id = event.event_id
         if event_id in node.seen_events:
             node.coop_record(sender).observed_forward(event_id)
@@ -1082,10 +943,10 @@ class Simulation:
             new_plan, changed, _ = recompute_route(node.plan, self.network, congested)
             if changed:
                 node.plan = new_plan
-                node.turns = self._turns_from_plan(node)
+                node.turns = list(new_plan.segment_sequence[new_plan.position_index + 1:])
             detail += " on-route rerouted" if changed else " on-route"
         self._trace(node.id, "show", detail)
-        if allow_sends and decision.action != ACTION_DROP:
+        if decision.action != ACTION_DROP:
             self._forward_event(node, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
                                 event_id, t, neighbors[node.id])
 
@@ -1093,14 +954,11 @@ class Simulation:
         obs = event.observation
         return (node.state.segment_id == obs.road_id
                 and node.state.direction == obs.direction
-                and location_cell(node.position(self.network)) == location_cell(obs.location))
-
-    def _turns_from_plan(self, node: _Node) -> list[str]:
-        plan = node.plan
-        return list(plan.segment_sequence[plan.position_index + 1:])
+                and location_cell(node.state.position(self.network))
+                == location_cell(obs.location))
 
     def _handle_parking(self, node: _Node, sender: str, event_id: bytes, event, t: int,
-                        neighbors, allow_sends: bool) -> None:
+                        neighbors) -> None:
         if event_id in node.seen_events:
             node.coop_record(sender).observed_forward(event_id)
             return
@@ -1109,16 +967,14 @@ class Simulation:
         node.seen_events[event_id] = event.announced_at + event.ttl
         node.store.add_parking(event_id, event)
         self._trace(node.id, "receive", f"parking event={event_id.hex()[:8]}")
-        if allow_sends:
-            self._forward_event(node, wire.PARKING_EVENT,
-                                wire.encode_parking(event, event_id), event_id, t,
-                                neighbors[node.id])
+        self._forward_event(node, wire.PARKING_EVENT, wire.encode_parking(event, event_id),
+                            event_id, t, neighbors[node.id])
 
     def _handle_advert(self, node: _Node, sender: str, advert_id: bytes, advert) -> None:
         if advert_id in node.shown:
             return
         try:
-            shown = deliver_advert(advert, node.position(self.network), self.now,
+            shown = deliver_advert(advert, node.state.position(self.network), self.now,
                                    filters=None,
                                    signer_key=lambda uid: (
                                        self.roster.users[uid].keys.public_key
@@ -1143,6 +999,14 @@ class Simulation:
             node.coop_record(peer).hand_over(event_id, self.now + self.config.forward_window)
             self._seal_and_send(node, peer, tag, payload, t)
 
+    def _seal_and_send(self, node: _Node, peer: str, tag: int, payload: bytes,
+                       tick: int) -> None:
+        if self.radio.closed:
+            return    # nothing more goes out, so nothing is sealed
+        session = node.sessions[peer]
+        blob = crypto.seal(session.key.key, payload, self.rng.randbytes(16))
+        self.radio.unicast(node, peer, wire.encode_frame(tag, blob), tick)
+
     # -- bookkeeping -----------------------------------------------------------
 
     def _report_sender(self, node: _Node, sender: str) -> None:
@@ -1164,17 +1028,12 @@ def _parking_event_id(event: ParkingEvent) -> bytes:
 
 
 def collect_metrics(sim: Simulation) -> NetworkStats:
-    """Final counters; checks the packet conservation law."""
+    """Final counters; the radio checks the packet conservation law."""
     stats = NetworkStats(per_node={nid: sim.nodes[nid].stats for nid in sorted(sim.nodes)},
                          connections=sim.connections,
                          events_accepted=sim.events_accepted,
-                         events_rejected=sim.events_rejected,
-                         in_flight=sum(len(d.receivers) for d in sim.in_flight))
-    totals = stats.totals()
-    if totals.generated != totals.received + totals.lost + stats.in_flight:
-        raise ConservationError(
-            f"packet conservation violated: generated={totals.generated} "
-            f"received={totals.received} lost={totals.lost} in_flight={stats.in_flight}")
+                         events_rejected=sim.events_rejected)
+    stats.in_flight = sim.radio.check_conservation(stats.totals())
     return stats
 
 

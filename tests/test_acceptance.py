@@ -20,7 +20,8 @@ from vanetkit.aggregation import (AggregatedEvent, required_signatures,
 from vanetkit.events import CongestionObservation
 from vanetkit.geomodel import FORWARD, GeoCoordinate, load_network
 from vanetkit.relay import plan_cost, plan_route, recompute_route
-from vanetkit.simnet import AuditLog, Simulation, neighbors_in_range
+from vanetkit.radio import neighbors_in_range
+from vanetkit.simnet import AuditLog, Simulation
 from vanetkit.trust import Certificate, RevocationStore, Roster, register_user
 from scenario_builders import freerider_setup, privacy_setup
 
@@ -190,7 +191,7 @@ def _position_speed_patterns(config, network, roster):
         shadow._script_step(t)
         shadow._mobility_step(t)
         for node in shadow.nodes.values():
-            pos = node.position(network)
+            pos = node.state.position(network)
             for value in (pos.x, pos.y, node.state.speed):
                 patterns.add(struct.pack(">d", value))
                 patterns.add(struct.pack("<d", value))

@@ -118,3 +118,24 @@ def test_kit_generation_and_unknown_name(tmp_path, capsys):
     assert printed.count("wrote") == 3
     assert cli.main(["kit", "warp-drive", "--out", out]) == 2
     assert "available kits" in capsys.readouterr().err
+
+
+def test_sweep_seed_override_matches_run(tmp_path, capsys):
+    """With half the fleet equipped, which vehicles carry a unit depends on
+    the seed; `sweep --seed 1` must total what `run --seed 1` does."""
+    directory = kit_dir(tmp_path, "congestion-chain")
+    with open(os.path.join(directory, "scenario.txt"), "a") as fh:
+        fh.write("obu_fraction 0.5\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["run", directory, "--seed", "1", "--out", out]) == 0
+    with open(os.path.join(out, "congestion-chain_1.metrics.csv")) as fh:
+        run_totals = fh.read().splitlines()[-1].split(",")[1:6]
+    sweeps = {}
+    for seed in ("1", None):
+        sweep_out = str(tmp_path / f"sweep-{seed}")
+        args = ["sweep", directory, "--param", "obu_fraction=0.5", "--out", sweep_out]
+        assert cli.main(args + (["--seed", seed] if seed else [])) == 0
+        with open(os.path.join(sweep_out, "congestion-chain_sweep_obu_fraction.csv")) as fh:
+            sweeps[seed] = fh.read().splitlines()[1].split(",")[1:6]
+    assert sweeps["1"] == run_totals
+    assert sweeps[None] != run_totals      # the bundle's own seed, 42, totals otherwise

@@ -1,18 +1,20 @@
-"""The radio layer: the range predicate, cell-list adjacency and counted
-beacon broadcasts."""
+"""The radio layer: the range predicate, cell-list adjacency, counted
+beacon broadcasts and the closed radio of the final drain."""
 
 import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanetkit.geomodel import FORWARD, GeoCoordinate, load_network
-from vanetkit.simnet import (ParkDirective, SimConfig, Simulation, VehicleSpec,
-                             collect_metrics, in_radio_range, neighbors_in_range)
+from vanetkit.radio import Radio, in_radio_range, neighbors_in_range
+from vanetkit.simnet import (NodeStats, ParkDirective, SimConfig, Simulation, VehicleSpec,
+                             collect_metrics)
 from vanetkit.trust import Roster, register_user
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
@@ -33,6 +35,17 @@ for _i in range(MAX_NODES):
     register_user(ROSTER, f"u{_i:02d}", _i + 1)
 
 
+class _Pinned:
+    """A vehicle state held at one point, off the road."""
+
+    def __init__(self, x, y, ignition):
+        self.here = GeoCoordinate(x, y)
+        self.ignition = ignition
+
+    def position(self, network):
+        return self.here
+
+
 def _placed(points, inactive=()):
     """A Simulation whose node n<i> is active at points[i] unless i is in
     `inactive`, in which case its ignition is off."""
@@ -42,8 +55,7 @@ def _placed(points, inactive=()):
     for i, (x, y) in enumerate(points):
         node = sim.nodes[f"n{i:02d}"]
         node.launched = True
-        node.state.ignition = i not in inactive
-        node.position = lambda network, here=GeoCoordinate(x, y): here
+        node.state = _Pinned(x, y, ignition=i not in inactive)
     return sim
 
 
@@ -134,7 +146,7 @@ def test_beacon_to_a_departed_or_parked_receiver_is_lost():
     assert not sim.nodes["n3"].active
     assert not in_radio_range(positions["n2"].x - positions["n1"].x,
                               positions["n2"].y - positions["n1"].y, RANGE)
-    sim._delivery_step(1, positions, neighbors, allow_sends=True)
+    sim._delivery_step(1, positions, neighbors)
     assert n1.stats.lost == 2
     assert [sim.nodes[n].stats.received for n in ("n2", "n3", "n4")] == [0, 0, 1]
     stats = collect_metrics(sim)
@@ -156,7 +168,7 @@ def test_conservation_counts_queued_beacon_receivers_not_records():
         sim._script_step(t)
         sim._mobility_step(t)
         positions, neighbors = sim._adjacency()
-        sim._delivery_step(t, positions, neighbors, allow_sends=True)
+        sim._delivery_step(t, positions, neighbors)
         sim._node_step(t, positions, neighbors)
     beacons = [d for d in sim.in_flight if len(d.receivers) == 3]
     assert len(beacons) == 4
@@ -186,7 +198,7 @@ def test_each_delivery_is_released_once_handled():
 
     own = refs()
     for i in range(4):
-        sim._unicast(sim.nodes["n0"], "n1", frames[i], 0)
+        sim.radio.unicast(sim.nodes["n0"], "n1", frames[i], 0)
     extra = []
     handle = sim._handle_frame
 
@@ -195,10 +207,57 @@ def test_each_delivery_is_released_once_handled():
         handle(node, sender, frame, *args)
 
     sim._handle_frame = counted
-    sim._delivery_step(1, positions, neighbors, allow_sends=True)
+    sim._delivery_step(1, positions, neighbors)
     assert len(extra) == 4 and sim.malformed_frames == 4
     for i, row in enumerate(extra):
         assert row[:i] == [0] * i and row[i + 1:] == [1] * (3 - i)
+
+
+def _counted(node_id):
+    return types.SimpleNamespace(id=node_id, active=True, stats=NodeStats())
+
+
+def test_a_closed_radio_queues_and_counts_nothing():
+    """After close(), sends leave the frames in flight and every counter
+    as they were; what was already in flight is still delivered."""
+    radio = Radio(RANGE)
+    nodes = {nid: _counted(nid) for nid in ("a", "b")}
+    a, b = nodes["a"], nodes["b"]
+    radio.unicast(a, "b", b"hello", 0)
+    radio.broadcast(a, b"beacon", ["b"], 0)
+    radio.close()
+    before = (list(radio.in_flight), a.stats.as_row(), b.stats.as_row())
+    radio.unicast(b, "a", b"late", 0)
+    radio.broadcast(b, b"late beacon", ["a"], 0)
+    radio.broadcast(a, b"beacon to no one", [], 0)
+    assert (radio.in_flight, a.stats.as_row(), b.stats.as_row()) == before
+
+    handled = []
+
+    def reply(node, sender, frame):
+        handled.append((node.id, sender, frame))
+        radio.unicast(node, sender, b"reply", 1)       # the drain sends nothing
+
+    positions = {"a": GeoCoordinate(0.0, 0.0), "b": GeoCoordinate(RANGE, 0.0)}
+    radio.deliver(1, nodes, positions, reply)
+    assert handled == [("b", "a", b"hello")] and radio.in_flight == []
+    assert (b.stats.received, a.stats.lost, b.stats.sent) == (2, 0, 0)
+    totals = NodeStats(*(sum(v) for v in zip(a.stats.as_row(), b.stats.as_row())))
+    assert radio.check_conservation(totals) == 0
+
+
+def test_a_run_closes_the_radio_and_drains_it():
+    roster = Roster()
+    for i in range(4):
+        register_user(roster, f"u{i}", i + 1)
+    config = SimConfig(seed=5, duration=10, name="cluster", vehicles=[
+        VehicleSpec(f"n{i}", f"u{i}", "main", 100.0 + 10 * i, FORWARD, speed=0.0)
+        for i in range(4)])
+    sim = Simulation(config, NETWORK, roster)
+    stats = sim.run()
+    assert sim.radio.closed and sim.in_flight == [] and stats.in_flight == 0
+    totals = stats.totals()
+    assert totals.generated == totals.received + totals.lost > 0
 
 
 def test_importing_the_package_does_not_load_numpy():

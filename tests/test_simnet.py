@@ -10,10 +10,10 @@ from vanetkit.aggregation import (PendingObservation, SignedObservation, event_i
                                   sign_observation)
 from vanetkit.events import AdvertEvent, CongestionObservation
 from vanetkit.geomodel import FORWARD, REVERSE, GeoCoordinate, load_network
+from vanetkit.radio import ConservationError, neighbors_in_range
 from vanetkit.simnet import (DROP_INTEGRITY, DROP_NO_SESSION, DROP_WRONG_KEY, AuditLog,
-                             CongestionZone, ConservationError, ParkDirective,
-                             SimConfig, Simulation, VehicleSpec, assign_obus,
-                             collect_metrics, neighbors_in_range, run_simulation,
+                             CongestionZone, ParkDirective, SimConfig, Simulation,
+                             VehicleSpec, assign_obus, collect_metrics, run_simulation,
                              should_launch)
 from vanetkit.trust import Roster, UnknownUserError, register_user
 
@@ -93,6 +93,16 @@ def test_two_stationary_nodes_authenticate_and_beacon():
     assert stats.in_flight == 0
 
 
+def test_a_node_has_slots_and_refuses_an_unknown_attribute():
+    """Per-node state is declared: a new attribute is a new slot, never a
+    per-node dict that silently grows every node."""
+    config, net, roster = two_node_setup()
+    node = Simulation(config, net, roster).nodes["n1"]
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        node.undeclared = 1
+
+
 def test_subsecond_tick_keeps_protocol_clocks_in_seconds():
     config, net, roster = two_node_setup(duration=30)
     config.tick = 0.5
@@ -147,7 +157,7 @@ def test_replayed_handshake_messages_change_no_draw():
     clean = Simulation(config, net, roster)
     clean.run()
     sim = Simulation(config, net, roster)
-    unicast = sim._unicast
+    unicast = sim.radio.unicast
 
     def twice(node, peer, frame, tick):
         unicast(node, peer, frame, tick)
@@ -155,7 +165,7 @@ def test_replayed_handshake_messages_change_no_draw():
                                            wire.AUTH_RESPONSE, wire.AUTH_RESULT):
             unicast(node, peer, frame, tick)
 
-    sim._unicast = twice
+    sim.radio.unicast = twice
     stats = sim.run()
     assert sim.malformed_frames == 3 and clean.malformed_frames == 0
     assert sim.rng.getstate() == clean.rng.getstate()
@@ -398,9 +408,9 @@ def test_malformed_and_mismatched_frames_are_dropped_and_counted(tmp_path):
     _, neighbors = sim._adjacency()
     d = sim.nodes["D"]
     responders, rng_state = dict(d.responders), sim.rng.getstate()
-    sim._handle_frame(d, "C", b"\x00\x00", 999, neighbors, True)
+    sim._handle_frame(d, "C", b"\x00\x00", 999, neighbors)
     sim._handle_frame(d, "C", wire.encode_frame(wire.AUTH_COMMIT, b"\x00" * 5), 999,
-                      neighbors, True)
+                      neighbors)
     assert sim.malformed_frames == 2
     assert d.responders == responders and sim.rng.getstate() == rng_state
 
@@ -413,7 +423,7 @@ def test_malformed_and_mismatched_frames_are_dropped_and_counted(tmp_path):
     challenge = wire.encode_auth_challenge(other, b"p" * 16, b"c" * 16, b"")
     response = wire.encode_auth_response(other, False, b"n" * 16, b"", b"c" * 16)
     for frame in (challenge, response):
-        sim._handle_frame(d, "C", frame, 999, neighbors, True)
+        sim._handle_frame(d, "C", frame, 999, neighbors)
     assert sim.malformed_frames == 4
     assert d.initiators["C"] is engine and engine.peer_commitments == b""
     assert engine.outcome is None and sim.in_flight == []
@@ -438,7 +448,7 @@ def test_garbage_frames_during_a_run_change_no_outcome(tmp_path):
         node_step(t, positions, neighbors)
         if "D" in neighbors["C"]:
             for frame in garbage:
-                sim._unicast(sim.nodes["C"], "D", frame, t)
+                sim.radio.unicast(sim.nodes["C"], "D", frame, t)
 
     sim._node_step = noisy_node_step
     stats = sim.run()
@@ -459,7 +469,7 @@ def test_corroboration_request_from_outside_the_roster_is_dropped(tmp_path):
                             signed.signature[:-1] + bytes([signed.signature[-1] ^ 1]))
     c = sim.nodes["C"]
     inbox = dict(c.corroboration_inbox)
-    sim._handle_corroboration_request(c, "D", wire.encode_signed_observation(bad), 120, True)
+    sim._handle_corroboration_request(c, "D", wire.encode_signed_observation(bad), 120)
     assert "mallory" not in c.revocations.records
     assert c.corroboration_inbox == inbox
 
@@ -489,7 +499,7 @@ def test_sealed_observation_with_unencodable_number_is_dropped(tmp_path, tag, fi
     blob = crypto.seal(c.sessions["D"].key.key, payload, bytes(16))
     frame = wire.encode_frame(tag, blob)
     events, pending, trace = list(c.decrypted_events), dict(c.pending), list(sim.trace)
-    sim._handle_frame(c, "D", frame, 121, neighbors, True)
+    sim._handle_frame(c, "D", frame, 121, neighbors)
     assert sim.malformed_frames == 1
     assert c.decrypted_events == events and c.pending == pending and sim.trace == trace
     with pytest.raises(wire.WireError):
@@ -524,7 +534,7 @@ def test_a_rejected_aggregate_blames_its_sender_not_its_first_signer(tmp_path):
         assert aggregation.verify_aggregate(event, c.revocations) == (False, "bad-signature")
         blob = crypto.seal(c.sessions["D"].key.key, wire.encode_aggregate(event), bytes(16))
         sim._handle_frame(c, "D", wire.encode_frame(wire.AGGREGATED_EVENT, blob), 121,
-                          neighbors, True)
+                          neighbors)
     assert sim.events_rejected == rejected + 3
     assert "ur" not in c.revocations.records
     assert c.revocations.records["ud"].misbehavior_count == 3
@@ -537,7 +547,7 @@ def test_a_bad_corroboration_request_blames_its_sender_not_the_named_signer(tmp_
     obs = CongestionObservation("main1", FORWARD, GeoCoordinate(280.0, 0.0), 600.0, b"r" * 16)
     bad = _flip_last_byte(sign_observation(obs, r.user.keys.private_key,
                                            r.user.self_certificate, b"r" * 16))
-    sim._handle_corroboration_request(c, "D", wire.encode_signed_observation(bad), 121, True)
+    sim._handle_corroboration_request(c, "D", wire.encode_signed_observation(bad), 121)
     assert "ur" not in c.revocations.records
     assert c.revocations.records["ud"].misbehavior_count == 1
 
@@ -551,7 +561,7 @@ def test_an_advert_with_a_bad_certificate_blames_its_sender_not_the_named_subjec
     cert = dataclasses.replace(cert, signature=cert.signature[:-1] + bytes([cert.signature[-1] ^ 1]))
     advert = AdvertEvent("ur-shop", "sale", GeoCoordinate(280.0, 0.0), 500.0, 1e6, "logo", cert)
     blob = crypto.seal(c.sessions["D"].key.key, wire.encode_advert(advert), bytes(16))
-    sim._handle_frame(c, "D", wire.encode_frame(wire.ADVERT, blob), 121, neighbors, True)
+    sim._handle_frame(c, "D", wire.encode_frame(wire.ADVERT, blob), 121, neighbors)
     assert "ur" not in c.revocations.records
     assert c.revocations.records["ud"].misbehavior_count == 1
 
@@ -580,7 +590,7 @@ def test_change_notices_need_a_session_and_an_intact_seal(tmp_path):
 
     def notice(blob):
         sim._handle_frame(c, "D", wire.encode_frame(wire.CHANGE_NOTICE, blob), 121,
-                          neighbors, True)
+                          neighbors)
 
     notice(crypto.seal(crypto.sha256(b"another session"), change, bytes(16)))
     notice(sealed[:-1] + bytes([sealed[-1] ^ 1]))
@@ -617,7 +627,7 @@ def test_sealed_frames_dropped_unopened_are_counted_by_reason(tmp_path):
     records, trace = dict(c.revocations.records), list(sim.trace)
     for sender, blob in (("D", stale), ("D", tampered), ("D", stale), (gone, orphan)):
         sim._handle_frame(c, sender, wire.encode_frame(wire.REVOCATION_SYNC, blob), 121,
-                          neighbors, True)
+                          neighbors)
     assert sim.sealed_drops == {DROP_NO_SESSION: 1, DROP_WRONG_KEY: 2, DROP_INTEGRITY: 1}
     assert sim.malformed_frames == 0
     assert c.revocations.records == records and sim.trace == trace
