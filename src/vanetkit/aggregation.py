@@ -39,6 +39,11 @@ class JourneyContactLog:
         return len(self.peers)
 
     def record(self, peer: str, now: float) -> None:
+        """Log an authenticated peer and, the first time, when it was.
+
+        Distinctness follows the session identity, so a peer re-authenticating
+        after a pseudonym change does not inflate the count.
+        """
         if self.first_auth_at is None:
             self.first_auth_at = now
         self.peers.add(peer)

@@ -13,14 +13,18 @@ mismatch itself.
 On success both sides derive the same session key from the transcript,
 the shared key and both nonces, and exchange revocation knowledge.
 
-Engines are pure state machines advanced by delivered wire messages;
-the simulator serializes delivery, one engine instance per session.
-Each step happens at most once: a step the engine has already taken, or
-cannot take yet, raises `SessionMismatchError` before it changes any
-state or draws from the RNG, so a replayed message shifts no later
-draw.  An engine keeps only what a later step reads: the slot map is
-dropped once the responses are built, and the responses themselves go
-out in the frame and are not kept.
+Engines are pure state machines advanced by delivered wire messages,
+one per session.  Each step happens at most once: a step the engine has
+already taken, or cannot take yet, raises `SessionMismatchError` before
+it changes any state or draws from the RNG, so a replayed message shifts
+no later draw.  An engine keeps only what a later step reads: the slot
+map is dropped once the responses are built, and the responses go out in
+the frame and are not kept.
+
+One router, `Handshakes`, holds a node's open engines and its attempt
+schedule and routes each handshake message to its engine.  The
+simulator and `zk_mutual_authenticate` both drive the five messages
+through it, so every handshake test runs the routing a run uses.
 
 Hashing is the cost of a handshake, so it is done from prepared states
 with byte-equal results.  A commitment is
@@ -49,7 +53,6 @@ from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 from . import crypto, wire
-from .aggregation import JourneyContactLog
 from .trust import RevocationStore, UserIdentity, exchange_revocations
 
 PSEUDONYM_LEN = 16
@@ -294,10 +297,22 @@ class _EngineBase:
         self.reason = REASON_OK
         self.session_key: SessionKey | None = None
         self.matched: list[bytes] = []
+        self.peer_commitments = b""
+        self.peer_pseudonym = b""
 
-    def _peer_revoked(self) -> bool:
-        return (self.peer_user_id is not None
-                and self.party.revocations.is_revoked(self.peer_user_id))
+    def _shared_key(self, peer_nonce: bytes, peer_responses: bytes) -> bytes | None:
+        """The shared key the peer's proof answers for, or None once the
+        proof is rejected: no key of ours matches, or the peer is revoked."""
+        self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
+                                  self.challenge_for_peer, peer_responses)
+        if not self.matched:
+            self._finish(OUTCOME_REJECTED, REASON_NO_COMMON_FRIEND)
+            return None
+        if (self.peer_user_id is not None
+                and self.party.revocations.is_revoked(self.peer_user_id)):
+            self._finish(OUTCOME_REJECTED, REASON_REVOKED)
+            return None
+        return min(self.matched)
 
     def _finish(self, outcome: str, reason: str) -> None:
         self.outcome = outcome
@@ -330,10 +345,8 @@ class AuthInitiator(_EngineBase):
         self.nonce = rng.randbytes(16)
         # the key behind each commitment slot, until the responses are built
         self.commitments, self._slots = build_commitments(self.keys, self.nonce, rng)
-        self.peer_commitments = b""
         self.challenge_for_peer = b""
         self.challenge_from_peer = b""
-        self.peer_pseudonym = b""
 
     def start(self) -> bytes:
         return wire.encode_auth_commit(self.session_id, self.party.pseudonym, self.commitments)
@@ -355,15 +368,9 @@ class AuthInitiator(_EngineBase):
         """Verify the responder's proof and emit the final result frame."""
         _check_session(self.session_id, session_id, role_ok=not is_initiator,
                        step_ok=self._slots is None and self.outcome is None)
-        self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
-                                  self.challenge_for_peer, peer_responses)
-        if not self.matched:
-            self._finish(OUTCOME_REJECTED, REASON_NO_COMMON_FRIEND)
+        shared = self._shared_key(peer_nonce, peer_responses)
+        if shared is None:
             return wire.encode_auth_result(self.session_id, False)
-        if self._peer_revoked():
-            self._finish(OUTCOME_REJECTED, REASON_REVOKED)
-            return wire.encode_auth_result(self.session_id, False)
-        shared = min(self.matched)
         key = _session_key_bytes(self.session_id, self.commitments, self.peer_commitments,
                                  self.challenge_from_peer, self.challenge_for_peer,
                                  shared, self.nonce, peer_nonce)
@@ -384,9 +391,7 @@ class AuthResponder(_EngineBase):
         self.commitments = b""
         # the key behind each commitment slot, from the commit until the responses
         self._slots: list[bytes | None] | None = None
-        self.peer_commitments = b""
-        self.peer_pseudonym = b""
-        self._accept_pending = False
+        # set once we accept the peer's proof: what the key needs if it accepts ours
         self._pending_key_material: tuple | None = None
 
     def on_commit(self, session_id: bytes, peer_pseudonym: bytes,
@@ -406,17 +411,10 @@ class AuthResponder(_EngineBase):
         _check_session(self.session_id, session_id, role_ok=is_initiator,
                        step_ok=self._slots is not None)
         slots, self._slots = self._slots, None
-        self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
-                                  self.challenge_for_peer, peer_responses)
-        if not self.matched:
-            self._finish(OUTCOME_REJECTED, REASON_NO_COMMON_FRIEND)
+        shared = self._shared_key(peer_nonce, peer_responses)
+        if shared is None:
             return wire.encode_auth_result(self.session_id, False)
-        if self._peer_revoked():
-            self._finish(OUTCOME_REJECTED, REASON_REVOKED)
-            return wire.encode_auth_result(self.session_id, False)
-        shared = min(self.matched)
         self._pending_key_material = (shared, peer_nonce, counter_challenge)
-        self._accept_pending = True
         return wire.encode_auth_response(
             self.session_id, False, self.nonce,
             build_responses(slots, counter_challenge, self.nonce, self.rng), b"\x00" * 16)
@@ -424,7 +422,7 @@ class AuthResponder(_EngineBase):
     def on_result(self, session_id: bytes, accepted: bool, now: float) -> None:
         _check_session(self.session_id, session_id,
                        step_ok=self._slots is None and self.outcome != OUTCOME_ACCEPTED)
-        if accepted and self._accept_pending:
+        if accepted and self._pending_key_material is not None:
             shared, peer_nonce, counter_challenge = self._pending_key_material
             key = _session_key_bytes(self.session_id, self.peer_commitments, self.commitments,
                                      self.challenge_for_peer, counter_challenge,
@@ -440,31 +438,29 @@ class AuthResponder(_EngineBase):
 
 def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Random,
                            now: float) -> tuple[AuthTranscript, tuple[SessionKey, SessionKey] | None]:
-    """Run the full five-message exchange in process.
+    """Run the five-message exchange in process, passing each frame between
+    two `Handshakes` routers named by the parties' user ids.
 
-    Returns the transcript plus the (initiator, responder) session keys
-    on acceptance.  On acceptance the two parties also exchange
-    revocation knowledge, as the protocol requires after every
-    successful authentication.
+    Returns the transcript plus the (initiator, responder) session keys on
+    acceptance, after which the parties exchange revocation knowledge, as
+    the protocol requires after every successful authentication.
     """
-    eng_i = AuthInitiator(initiator, rng, now, peer_user_id=responder.identity.user_id)
-    eng_r = AuthResponder(responder, rng, now, peer_user_id=initiator.identity.user_id)
-
-    def body(frame: bytes) -> bytes:
-        return wire.decode_frame(frame)[1]
-
-    m2 = eng_r.on_commit(*wire.decode_auth_commit(body(eng_i.start())))
-    m3 = wire.decode_auth_response(body(eng_i.on_challenge(*wire.decode_auth_challenge(body(m2)))))
-    responses_i, responses_r = m3[3], b""
-    tag4, body4 = wire.decode_frame(eng_r.on_response(*m3))
-    if tag4 == wire.AUTH_RESULT:
-        # Responder rejected outright; the initiator learns only the verdict.
-        eng_i._finish(OUTCOME_REJECTED, REASON_PEER_REJECTED)
-    else:
-        session_id, is_initiator, nonce_r, responses_r, _ = wire.decode_auth_response(body4)
-        m5 = eng_i.on_peer_response(session_id, is_initiator, nonce_r, responses_r, now)
-        eng_r.on_result(*wire.decode_auth_result(body(m5)), now)
-
+    parties = (initiator, responder)
+    ids = [party.identity.user_id for party in parties]
+    routers = [Handshakes(i, p.identity, p.revocations, rng) for i, p in zip(ids, parties)]
+    finished: list[_EngineBase | None] = [None, None]
+    responses = [b"", b""]         # each side's response block, as sent
+    frame, to = routers[0].open(ids[1], ids[1], initiator.pseudonym, now), 1
+    while frame is not None:
+        tag, body = wire.decode_frame(frame)
+        if tag == wire.AUTH_RESPONSE:
+            responses[1 - to] = wire.decode_auth_response(body)[3]
+        frame, done = routers[to].receive(tag, body, ids[1 - to], ids[1 - to],
+                                          parties[to].pseudonym, now)
+        if done is not None:
+            finished[to] = done
+        to = 1 - to
+    eng_i, eng_r = finished
     specific = [r for r in (eng_i.reason, eng_r.reason)
                 if r not in (REASON_OK, REASON_PEER_REJECTED)]
 
@@ -477,8 +473,8 @@ def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Rando
         challenge_to_responder=eng_i.challenge_for_peer,
         nonce_initiator=eng_i.nonce,
         nonce_responder=eng_r.nonce,
-        responses_initiator=_fields(responses_i),
-        responses_responder=_fields(responses_r),
+        responses_initiator=_fields(responses[0]),
+        responses_responder=_fields(responses[1]),
         outcome=OUTCOME_ACCEPTED if eng_i.outcome == OUTCOME_ACCEPTED
         and eng_r.outcome == OUTCOME_ACCEPTED else OUTCOME_REJECTED,
         reason=specific[0] if specific else REASON_OK,
@@ -492,48 +488,118 @@ def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Rando
     return transcript, (eng_i.session_key, eng_r.session_key)
 
 
-class AuthScheduler:
-    """Rate-limits attempts: once per period per unauthenticated neighbor.
+# -- one node's handshakes ----------------------------------------------------
 
-    `note_neighbor` records when a peer was first seen, which lets a
-    node that would normally wait for the peer to initiate (the tie-break
-    rule) take over after one full period.  That heals half-open pairs
-    where one side completed the handshake and the other lost the final
-    message.
+HANDSHAKE_TAGS = frozenset({wire.AUTH_COMMIT, wire.AUTH_CHALLENGE, wire.AUTH_RESPONSE,
+                            wire.AUTH_RESULT})
+HANDSHAKE_TIMEOUT = 10.0     # seconds an open handshake is kept
+
+
+class Handshakes:
+    """One node's open handshakes and its attempt schedule.
+
+    Initiator engines are held by peer, responder engines by session id
+    with the peer that committed.  `due` allows a neighbour with neither a
+    session nor an open initiator one attempt per period.  The smaller id
+    opens; the larger takes over once it has seen the peer for a full
+    period, which heals a pair where one side lost the final message.
     """
 
-    def __init__(self, period: float = DEFAULT_AUTH_PERIOD):
+    __slots__ = ("node_id", "identity", "revocations", "rng", "period",
+                 "initiators", "responders", "last_attempt", "first_seen")
+
+    def __init__(self, node_id: str, identity: UserIdentity, revocations: RevocationStore,
+                 rng: random.Random, period: float = DEFAULT_AUTH_PERIOD):
+        self.node_id = node_id
+        self.identity = identity
+        self.revocations = revocations
+        self.rng = rng
         self.period = period
+        self.initiators: dict[str, AuthInitiator] = {}
+        self.responders: dict[bytes, tuple[str, AuthResponder]] = {}
         self.last_attempt: dict[str, float] = {}
         self.first_seen: dict[str, float] = {}
 
-    def note_neighbor(self, peer: str, now: float) -> None:
-        self.first_seen.setdefault(peer, now)
-
-    def grace_elapsed(self, peer: str, now: float) -> bool:
-        first = self.first_seen.get(peer)
-        return first is not None and now - first >= self.period
-
-    def due_peers(self, neighbors: list[str], authenticated: Collection[str],
-                  in_progress: Collection[str], now: float) -> list[str]:
+    def due(self, neighbors: Sequence[str], sessions: Collection[str], now: float) -> list[str]:
+        """The neighbours to open a handshake with now, in `neighbors` order."""
         out = []
         for peer in neighbors:
-            if peer in authenticated or peer in in_progress:
+            first = self.first_seen.setdefault(peer, now)
+            if (peer < self.node_id and now - first < self.period
+                    or peer in sessions or peer in self.initiators):
                 continue
             last = self.last_attempt.get(peer)
             if last is None or now - last >= self.period:
                 out.append(peer)
         return out
 
-    def mark(self, peer: str, now: float) -> None:
+    def open(self, peer: str, peer_user: str, pseudonym: bytes, now: float) -> bytes:
+        """Open a handshake with `peer`, whose user is `peer_user`, under our
+        `pseudonym`; returns the commit frame."""
         self.last_attempt[peer] = now
+        engine = AuthInitiator(Party(self.identity, self.revocations, pseudonym),
+                               self.rng, now, peer_user_id=peer_user)
+        self.initiators[peer] = engine
+        return engine.start()
 
+    def receive(self, tag: int, body: bytes, sender: str, peer_user: str,
+                pseudonym: bytes, now: float) -> tuple[bytes | None, _EngineBase | None]:
+        """Route a message with a tag in `HANDSHAKE_TAGS` from `sender`.
 
-def record_journey_contact(log: JourneyContactLog, peer: str, now: float) -> JourneyContactLog:
-    """Log the first-auth time and the distinct authenticated peers.
+        Returns the frame to send back and the engine the message finished,
+        or None for either.  A message for no open handshake is dropped; one
+        that fails to decode or to continue its engine's session raises
+        before it changes any state or draws from the RNG.
+        """
+        if tag == wire.AUTH_COMMIT:
+            session_id, peer_pseudonym, commitments = wire.decode_auth_commit(body)
+            if session_id in self.responders:
+                raise SessionMismatchError("handshake already committed")
+            responder = AuthResponder(Party(self.identity, self.revocations, pseudonym),
+                                      self.rng, now, peer_user_id=peer_user)
+            self.responders[session_id] = (sender, responder)
+            return responder.on_commit(session_id, peer_pseudonym, commitments), None
+        initiator = self.initiators.get(sender)
+        if tag == wire.AUTH_CHALLENGE:
+            if initiator is None:
+                return None, None
+            return initiator.on_challenge(*wire.decode_auth_challenge(body)), None
+        if tag == wire.AUTH_RESPONSE:
+            session_id, from_initiator, nonce, responses, counter = wire.decode_auth_response(body)
+            if not from_initiator:
+                if initiator is None:
+                    return None, None
+                reply = initiator.on_peer_response(session_id, False, nonce, responses, now)
+                del self.initiators[sender]
+                return reply, initiator
+            entry = self.responders.get(session_id)
+            if entry is None or entry[0] != sender:
+                return None, None
+            reply = entry[1].on_response(session_id, True, nonce, responses, counter)
+            if entry[1].outcome is None:
+                return reply, None
+            del self.responders[session_id]      # rejected: nothing more can arrive
+            return reply, entry[1]
+        session_id, accepted = wire.decode_auth_result(body)
+        entry = self.responders.get(session_id)
+        if entry is not None and entry[0] == sender:
+            entry[1].on_result(session_id, accepted, now)   # raises on a step out of turn
+            del self.responders[session_id]
+            return None, entry[1]
+        if initiator is None or initiator.session_id != session_id:
+            return None, None
+        # The responder rejected our proof; the wire carries only the verdict.
+        del self.initiators[sender]
+        initiator._finish(OUTCOME_REJECTED, REASON_PEER_REJECTED)
+        return None, initiator
 
-    Distinctness follows the session identity, so a peer re-authenticating
-    after a pseudonym change does not inflate the count.
-    """
-    log.record(peer, now)
-    return log
+    def expire(self, now: float) -> None:
+        """Drop the handshakes open longer than `HANDSHAKE_TIMEOUT`."""
+        if self.initiators:
+            for peer in [p for p, engine in self.initiators.items()
+                         if now - engine.started_at > HANDSHAKE_TIMEOUT]:
+                del self.initiators[peer]
+        if self.responders:
+            for session_id in [s for s, (_, engine) in self.responders.items()
+                               if now - engine.started_at > HANDSHAKE_TIMEOUT]:
+                del self.responders[session_id]

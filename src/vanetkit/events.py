@@ -31,6 +31,9 @@ from .geomodel import (GeoCoordinate, RoadNetwork, VehicleState, distance,
 from .trust import Certificate
 
 
+CONGESTION_TTL = 900.0   # seconds an accepted congestion event is retained
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
     speed_fraction: float = 0.4    # abnormal = slower than this fraction of the limit
@@ -38,7 +41,6 @@ class DetectionConfig:
     min_limit: float = 30.0        # km/h; slower roads never trigger detection
     cooldown: float = 300.0        # seconds between observations per road+direction
     parking_ttl: float = 60.0      # seconds a vacancy announcement stays visible
-    congestion_ttl: float = 900.0  # seconds an accepted congestion event is retained
 
     def __post_init__(self) -> None:
         if not (0.0 < self.speed_fraction < 1.0):
@@ -251,7 +253,7 @@ class EventStore:
             del self.parking[eid]
             gone.append(("parking", eid))
         for eid in [e for e, (_, t0) in self.congestion.items()
-                    if now > t0 + self.config.congestion_ttl]:
+                    if now > t0 + CONGESTION_TTL]:
             del self.congestion[eid]
             gone.append(("congestion", eid))
         for eid in [e for e, ad in self.adverts.items() if now >= ad.expiration]:

@@ -62,10 +62,8 @@ class ScenarioBundle:
 
 _CONFIG_INT = {"seed", "duration", "vehicle_count"}
 _CONFIG_FLOAT = {"tick", "obu_fraction", "radio_range", "auth_period",
-                 "session_timeout", "handshake_timeout", "forward_window",
-                 "advert_period", "min_pseudonym_lifetime", "max_pseudonym_lifetime"}
-_DETECTION_FLOAT = {"speed_fraction", "sustain_window", "min_limit", "cooldown",
-                    "parking_ttl", "congestion_ttl"}
+                 "min_pseudonym_lifetime", "max_pseudonym_lifetime"}
+_DETECTION_FLOAT = {"speed_fraction", "sustain_window", "min_limit", "cooldown", "parking_ttl"}
 
 
 def _parse_vehicle(fields: list[str], lineno: int, problems: list[str]) -> VehicleSpec | None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from . import aggregation, auth, crypto, wire
 from .aggregation import (JourneyContactLog, PendingObservation,
                           avg_users_per_minute, event_id_for, sign_observation)
-from .events import (AdvertEvent, CongestionDetector, DetectionConfig,
+from .events import (CONGESTION_TTL, AdvertEvent, CongestionDetector, DetectionConfig,
                      EventStore, ParkingEvent, ParkingMonitor, deliver_advert,
                      location_cell, walking_route)
 from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, GeoCoordinate,
@@ -44,6 +44,10 @@ _BATTERY_ORDER = {level: i for i, level in enumerate(BATTERY_LEVELS)}
 DROP_NO_SESSION = "no-session"
 DROP_WRONG_KEY = "wrong-key"
 DROP_INTEGRITY = "integrity"
+
+SESSION_TIMEOUT = 60.0    # drop a session after this long out of contact
+FORWARD_WINDOW = 5.0      # watchdog deadline for observed relaying
+ADVERT_PERIOD = 10.0      # seconds between a carrier's advert broadcasts
 
 
 def should_launch(battery: str, threshold: str) -> bool:
@@ -119,10 +123,6 @@ class SimConfig:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     min_pseudonym_lifetime: float = 120.0
     max_pseudonym_lifetime: float = 600.0
-    session_timeout: float = 60.0     # drop a session after this long out of contact
-    handshake_timeout: float = 10.0
-    forward_window: float = 5.0       # watchdog deadline for observed relaying
-    advert_period: float = 10.0
     name: str = "scenario"
     vehicles: list[VehicleSpec] = field(default_factory=list)
     zones: list[CongestionZone] = field(default_factory=list)
@@ -218,7 +218,6 @@ class _Session:
     def __init__(self, key: auth.SessionKey, peer_user: str, now: float):
         self.key = key
         self.peer_user = peer_user
-        self.established_at = now
         self.last_seen = now
 
 
@@ -226,11 +225,10 @@ class _Node:
     """Runtime state of one vehicle's protocol stack inside the simulator."""
 
     __slots__ = ("spec", "id", "user", "state", "turns", "equipped", "launched",
-                 "pseudonyms", "revocations", "sessions", "initiators", "responders",
-                 "scheduler", "journey", "detector", "parking", "store", "pending",
-                 "pending_announced", "corroboration_inbox", "parking_queue",
-                 "seen_events", "transmitted", "coop", "plan", "stats", "shown",
-                 "decrypted_events", "last_advert_sent")
+                 "pseudonyms", "revocations", "sessions", "handshakes", "journey",
+                 "detector", "parking", "store", "pending", "pending_announced",
+                 "corroboration_inbox", "parking_queue", "seen_events", "transmitted",
+                 "coop", "plan", "stats", "shown", "decrypted_events", "last_advert_sent")
 
     def __init__(self, spec: VehicleSpec, sim: "Simulation"):
         self.spec = spec
@@ -247,9 +245,8 @@ class _Node:
         self.pseudonyms: auth.PseudonymState | None = None
         self.revocations = RevocationStore(sim.known_users)
         self.sessions: dict[str, _Session] = {}
-        self.initiators: dict[str, auth.AuthInitiator] = {}      # peer id -> engine
-        self.responders: dict[bytes, tuple[str, auth.AuthResponder]] = {}
-        self.scheduler = auth.AuthScheduler(sim.config.auth_period)
+        self.handshakes = auth.Handshakes(self.id, self.user, self.revocations, sim.rng,
+                                          sim.config.auth_period)
         self.journey = JourneyContactLog()
         self.detector = CongestionDetector(sim.config.detection, spec.has_gps)
         self.parking = ParkingMonitor(sim.config.detection.parking_ttl, spec.has_gps)
@@ -541,7 +538,6 @@ class Simulation:
                 continue
             self._rotate_if_due(node, t)
             self._beacon(node, t, neighbors[node_id])
-            self._sweep_engines(node)
             self._schedule_auth(node, t, neighbors[node_id])
             self._gc_sessions(node, neighbors[node_id])
             self._detect(node)
@@ -573,46 +569,23 @@ class Simulation:
             self.audit.beacons.append(frame)
         self.radio.broadcast(node, frame, targets, t)
 
-    def _sweep_engines(self, node: _Node) -> None:
-        timeout = self.config.handshake_timeout
-        if node.initiators:
-            for peer in [p for p, eng in node.initiators.items()
-                         if self.now - eng.started_at > timeout]:
-                del node.initiators[peer]
-        if node.responders:
-            for sid in [s for s, (_, eng) in node.responders.items()
-                        if self.now - eng.started_at > timeout]:
-                del node.responders[sid]
-
     def _schedule_auth(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
         """`neighbor_ids` is in id order, as `_adjacency` returns it."""
-        # Deterministic initiator rule: the smaller node id opens the
-        # exchange; the larger one takes over after a full period so a
-        # half-open pair cannot stay stuck.
-        candidates = []
-        for peer in neighbor_ids:
-            node.scheduler.note_neighbor(peer, self.now)
-            if node.id < peer or node.scheduler.grace_elapsed(peer, self.now):
-                candidates.append(peer)
-        for peer in node.scheduler.due_peers(candidates, node.sessions, node.initiators,
-                                             self.now):
-            node.scheduler.mark(peer, self.now)
+        node.handshakes.expire(self.now)
+        for peer in node.handshakes.due(neighbor_ids, node.sessions, self.now):
             node.stats.auth_attempts += 1
-            party = auth.Party(node.user, node.revocations, node.pseudonyms.current.value)
-            engine = auth.AuthInitiator(party, self.rng, self.now,
-                                        peer_user_id=self.nodes[peer].spec.user_id)
-            node.initiators[peer] = engine
-            self.radio.unicast(node, peer, engine.start(), t)
+            frame = node.handshakes.open(peer, self.nodes[peer].spec.user_id,
+                                         node.pseudonyms.current.value, self.now)
+            self.radio.unicast(node, peer, frame, t)
 
     def _gc_sessions(self, node: _Node, neighbor_ids: list[str]) -> None:
         if not node.sessions:
             return
-        timeout = self.config.session_timeout
         stale = []
         for peer, session in node.sessions.items():
             # Staleness wins over presence so a node waking from a long
             # park drops the session its peer already gave up on.
-            if self.now - session.last_seen > timeout:
+            if self.now - session.last_seen > SESSION_TIMEOUT:
                 stale.append(peer)
             elif peer in neighbor_ids:
                 session.last_seen = self.now
@@ -670,7 +643,7 @@ class Simulation:
             if event is None:
                 continue
             del node.pending[event_id]
-            node.seen_events[event_id] = self.now + self.config.detection.congestion_ttl
+            node.seen_events[event_id] = self.now + CONGESTION_TTL
             node.store.add_congestion(event_id, event, self.now)
             self._trace(node.id, "aggregate",
                         f"event={event_id.hex()[:8]} sigs={len(event.signatures)} "
@@ -691,7 +664,7 @@ class Simulation:
             node.seen_events[event_id] = event.announced_at + event.ttl
             for peer in reachable:
                 if cooperation_gate(node.coop_record(peer)) == "serve":
-                    node.coop_record(peer).hand_over(event_id, self.now + self.config.forward_window)
+                    node.coop_record(peer).hand_over(event_id, self.now + FORWARD_WINDOW)
                     self._seal_and_send(node, peer, wire.PARKING_EVENT, payload, t)
             node.transmitted.add(event_id)
             self._trace(node.id, "announce", f"parking event={event_id.hex()[:8]}")
@@ -701,7 +674,7 @@ class Simulation:
         adverts = self._advert_carriers.get(node.id)
         if not adverts:
             return
-        if self.now - node.last_advert_sent < self.config.advert_period:
+        if self.now - node.last_advert_sent < ADVERT_PERIOD:
             return
         reachable = node.session_neighbors(neighbor_ids)
         if not reachable:
@@ -748,58 +721,13 @@ class Simulation:
         tag, body = wire.decode_frame(frame)
         if tag == wire.BEACON:
             return
-        if tag == wire.AUTH_COMMIT:
-            session_id, peer_pseudonym, commitments = wire.decode_auth_commit(body)
-            if session_id in node.responders:
-                raise auth.SessionMismatchError("handshake already committed")
-            party = auth.Party(node.user, node.revocations, node.pseudonyms.current.value)
-            engine = auth.AuthResponder(party, self.rng, self.now,
-                                        peer_user_id=self.nodes[sender].spec.user_id)
-            node.responders[session_id] = (sender, engine)
-            self.radio.unicast(node, sender,
-                               engine.on_commit(session_id, peer_pseudonym, commitments), t)
-            return
-        if tag == wire.AUTH_CHALLENGE:
-            engine = node.initiators.get(sender)
-            if engine is not None:
-                self.radio.unicast(node, sender,
-                                   engine.on_challenge(*wire.decode_auth_challenge(body)), t)
-            return
-        if tag == wire.AUTH_RESPONSE:
-            session_id, from_initiator, nonce, responses, counter_challenge = \
-                wire.decode_auth_response(body)
-            if from_initiator:
-                entry = node.responders.get(session_id)
-                if entry is None or entry[0] != sender:
-                    return
-                _, engine = entry
-                self.radio.unicast(node, sender, engine.on_response(
-                    session_id, from_initiator, nonce, responses, counter_challenge), t)
-                if engine.outcome is not None:
-                    # Rejected: nothing more can arrive for this session.
-                    del node.responders[session_id]
-                return
-            engine = node.initiators.get(sender)
-            if engine is None:
-                return
-            self.radio.unicast(node, sender, engine.on_peer_response(
-                session_id, from_initiator, nonce, responses, self.now), t)
-            del node.initiators[sender]
-            self._handshake_done(node, sender, engine, t, initiator=True)
-            return
-        if tag == wire.AUTH_RESULT:
-            session_id, accepted = wire.decode_auth_result(body)
-            entry = node.responders.pop(session_id, None)
-            if entry is None or entry[0] != sender:
-                # A result can also land at a rejected initiator; just drop
-                # the stale engine.
-                engine = node.initiators.get(sender)
-                if engine is not None and engine.session_id == session_id:
-                    del node.initiators[sender]
-                return
-            _, engine = entry
-            engine.on_result(session_id, accepted, self.now)
-            self._handshake_done(node, sender, engine, t, initiator=False)
+        if tag in auth.HANDSHAKE_TAGS:
+            reply, finished = node.handshakes.receive(
+                tag, body, sender, self.nodes[sender].spec.user_id,
+                node.pseudonyms.current.value, self.now)
+            if reply is not None:
+                self.radio.unicast(node, sender, reply, t)
+            self._handshake_done(node, sender, finished, t)
             return
         # Sealed payloads, the pseudonym change notice and every event,
         # require an established session with the sender.
@@ -817,17 +745,17 @@ class Simulation:
             return
         self._handle_payload(node, sender, tag, payload, t, neighbors)
 
-    def _handshake_done(self, node: _Node, peer: str, engine, t: int, initiator: bool) -> None:
-        """Open the session a finished handshake accepted, if it did, and send
-        the peer our revocation records; the initiator's side counts the
-        connection."""
-        if engine.outcome != auth.OUTCOME_ACCEPTED:
+    def _handshake_done(self, node: _Node, peer: str, engine, t: int) -> None:
+        """Open the session a finished handshake accepted, if one did, and
+        send the peer our revocation records; the initiator's side counts
+        the connection."""
+        if engine is None or engine.outcome != auth.OUTCOME_ACCEPTED:
             return
         peer_user = self.nodes[peer].spec.user_id
         node.sessions[peer] = _Session(engine.session_key, peer_user, self.now)
         node.stats.auth_accepted += 1
-        auth.record_journey_contact(node.journey, peer_user, self.now)
-        if initiator:
+        node.journey.record(peer_user, self.now)
+        if isinstance(engine, auth.AuthInitiator):
             self.connections += 1
         records = sorted((r.subject, r.misbehavior_count, r.revoked)
                          for r in node.revocations.records.values())
@@ -931,7 +859,7 @@ class Simulation:
             own_firing=node.detector.firing() and self._same_cell(node, event),
             plan=node.plan)
         self.events_accepted += 1
-        node.seen_events[event_id] = self.now + self.config.detection.congestion_ttl
+        node.seen_events[event_id] = self.now + CONGESTION_TTL
         node.store.add_congestion(event_id, event, self.now)
         self._trace(node.id, "receive",
                     f"congestion event={event_id.hex()[:8]} sigs={len(event.signatures)}")
@@ -996,7 +924,7 @@ class Simulation:
         for peer in node.session_neighbors(neighbor_ids):
             if cooperation_gate(node.coop_record(peer)) != "serve":
                 continue
-            node.coop_record(peer).hand_over(event_id, self.now + self.config.forward_window)
+            node.coop_record(peer).hand_over(event_id, self.now + FORWARD_WINDOW)
             self._seal_and_send(node, peer, tag, payload, t)
 
     def _seal_and_send(self, node: _Node, peer: str, tag: int, payload: bytes,

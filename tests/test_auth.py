@@ -7,9 +7,8 @@ import pytest
 
 from vanetkit import auth, crypto, wire
 from vanetkit.aggregation import JourneyContactLog
-from vanetkit.auth import (AuthScheduler, Party, PseudonymState, emit_beacon,
-                           record_journey_contact, rotate_pseudonym,
-                           zk_mutual_authenticate)
+from vanetkit.auth import (Handshakes, Party, PseudonymState, emit_beacon,
+                           rotate_pseudonym, zk_mutual_authenticate)
 from vanetkit.trust import RevocationStore, Roster, register_user
 
 
@@ -208,27 +207,74 @@ def test_pseudonym_lifetime_within_bounds():
         assert 120.0 <= lifetime <= 600.0
 
 
+def make_handshakes(node_id, roster, user_id="a", seed=14):
+    return Handshakes(node_id, roster.user(user_id), RevocationStore(set(roster.users)),
+                      random.Random(seed), period=20.0)
+
+
 def test_scheduler_rate_limits_attempts():
-    sched = AuthScheduler(period=20.0)
+    handshakes = make_handshakes("a", chain_roster())
     attempts = 0
     for t in range(45):
-        due = sched.due_peers(["peer"], set(), set(), float(t))
-        if due:
+        handshakes.expire(float(t))
+        for peer in handshakes.due(["peer"], set(), float(t)):
             attempts += 1
-            sched.mark("peer", float(t))
+            handshakes.open(peer, "b", b"p" * 16, float(t))
     assert attempts == 3   # ceil(45 / 20)
     # Already authenticated neighbors are never attempted.
-    assert sched.due_peers(["peer"], {"peer"}, set(), 100.0) == []
+    assert handshakes.due(["peer"], {"peer"}, 100.0) == []
+
+
+def test_the_larger_id_opens_after_a_full_period_in_view():
+    roster = chain_roster()
+    smaller, larger = make_handshakes("n1", roster), make_handshakes("n2", roster)
+    assert smaller.due(["n2"], set(), 0.0) == ["n2"]
+    assert larger.due(["n1"], set(), 5.0) == []
+    assert larger.due(["n1"], set(), 24.9) == []
+    assert larger.due(["n1"], set(), 25.0) == ["n1"]
+
+
+def test_one_attempt_per_peer_and_period():
+    handshakes = make_handshakes("a", chain_roster())
+    handshakes.open("p1", "b", b"p" * 16, 0.0)
+    handshakes.expire(11.0)
+    assert handshakes.initiators == {}
+    assert handshakes.due(["p1", "p2"], set(), 19.0) == ["p2"]
+    assert handshakes.due(["p1", "p2"], set(), 20.0) == ["p1", "p2"]
+
+
+def test_no_attempt_to_a_peer_with_a_session_or_an_open_initiator():
+    handshakes = make_handshakes("a", chain_roster())
+    handshakes.open("p1", "b", b"p" * 16, 0.0)
+    assert handshakes.due(["p1", "p2", "p3"], {"p2"}, 40.0) == ["p3"]
+
+
+def test_expiry_drops_only_handshakes_older_than_the_timeout():
+    roster = chain_roster()
+    a, b = make_handshakes("a", roster), make_handshakes("b", roster, "b")
+    timeout = auth.HANDSHAKE_TIMEOUT
+    for peer, now in (("old", 0.0), ("young", 5.0)):
+        commit = wire.decode_frame(a.open(peer, "b", b"p" * 16, now))
+        b.receive(*commit, sender=peer, peer_user="a", pseudonym=b"q" * 16, now=now)
+    old_session = a.initiators["old"].session_id
+    for handshakes in (a, b):
+        handshakes.expire(timeout)                    # none is older than the timeout yet
+    assert sorted(a.initiators) == ["old", "young"] and len(b.responders) == 2
+    for handshakes in (a, b):
+        handshakes.expire(timeout + 1.0)
+    assert sorted(a.initiators) == ["young"]
+    assert [peer for peer, _ in b.responders.values()] == ["young"]
+    assert old_session not in b.responders
 
 
 def test_journey_contact_log():
     log = JourneyContactLog()
-    record_journey_contact(log, "peerA", 100.0)
+    log.record("peerA", 100.0)
     assert log.first_auth_at == 100.0 and log.distinct_peers == 1
-    record_journey_contact(log, "peerA", 150.0)   # same session identity
+    log.record("peerA", 150.0)   # same session identity
     assert log.distinct_peers == 1
     for i in range(4):
-        record_journey_contact(log, f"p{i}", 200.0 + i)
+        log.record(f"p{i}", 200.0 + i)
     assert log.distinct_peers == 5
     assert log.first_auth_at == 100.0
 

@@ -1,5 +1,7 @@
 """No vanetkit module reads another one's underscore names: what a module
-keeps private stays free to change without breaking its neighbours."""
+keeps private stays free to change without breaking its neighbours.  And
+only `wire` and `auth` know the handshake: no other module names a
+handshake tag or codec of `wire` or builds an engine of `auth`."""
 
 import ast
 import pathlib
@@ -17,23 +19,24 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
-def _module_of(expr, aliases: dict[str, str]) -> str | None:
-    """The vanetkit module an expression names, if it names one."""
+def _qualified(expr, aliases: dict[str, str]) -> str | None:
+    """The vanetkit name an expression names, if it names one: a module or
+    a name read off one, qualified by its module."""
     if isinstance(expr, ast.Name):
         return aliases.get(expr.id)
     if isinstance(expr, ast.Attribute):
-        parent = _module_of(expr.value, aliases)
-        if parent is not None and f"{parent}.{expr.attr}" in MODULES:
+        parent = _qualified(expr.value, aliases)
+        if parent in MODULES:
             return f"{parent}.{expr.attr}"
     return None
 
 
-def private_reads(source: str, module: str) -> list[str]:
-    """Each place where `source`, the text of `module`, imports an
-    underscore name from another vanetkit module or reads one off it."""
-    tree = ast.parse(source)
-    aliases: dict[str, str] = {}      # local name -> the vanetkit module it is bound to
-    found = []
+def _module_names(tree) -> tuple[dict[str, str], list[tuple[int, str, str]]]:
+    """The local names `tree` binds to vanetkit modules or their names, as
+    local name -> qualified name, and each (line, module, name) it imports
+    from a vanetkit module."""
+    aliases: dict[str, str] = {}
+    imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -50,16 +53,50 @@ def private_reads(source: str, module: str) -> list[str]:
             if source_module not in MODULES:
                 continue
             for alias in node.names:
-                if _private(alias.name) and source_module != module:
-                    found.append(f"line {node.lineno}: imports {alias.name} "
-                                 f"from {source_module}")
-                if f"{source_module}.{alias.name}" in MODULES:
-                    aliases[alias.asname or alias.name] = f"{source_module}.{alias.name}"
+                imported.append((node.lineno, source_module, alias.name))
+                aliases[alias.asname or alias.name] = f"{source_module}.{alias.name}"
+    return aliases, imported
+
+
+def private_reads(source: str, module: str) -> list[str]:
+    """Each place where `source`, the text of `module`, imports an
+    underscore name from another vanetkit module or reads one off it."""
+    tree = ast.parse(source)
+    aliases, imported = _module_names(tree)
+    found = [f"line {line}: imports {name} from {owner}"
+             for line, owner, name in imported if _private(name) and owner != module]
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and _private(node.attr):
-            owner = _module_of(node.value, aliases)
-            if owner is not None and owner != module:
+            owner = _qualified(node.value, aliases)
+            if owner in MODULES and owner != module:
                 found.append(f"line {node.lineno}: reads {owner}.{node.attr}")
+    return found
+
+
+_ENGINES = {"vanetkit.auth.AuthInitiator", "vanetkit.auth.AuthResponder"}
+
+
+def _handshake_format(qualified: str) -> bool:
+    """Whether a qualified name is a handshake tag (`AUTH_*`) or a handshake
+    codec (`*_auth_*`) of `wire`."""
+    module, _, name = qualified.rpartition(".")
+    return module == "vanetkit.wire" and (name.startswith("AUTH_") or "_auth_" in name)
+
+
+def handshake_leaks(source: str) -> list[str]:
+    """Each place where `source` names a handshake tag or codec of `wire`
+    or constructs a handshake engine of `auth`."""
+    tree = ast.parse(source)
+    aliases, imported = _module_names(tree)
+    found = [f"line {line}: imports {name} from {owner}"
+             for line, owner, name in imported if _handshake_format(f"{owner}.{name}")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = _qualified(node, aliases)
+            if name is not None and _handshake_format(name):
+                found.append(f"line {node.lineno}: names {name}")
+        elif isinstance(node, ast.Call) and _qualified(node.func, aliases) in _ENGINES:
+            found.append(f"line {node.lineno}: constructs {_qualified(node.func, aliases)}")
     return found
 
 
@@ -94,3 +131,38 @@ def test_a_private_read_is_found(source):
 ])
 def test_public_and_own_reads_pass(source):
     assert private_reads(source, "vanetkit.simnet") == []
+
+
+def test_only_wire_and_auth_know_the_handshake():
+    """The simulator routes handshake frames by `auth.HANDSHAKE_TAGS` to
+    `auth.Handshakes`; the messages' format and flow stay in `wire` and
+    `auth`."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem not in ("wire", "auth"):
+            problems = handshake_leaks(path.read_text())
+            if problems:
+                found[path.name] = problems
+    assert found == {}
+
+
+@pytest.mark.parametrize("source", [
+    "from . import wire\nwire.AUTH_COMMIT\n",
+    "from . import wire\nwire.decode_auth_response(body)\n",
+    "from .wire import encode_auth_result\n",
+    "from vanetkit import wire as w\nw.AUTH_RESULT\n",
+    "import vanetkit.wire\nvanetkit.wire.AUTH_CHALLENGE\n",
+    "from . import auth\nauth.AuthInitiator(party, rng, 0.0)\n",
+    "from .auth import AuthResponder as Responder\nResponder(party, rng, 0.0)\n",
+])
+def test_a_handshake_leak_is_found(source):
+    assert handshake_leaks(source) != []
+
+
+@pytest.mark.parametrize("source", [
+    "from . import auth, wire\nwire.BEACON\nwire.decode_frame(frame)\nauth.HANDSHAKE_TAGS\n",
+    "from . import auth\nisinstance(engine, auth.AuthInitiator)\n",
+    "log.first_auth_at\n",                            # not read off wire
+])
+def test_other_wire_and_auth_names_pass(source):
+    assert handshake_leaks(source) == []

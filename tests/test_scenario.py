@@ -170,9 +170,13 @@ def test_advert_certificate_checked_against_the_named_signer(tmp_path):
     assert problems == ["advert certificate in advert.txt does not verify"]
 
 
-def test_cell_size_is_refused_not_ignored(tmp_path):
-    """The event cell is one protocol constant; a scenario that tries to set
-    it is told so instead of running with a setting that does nothing."""
-    text = GOOD_SCENARIO + "cell_size 10\n"
+@pytest.mark.parametrize("key", ["cell_size", "session_timeout", "handshake_timeout",
+                                 "forward_window", "advert_period", "congestion_ttl"])
+def test_a_protocol_constant_is_refused_not_ignored(tmp_path, key):
+    """The event cell, the timeouts, the relay watchdog window, the advert
+    period and the congestion event lifetime are protocol constants; a
+    scenario that tries to set one is told so instead of running with a
+    setting that does nothing."""
+    text = GOOD_SCENARIO + f"{key} 10\n"
     _, problems = scenario.load_bundle(write_bundle(tmp_path, text, GOOD_ROAD, GOOD_ROSTER))
-    assert problems == ["line 8: unknown scenario statement 'cell_size'"]
+    assert problems == [f"line 8: unknown scenario statement {key!r}"]

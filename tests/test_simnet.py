@@ -144,8 +144,8 @@ def test_a_rejecting_responder_leaves_its_node(monkeypatch):
     # commit at t0, challenge t1, response t2: n2 rejects it at t3
     sim.run()
     assert [e.outcome for e in rejected] == [auth.OUTCOME_REJECTED]
-    assert sim.nodes["n2"].responders == {} and sim.now < config.handshake_timeout
-    assert sim.nodes["n1"].initiators == {}    # the verdict reached n1 in the drain
+    assert sim.nodes["n2"].handshakes.responders == {} and sim.now < auth.HANDSHAKE_TIMEOUT
+    assert sim.nodes["n1"].handshakes.initiators == {}   # the verdict reached n1 in the drain
 
 
 def test_replayed_handshake_messages_change_no_draw():
@@ -407,31 +407,54 @@ def test_malformed_and_mismatched_frames_are_dropped_and_counted(tmp_path):
     sim.run()
     _, neighbors = sim._adjacency()
     d = sim.nodes["D"]
-    responders, rng_state = dict(d.responders), sim.rng.getstate()
+    responders, rng_state = dict(d.handshakes.responders), sim.rng.getstate()
     sim._handle_frame(d, "C", b"\x00\x00", 999, neighbors)
     sim._handle_frame(d, "C", wire.encode_frame(wire.AUTH_COMMIT, b"\x00" * 5), 999,
                       neighbors)
     assert sim.malformed_frames == 2
-    assert d.responders == responders and sim.rng.getstate() == rng_state
+    assert d.handshakes.responders == responders and sim.rng.getstate() == rng_state
 
     # A challenge and a counter-response naming another session than D's
     # open handshake with C leave the handshake as it was.
     party = auth.Party(d.user, d.revocations, d.pseudonyms.current.value)
     engine = auth.AuthInitiator(party, random.Random(1), sim.now)
-    d.initiators["C"] = engine
+    d.handshakes.initiators["C"] = engine
     other = bytes(16) if engine.session_id != bytes(16) else b"\x01" * 16
     challenge = wire.encode_auth_challenge(other, b"p" * 16, b"c" * 16, b"")
     response = wire.encode_auth_response(other, False, b"n" * 16, b"", b"c" * 16)
     for frame in (challenge, response):
         sim._handle_frame(d, "C", frame, 999, neighbors)
     assert sim.malformed_frames == 4
-    assert d.initiators["C"] is engine and engine.peer_commitments == b""
+    assert d.handshakes.initiators["C"] is engine and engine.peer_commitments == b""
     assert engine.outcome is None and sim.in_flight == []
     # The engines check the role flag too, not only the session id.
     with pytest.raises(auth.SessionMismatchError):
         engine.on_peer_response(engine.session_id, True, b"n" * 16, b"", sim.now)
-    del d.initiators["C"]
+    del d.handshakes.initiators["C"]
     collect_metrics(sim)
+
+
+def test_a_result_ends_a_responders_handshake_only_from_its_peer_in_turn(tmp_path):
+    """C commits to D.  A result for that session from R, a third node that
+    saw the session id in the clear, is dropped; one from C before D has
+    answered C's proof is refused and counted.  Neither ends D's open
+    handshake or draws from the RNG."""
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    _, neighbors = sim._adjacency()
+    c, d = sim.nodes["C"], sim.nodes["D"]
+    commit = c.handshakes.open("D", d.spec.user_id, c.pseudonyms.current.value, sim.now)
+    sim._handle_frame(d, "C", commit, 999, neighbors)
+    session_id = c.handshakes.initiators["D"].session_id
+    assert d.handshakes.responders[session_id][0] == "C"
+    responders, rng_state = dict(d.handshakes.responders), sim.rng.getstate()
+    malformed = sim.malformed_frames
+    result = wire.encode_auth_result(session_id, True)
+    sim._handle_frame(d, "R", result, 999, neighbors)
+    assert sim.malformed_frames == malformed
+    sim._handle_frame(d, "C", result, 999, neighbors)
+    assert sim.malformed_frames == malformed + 1
+    assert d.handshakes.responders == responders and sim.rng.getstate() == rng_state
 
 
 def test_garbage_frames_during_a_run_change_no_outcome(tmp_path):
