@@ -28,7 +28,7 @@ MIN_REQUIRED_SIGNATURES = 2
 TIME_QUANTUM = 60.0   # seconds; observations are signed against a minute bucket
 
 
-@dataclass
+@dataclass(slots=True)
 class JourneyContactLog:
     """Authentication history for the current journey."""
     first_auth_at: float | None = None

@@ -17,9 +17,20 @@ Engines are pure state machines advanced by delivered wire messages,
 one per session.  Each step happens at most once: a step the engine has
 already taken, or cannot take yet, raises `SessionMismatchError` before
 it changes any state or draws from the RNG, so a replayed message shifts
-no later draw.  An engine keeps only what a later step reads: the slot
-map is dropped once the responses are built, and the responses go out in
-the frame and are not kept.
+no later draw.  Thousands of handshakes are open at once in a large run,
+so an engine has `__slots__` and keeps only what a later step reads: its
+pseudonym, its node's revocation store and the shared candidate-key
+tuple (no `Party`), and each block only until its last reader.  The
+responses go out in the frame and are never kept; the slot map is
+dropped once they are built.  Step by step, besides its fixed fields:
+- an initiator after `start` holds its slot map and its own commitments;
+- after `on_challenge` it has hashed the transcript, so it holds the
+  transcript digest, its challenge and the peer's commitments, which
+  `on_peer_response` matches and then drops;
+- a responder after `on_commit` holds its slot map and both blocks;
+- after an accepting `on_response` it has hashed the transcript and
+  holds only the session key bytes for `on_result`.  A rejecting one
+  keeps its blocks, but its router drops it at once.
 
 One router, `Handshakes`, holds a node's open engines and its attempt
 schedule and routes each handshake message to its engine.  The
@@ -72,7 +83,7 @@ REASON_TIMEOUT = "timeout"
 REASON_PEER_REJECTED = "peer-rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pseudonym:
     value: bytes
     valid_from: float
@@ -94,7 +105,7 @@ class Beacon:
     change_notice: bytes | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionKey:
     key: bytes
     peer_pseudonym: bytes
@@ -103,6 +114,8 @@ class SessionKey:
 
 class PseudonymState:
     """Current pseudonym plus the beacon sequence counter."""
+
+    __slots__ = ("min_lifetime", "max_lifetime", "sequence", "current")
 
     def __init__(self, now: float, rng: random.Random,
                  min_lifetime: float = DEFAULT_MIN_LIFETIME,
@@ -248,11 +261,15 @@ def match_keys(own_keys: Sequence[bytes], commitments: bytes, nonce: bytes,
     return matched
 
 
-def _session_key_bytes(session_id: bytes, commitments_i: bytes,
-                       commitments_r: bytes, challenge_r: bytes, challenge_i: bytes,
-                       shared_key: bytes, nonce_i: bytes, nonce_r: bytes) -> bytes:
-    transcript = crypto.sha256(session_id, commitments_i, commitments_r,
-                               challenge_r, challenge_i)
+def _transcript_digest(session_id: bytes, commitments_i: bytes, commitments_r: bytes,
+                       challenge_r: bytes, challenge_i: bytes) -> bytes:
+    """Hash of the handshake transcript: the last reader of both
+    commitment blocks."""
+    return crypto.sha256(session_id, commitments_i, commitments_r, challenge_r, challenge_i)
+
+
+def _session_key_bytes(transcript: bytes, shared_key: bytes, nonce_i: bytes,
+                       nonce_r: bytes) -> bytes:
     return crypto.sha256(b"vk-skey", transcript, shared_key, nonce_i, nonce_r)
 
 
@@ -286,33 +303,38 @@ class Party:
 
 
 class _EngineBase:
+    __slots__ = ("pseudonym", "revocations", "keys", "rng", "started_at", "peer_user_id",
+                 "outcome", "reason", "session_key", "session_id", "nonce",
+                 "commitments", "_slots", "challenge_for_peer", "peer_commitments",
+                 "peer_pseudonym")
+
     def __init__(self, party: Party, rng: random.Random, now: float,
                  peer_user_id: str | None = None):
-        self.party = party
+        self.pseudonym = party.pseudonym
+        self.revocations = party.revocations
+        self.keys = party.identity.repository.candidate_keys()
         self.rng = rng
         self.started_at = now
         self.peer_user_id = peer_user_id
-        self.keys = party.identity.repository.candidate_keys()
         self.outcome: str | None = None
         self.reason = REASON_OK
         self.session_key: SessionKey | None = None
-        self.matched: list[bytes] = []
         self.peer_commitments = b""
         self.peer_pseudonym = b""
 
     def _shared_key(self, peer_nonce: bytes, peer_responses: bytes) -> bytes | None:
         """The shared key the peer's proof answers for, or None once the
         proof is rejected: no key of ours matches, or the peer is revoked."""
-        self.matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
-                                  self.challenge_for_peer, peer_responses)
-        if not self.matched:
+        matched = match_keys(self.keys, self.peer_commitments, peer_nonce,
+                             self.challenge_for_peer, peer_responses)
+        if not matched:
             self._finish(OUTCOME_REJECTED, REASON_NO_COMMON_FRIEND)
             return None
         if (self.peer_user_id is not None
-                and self.party.revocations.is_revoked(self.peer_user_id)):
+                and self.revocations.is_revoked(self.peer_user_id)):
             self._finish(OUTCOME_REJECTED, REASON_REVOKED)
             return None
-        return min(self.matched)
+        return min(matched)
 
     def _finish(self, outcome: str, reason: str) -> None:
         self.outcome = outcome
@@ -338,6 +360,8 @@ def _check_session(expected: bytes, got: bytes, role_ok: bool = True,
 class AuthInitiator(_EngineBase):
     """Initiator side of the five-message mutual authentication."""
 
+    __slots__ = ("_transcript",)
+
     def __init__(self, party: Party, rng: random.Random, now: float,
                  peer_user_id: str | None = None):
         super().__init__(party, rng, now, peer_user_id)
@@ -346,18 +370,20 @@ class AuthInitiator(_EngineBase):
         # the key behind each commitment slot, until the responses are built
         self.commitments, self._slots = build_commitments(self.keys, self.nonce, rng)
         self.challenge_for_peer = b""
-        self.challenge_from_peer = b""
+        self._transcript = b""
 
     def start(self) -> bytes:
-        return wire.encode_auth_commit(self.session_id, self.party.pseudonym, self.commitments)
+        return wire.encode_auth_commit(self.session_id, self.pseudonym, self.commitments)
 
     def on_challenge(self, session_id: bytes, peer_pseudonym: bytes, challenge: bytes,
                      peer_commitments: bytes) -> bytes:
         _check_session(self.session_id, session_id, step_ok=self._slots is not None)
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
-        self.challenge_from_peer = challenge
         self.challenge_for_peer = self.rng.randbytes(CHALLENGE_LEN)
+        self._transcript = _transcript_digest(session_id, self.commitments, peer_commitments,
+                                              challenge, self.challenge_for_peer)
+        self.commitments = b""
         responses = build_responses(self._slots, challenge, self.nonce, self.rng)
         self._slots = None
         return wire.encode_auth_response(self.session_id, True, self.nonce,
@@ -369,11 +395,10 @@ class AuthInitiator(_EngineBase):
         _check_session(self.session_id, session_id, role_ok=not is_initiator,
                        step_ok=self._slots is None and self.outcome is None)
         shared = self._shared_key(peer_nonce, peer_responses)
+        self.peer_commitments = b""
         if shared is None:
             return wire.encode_auth_result(self.session_id, False)
-        key = _session_key_bytes(self.session_id, self.commitments, self.peer_commitments,
-                                 self.challenge_from_peer, self.challenge_for_peer,
-                                 shared, self.nonce, peer_nonce)
+        key = _session_key_bytes(self._transcript, shared, self.nonce, peer_nonce)
         self.session_key = SessionKey(key, self.peer_pseudonym, now)
         self._finish(OUTCOME_ACCEPTED, REASON_OK)
         return wire.encode_auth_result(self.session_id, True)
@@ -382,27 +407,29 @@ class AuthInitiator(_EngineBase):
 class AuthResponder(_EngineBase):
     """Responder side; challenges first, proves second."""
 
+    __slots__ = ("_key",)
+
     def __init__(self, party: Party, rng: random.Random, now: float,
                  peer_user_id: str | None = None):
         super().__init__(party, rng, now, peer_user_id)
-        self.session_id = b""
+        self.session_id: bytes | None = None      # until the commit names it
         self.nonce = rng.randbytes(16)
         self.challenge_for_peer = rng.randbytes(CHALLENGE_LEN)
         self.commitments = b""
         # the key behind each commitment slot, from the commit until the responses
         self._slots: list[bytes | None] | None = None
-        # set once we accept the peer's proof: what the key needs if it accepts ours
-        self._pending_key_material: tuple | None = None
+        # set once we accept the peer's proof: the session key if it accepts ours
+        self._key: bytes | None = None
 
     def on_commit(self, session_id: bytes, peer_pseudonym: bytes,
                   peer_commitments: bytes) -> bytes:
-        if self.commitments:
+        if self.session_id is not None:
             raise SessionMismatchError("handshake already committed")
         self.session_id = session_id
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
         self.commitments, self._slots = build_commitments(self.keys, self.nonce, self.rng)
-        return wire.encode_auth_challenge(session_id, self.party.pseudonym,
+        return wire.encode_auth_challenge(session_id, self.pseudonym,
                                           self.challenge_for_peer, self.commitments)
 
     def on_response(self, session_id: bytes, is_initiator: bool, peer_nonce: bytes,
@@ -414,7 +441,10 @@ class AuthResponder(_EngineBase):
         shared = self._shared_key(peer_nonce, peer_responses)
         if shared is None:
             return wire.encode_auth_result(self.session_id, False)
-        self._pending_key_material = (shared, peer_nonce, counter_challenge)
+        transcript = _transcript_digest(session_id, self.peer_commitments, self.commitments,
+                                        self.challenge_for_peer, counter_challenge)
+        self.peer_commitments = self.commitments = b""
+        self._key = _session_key_bytes(transcript, shared, peer_nonce, self.nonce)
         return wire.encode_auth_response(
             self.session_id, False, self.nonce,
             build_responses(slots, counter_challenge, self.nonce, self.rng), b"\x00" * 16)
@@ -422,12 +452,8 @@ class AuthResponder(_EngineBase):
     def on_result(self, session_id: bytes, accepted: bool, now: float) -> None:
         _check_session(self.session_id, session_id,
                        step_ok=self._slots is None and self.outcome != OUTCOME_ACCEPTED)
-        if accepted and self._pending_key_material is not None:
-            shared, peer_nonce, counter_challenge = self._pending_key_material
-            key = _session_key_bytes(self.session_id, self.peer_commitments, self.commitments,
-                                     self.challenge_for_peer, counter_challenge,
-                                     shared, peer_nonce, self.nonce)
-            self.session_key = SessionKey(key, self.peer_pseudonym, now)
+        if accepted and self._key is not None:
+            self.session_key = SessionKey(self._key, self.peer_pseudonym, now)
             self._finish(OUTCOME_ACCEPTED, REASON_OK)
         else:
             # The wire carries only the verdict, so the local reason for a
@@ -449,11 +475,16 @@ def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Rando
     ids = [party.identity.user_id for party in parties]
     routers = [Handshakes(i, p.identity, p.revocations, rng) for i, p in zip(ids, parties)]
     finished: list[_EngineBase | None] = [None, None]
-    responses = [b"", b""]         # each side's response block, as sent
+    # each side's commitment and response blocks, as sent
+    commitments, responses = [b"", b""], [b"", b""]
     frame, to = routers[0].open(ids[1], ids[1], initiator.pseudonym, now), 1
     while frame is not None:
         tag, body = wire.decode_frame(frame)
-        if tag == wire.AUTH_RESPONSE:
+        if tag == wire.AUTH_COMMIT:
+            commitments[0] = wire.decode_auth_commit(body)[2]
+        elif tag == wire.AUTH_CHALLENGE:
+            commitments[1] = wire.decode_auth_challenge(body)[3]
+        elif tag == wire.AUTH_RESPONSE:
             responses[1 - to] = wire.decode_auth_response(body)[3]
         frame, done = routers[to].receive(tag, body, ids[1 - to], ids[1 - to],
                                           parties[to].pseudonym, now)
@@ -467,8 +498,8 @@ def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Rando
     transcript = AuthTranscript(
         initiator_pseudonym=initiator.pseudonym,
         responder_pseudonym=responder.pseudonym,
-        commitments_initiator=_fields(eng_i.commitments),
-        commitments_responder=_fields(eng_r.commitments),
+        commitments_initiator=_fields(commitments[0]),
+        commitments_responder=_fields(commitments[1]),
         challenge_to_initiator=eng_r.challenge_for_peer,
         challenge_to_responder=eng_i.challenge_for_peer,
         nonce_initiator=eng_i.nonce,
@@ -503,6 +534,10 @@ class Handshakes:
     session nor an open initiator one attempt per period.  The smaller id
     opens; the larger takes over once it has seen the peer for a full
     period, which heals a pair where one side lost the final message.
+
+    The schedule holds only what `due` reads: `first_seen` only peers with
+    a smaller id, and `last_attempt` only attempts less than a period old,
+    since an older one allows the next attempt as a missing one does.
     """
 
     __slots__ = ("node_id", "identity", "revocations", "rng", "period",
@@ -524,8 +559,8 @@ class Handshakes:
         """The neighbours to open a handshake with now, in `neighbors` order."""
         out = []
         for peer in neighbors:
-            first = self.first_seen.setdefault(peer, now)
-            if (peer < self.node_id and now - first < self.period
+            if (peer < self.node_id
+                    and now - self.first_seen.setdefault(peer, now) < self.period
                     or peer in sessions or peer in self.initiators):
                 continue
             last = self.last_attempt.get(peer)
@@ -594,7 +629,12 @@ class Handshakes:
         return None, initiator
 
     def expire(self, now: float) -> None:
-        """Drop the handshakes open longer than `HANDSHAKE_TIMEOUT`."""
+        """Drop the handshakes open longer than `HANDSHAKE_TIMEOUT`, and the
+        attempts a full period old."""
+        if self.last_attempt:
+            for peer in [p for p, last in self.last_attempt.items()
+                         if now - last >= self.period]:
+                del self.last_attempt[peer]
         if self.initiators:
             for peer in [p for p, engine in self.initiators.items()
                          if now - engine.started_at > HANDSHAKE_TIMEOUT]:

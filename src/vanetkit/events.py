@@ -141,6 +141,9 @@ class CongestionDetector:
     speed, in place on the state it last pushed.
     """
 
+    __slots__ = ("config", "has_gps", "times", "newest", "last_emitted", "_pushed",
+                 "_broken_at")
+
     def __init__(self, config: DetectionConfig, has_gps: bool = True):
         self.config = config
         self.has_gps = has_gps
@@ -208,6 +211,8 @@ class CongestionDetector:
 class ParkingMonitor:
     """Tracks the parked location and raises vacancy events on startup."""
 
+    __slots__ = ("ttl", "has_gps", "parked")
+
     def __init__(self, ttl: float = 60.0, has_gps: bool = True):
         self.ttl = ttl
         self.has_gps = has_gps
@@ -227,6 +232,8 @@ class ParkingMonitor:
 
 class EventStore:
     """Node-local store of received events, pruned by TTL."""
+
+    __slots__ = ("config", "parking", "congestion", "adverts")
 
     def __init__(self, config: DetectionConfig):
         self.config = config

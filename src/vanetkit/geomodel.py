@@ -38,7 +38,7 @@ class DirectiveError(Exception):
     """A mobility directive named a segment that is not adjacent here."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoCoordinate:
     x: float  # meters east of scenario origin
     y: float  # meters north of scenario origin
@@ -208,7 +208,8 @@ def grid_document(rows: int, cols: int, spacing: float = 300.0, speed_limit: flo
     return "\n".join(lines) + "\n"
 
 
-@dataclass
+# Weak-referenceable so a test can see the detector free an old state.
+@dataclass(slots=True, weakref_slot=True)
 class VehicleState:
     node_id: str
     segment_id: str

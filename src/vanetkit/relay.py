@@ -158,7 +158,7 @@ def decide_relay(event: AggregatedEvent, verified: bool, seen: bool,
     return RelayDecision(ACTION_FORWARD)
 
 
-@dataclass
+@dataclass(slots=True)
 class CooperationRecord:
     """Watchdog view of one peer's relaying behaviour over the session."""
     opportunities: int = 0      # events handed to the peer, observation window closed

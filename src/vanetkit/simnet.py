@@ -70,7 +70,7 @@ def assign_obus(vehicle_ids, obu_fraction: float, seed: int) -> set[str]:
     return set(ids[:n])
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleSpec:
     vehicle_id: str
     user_id: str
@@ -156,7 +156,7 @@ class SimConfig:
         return len(self.vehicles) + self.vehicle_count
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeStats:
     generated: int = 0
     sent: int = 0
@@ -215,6 +215,8 @@ class AuditLog:
 
 
 class _Session:
+    __slots__ = ("key", "peer_user", "last_seen")
+
     def __init__(self, key: auth.SessionKey, peer_user: str, now: float):
         self.key = key
         self.peer_user = peer_user

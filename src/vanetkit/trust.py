@@ -243,6 +243,8 @@ class RevocationRecord:
 class RevocationStore:
     """Per-node devaluation ledger; revokes at the misbehavior threshold."""
 
+    __slots__ = ("threshold", "known_users", "records")
+
     def __init__(self, known_users: Iterable[str] | None = None,
                  threshold: int = REVOCATION_THRESHOLD):
         self.threshold = threshold

@@ -4,6 +4,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetkit import auth, crypto, wire
 from vanetkit.aggregation import JourneyContactLog
@@ -243,6 +245,58 @@ def test_one_attempt_per_peer_and_period():
     assert handshakes.due(["p1", "p2"], set(), 20.0) == ["p1", "p2"]
 
 
+class _ReferenceSchedule:
+    """The attempt rule as it was first written: `first_seen` holds every
+    neighbour ever seen and `last_attempt` every attempt ever made."""
+
+    def __init__(self, node_id, period):
+        self.node_id, self.period = node_id, period
+        self.first_seen, self.last_attempt = {}, {}
+
+    def due(self, neighbors, sessions, initiators, now):
+        out = []
+        for peer in neighbors:
+            first = self.first_seen.setdefault(peer, now)
+            if (peer < self.node_id and now - first < self.period
+                    or peer in sessions or peer in initiators):
+                continue
+            last = self.last_attempt.get(peer)
+            if last is None or now - last >= self.period:
+                out.append(peer)
+        return out
+
+
+_PEERS = ["b", "d", "f", "h"]       # on both sides of the node id "e"
+_steps = st.lists(st.tuples(
+    st.one_of(st.sampled_from([0.0, 0.5, 9.5, 10.0, 10.5, 19.5, 20.0, 20.5]),
+              st.floats(min_value=0.0, max_value=45.0)),
+    st.lists(st.sampled_from(_PEERS), unique=True),
+    st.lists(st.sampled_from(_PEERS), unique=True)), max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_steps)
+def test_the_schedule_picks_as_the_rule_that_keeps_every_entry(steps):
+    """`due` keeps `first_seen` only for smaller ids and forgets attempts a
+    full period old; over any neighbour sequence it picks what the rule
+    that keeps every entry picks."""
+    handshakes = make_handshakes("e", chain_roster())
+    reference = _ReferenceSchedule("e", handshakes.period)
+    now = 0.0
+    for dt, neighbors, sessions in steps:
+        now += dt
+        handshakes.expire(now)
+        picks = handshakes.due(sorted(neighbors), set(sessions), now)
+        assert picks == reference.due(sorted(neighbors), set(sessions),
+                                      handshakes.initiators, now)
+        for peer in picks:
+            handshakes.open(peer, "b", b"p" * 16, now)
+            reference.last_attempt[peer] = now
+        assert all(peer < "e" for peer in handshakes.first_seen)
+        assert all(now - last < handshakes.period
+                   for last in handshakes.last_attempt.values())
+
+
 def test_no_attempt_to_a_peer_with_a_session_or_an_open_initiator():
     handshakes = make_handshakes("a", chain_roster())
     handshakes.open("p1", "b", b"p" * 16, 0.0)
@@ -279,6 +333,12 @@ def test_journey_contact_log():
     assert log.first_auth_at == 100.0
 
 
+def _slot_values(engine):
+    """Every slot of a handshake engine, by name."""
+    return {name: getattr(engine, name) for cls in type(engine).__mro__
+            for name in getattr(cls, "__slots__", ())}
+
+
 def test_engines_refuse_messages_of_another_session():
     """Each handshake step checks the session id and role it is given and
     raises before touching the engine's state; this holds under -O too."""
@@ -299,10 +359,11 @@ def test_engines_refuse_messages_of_another_session():
     response = wire.decode_auth_response(body(initiator.on_challenge(*challenge)))
     stray_response = (other, True, b"n" * 16, b"", b"c" * 16)
     wrong_role = (initiator.session_id, False, b"n" * 16, b"", b"c" * 16)
+    state = _slot_values(responder)
     for message in (stray_response, wrong_role):
         with pytest.raises(auth.SessionMismatchError):
             responder.on_response(*message)
-    assert responder.outcome is None and responder.matched == []
+    assert responder.outcome is None and _slot_values(responder) == state
     session_id, is_initiator, nonce, responses, _ = wire.decode_auth_response(
         body(responder.on_response(*response)))
     result = wire.decode_auth_result(body(initiator.on_peer_response(
@@ -315,10 +376,10 @@ def test_engines_refuse_messages_of_another_session():
 
 
 # Per engine, besides its blocks: the engine object, its slot map and its
-# 16-byte fields.  One block of 32-byte fields held as separate `bytes`
-# objects costs about 680 bytes more than the block, so an allowance under
-# that keeps the test failing for a per-field layout.
-_ENGINE_ALLOWANCE = 1000
+# 16-byte fields, 440 to 560 bytes by tracemalloc on CPython 3.11.  The
+# allowance fails the test for one block more than expected (545 bytes) or
+# for a block held as separate 32-byte `bytes` objects (about 680 more).
+_ENGINE_ALLOWANCE = 700
 
 
 def _retained_per_item(make, n=100):
@@ -338,14 +399,19 @@ def _retained_per_item(make, n=100):
 
 
 def test_open_handshakes_hold_their_fields_as_blocks():
-    """An initiator after `start()` holds one block of commitments; a
-    responder after `on_commit` holds its own and the peer's."""
+    """An initiator after `start()` holds one block of commitments, and
+    after `on_challenge` only the peer's; a responder after `on_commit`
+    holds its own and the peer's, and after accepting the initiator's proof
+    none: the transcript is hashed by then."""
     rng = random.Random(12)
     roster = chain_roster()
     a, b = make_party(roster, "a", rng), make_party(roster, "b", rng)
     frames = [wire.decode_frame(auth.AuthInitiator(a, rng, 0.0).start())[1]
               for _ in range(100)]
     block = sys.getsizeof(bytes(32 * auth.PAD_COMMITMENTS))
+
+    def body(frame):
+        return wire.decode_frame(frame)[1]
 
     def initiator(_):
         engine = auth.AuthInitiator(a, rng, 0.0)
@@ -357,9 +423,26 @@ def test_open_handshakes_hold_their_fields_as_blocks():
         engine.on_commit(*wire.decode_auth_commit(frames[i]))
         return engine
 
-    initiator(0), responder(0)      # memoised keys and hash states
+    def challenged_initiator(_):
+        engine, peer = auth.AuthInitiator(a, rng, 0.0), auth.AuthResponder(b, rng, 0.0)
+        challenge = peer.on_commit(*wire.decode_auth_commit(body(engine.start())))
+        engine.on_challenge(*wire.decode_auth_challenge(body(challenge)))
+        return engine
+
+    def accepting_responder(_):
+        peer, engine = auth.AuthInitiator(a, rng, 0.0), auth.AuthResponder(b, rng, 0.0)
+        challenge = engine.on_commit(*wire.decode_auth_commit(body(peer.start())))
+        response = peer.on_challenge(*wire.decode_auth_challenge(body(challenge)))
+        reply = engine.on_response(*wire.decode_auth_response(body(response)))
+        assert wire.decode_frame(reply)[0] == wire.AUTH_RESPONSE    # accepted
+        return engine
+
+    for make in (initiator, responder, challenged_initiator, accepting_responder):
+        make(0)                     # memoised keys and hash states
     assert _retained_per_item(initiator) <= block + _ENGINE_ALLOWANCE
     assert _retained_per_item(responder) <= 2 * block + _ENGINE_ALLOWANCE
+    assert _retained_per_item(challenged_initiator) <= block + _ENGINE_ALLOWANCE
+    assert _retained_per_item(accepting_responder) <= _ENGINE_ALLOWANCE
 
 
 def _handshake_to_step(peer, upto):
@@ -398,10 +481,10 @@ def test_each_handshake_step_happens_once(upto):
     rng, eng_i, eng_r, taken = _handshake_to_step("b", upto)
     step, args = taken[-1]
     engine = step.__self__
-    state, before = dict(vars(engine)), rng.getstate()
+    state, before = _slot_values(engine), rng.getstate()
     with pytest.raises(auth.SessionMismatchError):
         step(*args)
-    assert vars(engine) == state and rng.getstate() == before
+    assert _slot_values(engine) == state and rng.getstate() == before
     if upto == 5:
         assert eng_i.outcome == eng_r.outcome == auth.OUTCOME_ACCEPTED
 
@@ -423,6 +506,17 @@ def test_steps_out_of_order_are_refused():
     with pytest.raises(auth.SessionMismatchError):       # no response yet
         eng_r.on_result(eng_r.session_id, True, 0.0)
     assert eng_i.outcome is None and eng_r.outcome is None
+
+
+def test_engines_drop_each_block_after_its_last_reader():
+    """The initiator drops its own block once the transcript is hashed and
+    the peer's once it has checked the peer's proof; an accepting
+    responder drops both once the transcript is hashed."""
+    _, eng_i, eng_r, _ = _handshake_to_step("b", 2)
+    assert eng_i.commitments == b"" and eng_i.peer_commitments != b""
+    _, eng_i, eng_r, _ = _handshake_to_step("b", 4)
+    assert eng_r.outcome is None and eng_r.commitments == eng_r.peer_commitments == b""
+    assert eng_i.outcome == auth.OUTCOME_ACCEPTED and eng_i.peer_commitments == b""
 
 
 def test_engines_drop_the_slot_map_once_the_responses_are_built():
