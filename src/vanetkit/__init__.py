@@ -14,8 +14,8 @@ surface.
 """
 
 from .geomodel import (FORWARD, REVERSE, GeoCoordinate, MobilityDirective,
-                       MobilityTrace, RoadNetwork, RoadSegment, VehicleState,
-                       advance_vehicle, distance, grid_document, load_network)
+                       RoadNetwork, RoadSegment, VehicleState, advance_vehicle,
+                       distance, grid_document, load_network)
 from .trust import (Certificate, CertificateRepository, KeyPair,
                     RevocationRecord, RevocationStore, Roster, TrustGraph,
                     common_friends, exchange_revocations, load_roster,

@@ -65,9 +65,8 @@ from dataclasses import dataclass
 
 from . import crypto, wire
 from .trust import RevocationStore, UserIdentity, exchange_revocations
+from .wire import CHALLENGE_LEN, FIELD_LEN, PSEUDONYM_LEN
 
-PSEUDONYM_LEN = 16
-CHALLENGE_LEN = 16
 PAD_COMMITMENTS = 16
 DEFAULT_MIN_LIFETIME = 120.0
 DEFAULT_MAX_LIFETIME = 600.0
@@ -164,7 +163,6 @@ def emit_beacon(state: PseudonymState, tick: int) -> tuple[Beacon, bytes]:
 _COMMIT_LABEL = b"vk-commit"
 _RESPONSE_LABEL = b"vk-resp"
 _HMAC_BLOCK = 64   # sha256 block size
-_FIELD_LEN = 32     # one commitment or response; sha256 and HMAC-SHA256 digests
 
 
 def _commitment_prefix(nonce: bytes):
@@ -203,8 +201,8 @@ def _response(key: bytes, message: bytes) -> bytes:
 def _padding(slots: list[bytes | None], rng: random.Random):
     """Iterator over a random field per padding slot, in slot order, cut
     from one draw: the same bytes as one `randbytes(32)` per slot."""
-    pad = rng.randbytes(_FIELD_LEN * slots.count(None))
-    return iter([pad[i:i + _FIELD_LEN] for i in range(0, len(pad), _FIELD_LEN)])
+    pad = rng.randbytes(FIELD_LEN * slots.count(None))
+    return iter([pad[i:i + FIELD_LEN] for i in range(0, len(pad), FIELD_LEN)])
 
 
 def build_commitments(keys: Sequence[bytes], nonce: bytes,
@@ -244,7 +242,7 @@ def match_keys(own_keys: Sequence[bytes], commitments: bytes, nonce: bytes,
     """Keys of ours consistent with a commitment/response pair: the first
     commitment field equal to the key's commitment has the key's response
     in the same field of `responses`.  Fields start at multiples of 32."""
-    if len(commitments) != len(responses) or len(commitments) % _FIELD_LEN:
+    if len(commitments) != len(responses) or len(commitments) % FIELD_LEN:
         return []
     prefix = _commitment_prefix(nonce)
     message = _RESPONSE_LABEL + challenge + nonce
@@ -254,7 +252,7 @@ def match_keys(own_keys: Sequence[bytes], commitments: bytes, nonce: bytes,
         h.update(key)
         digest = h.digest()
         at = commitments.find(digest)
-        while at > 0 and at % _FIELD_LEN:
+        while at > 0 and at % FIELD_LEN:
             at = commitments.find(digest, at + 1)
         if at >= 0 and responses.startswith(_response(key, message), at):
             matched.append(key)
@@ -274,7 +272,7 @@ def _session_key_bytes(transcript: bytes, shared_key: bytes, nonce_i: bytes,
 
 
 def _fields(block: bytes) -> tuple[bytes, ...]:
-    return tuple(block[i:i + _FIELD_LEN] for i in range(0, len(block), _FIELD_LEN))
+    return tuple(block[i:i + FIELD_LEN] for i in range(0, len(block), FIELD_LEN))
 
 
 @dataclass
@@ -451,15 +449,14 @@ class AuthResponder(_EngineBase):
 
     def on_result(self, session_id: bytes, accepted: bool, now: float) -> None:
         _check_session(self.session_id, session_id,
-                       step_ok=self._slots is None and self.outcome != OUTCOME_ACCEPTED)
+                       step_ok=self._slots is None and self.outcome is None)
         if accepted and self._key is not None:
             self.session_key = SessionKey(self._key, self.peer_pseudonym, now)
             self._finish(OUTCOME_ACCEPTED, REASON_OK)
         else:
             # The wire carries only the verdict, so the local reason for a
             # peer-side rejection stays generic.
-            self._finish(OUTCOME_REJECTED,
-                         self.reason if self.outcome else REASON_PEER_REJECTED)
+            self._finish(OUTCOME_REJECTED, REASON_PEER_REJECTED)
 
 
 def zk_mutual_authenticate(initiator: Party, responder: Party, rng: random.Random,

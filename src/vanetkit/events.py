@@ -32,6 +32,7 @@ from .trust import Certificate
 
 
 CONGESTION_TTL = 900.0   # seconds an accepted congestion event is retained
+PARKING_TTL = 60.0       # seconds a vacancy announcement stays visible, by default
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class DetectionConfig:
     sustain_window: float = 60.0   # seconds the abnormal speed must hold
     min_limit: float = 30.0        # km/h; slower roads never trigger detection
     cooldown: float = 300.0        # seconds between observations per road+direction
-    parking_ttl: float = 60.0      # seconds a vacancy announcement stays visible
+    parking_ttl: float = PARKING_TTL
 
     def __post_init__(self) -> None:
         if not (0.0 < self.speed_fraction < 1.0):
@@ -62,7 +63,7 @@ class CongestionObservation:
 class ParkingEvent:
     location: GeoCoordinate
     announced_at: float
-    ttl: float = 60.0
+    ttl: float = PARKING_TTL
 
     def visible(self, now: float) -> bool:
         # Inclusive boundary: still visible at exactly announced_at + ttl.
@@ -213,7 +214,7 @@ class ParkingMonitor:
 
     __slots__ = ("ttl", "has_gps", "parked")
 
-    def __init__(self, ttl: float = 60.0, has_gps: bool = True):
+    def __init__(self, ttl: float = PARKING_TTL, has_gps: bool = True):
         self.ttl = ttl
         self.has_gps = has_gps
         self.parked: ParkedLocation | None = None
@@ -231,15 +232,19 @@ class ParkingMonitor:
 
 
 class EventStore:
-    """Node-local store of received events, pruned by TTL."""
+    """Node-local store of events, pruned by TTL: the one record of which
+    congestion and parking events a node holds."""
 
-    __slots__ = ("config", "parking", "congestion", "adverts")
+    __slots__ = ("parking", "congestion", "adverts")
 
-    def __init__(self, config: DetectionConfig):
-        self.config = config
+    def __init__(self):
         self.parking: dict[bytes, ParkingEvent] = {}
         self.congestion: dict[bytes, tuple[object, float]] = {}   # id -> (event, stored_at)
         self.adverts: dict[bytes, AdvertEvent] = {}
+
+    def holds(self, event_id: bytes) -> bool:
+        """True for a congestion or parking event id the store holds."""
+        return event_id in self.congestion or event_id in self.parking
 
     def add_parking(self, event_id: bytes, event: ParkingEvent) -> None:
         self.parking[event_id] = event

@@ -1,12 +1,13 @@
-"""Road network geometry, vehicle kinematics and mobility traces.
+"""Road network geometry and vehicle kinematics.
 
 Coordinates are planar meters relative to a scenario origin; distances
 are Euclidean, which keeps the radio-range arithmetic exact.  Lanes are
-collapsed to a per-segment one-way/two-way flag.  All operations here
-are pure value transformations driven single-threaded by the simulator.
+collapsed to a per-segment one-way/two-way flag, and `RoadNetwork.exits`
+is the one rule for entering a segment.  All operations here are pure
+value transformations driven single-threaded by the simulator.
 `shortest_path` is the one Dijkstra search: route planning calls it on
-the road network, and walking routes on a copy whose snapped segments
-are split at the walker's endpoints.
+the road network, and walking routes on a two-way copy whose snapped
+segments are split at the walker's endpoints.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 FORWARD = "fwd"   # travel from junction_a towards junction_b
 REVERSE = "rev"
@@ -34,8 +35,16 @@ class DocumentError(Exception):
         super().__init__("; ".join(problems))
 
 
+def document_statements(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each statement of a line-oriented input
+    document; `#` starts a comment.  A generator expression, not a generator
+    function, so that a profiler counts one call per document."""
+    return ((lineno, fields) for lineno, line in enumerate(text.splitlines(), start=1)
+            if (fields := line.split("#", 1)[0].split()))
+
+
 class DirectiveError(Exception):
-    """A mobility directive named a segment that is not adjacent here."""
+    """A turn or route step names a segment that cannot be entered here."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,17 +94,34 @@ class RoadSegment:
 
 
 class RoadNetwork:
-    """Segments plus junction adjacency derived from shared endpoints."""
+    """Segments plus junction adjacency derived from shared endpoints.
+
+    `exits[junction]` is the one entry rule: segment id -> (direction, exit
+    junction) for each segment a vehicle may enter at the junction, in id
+    order.  A one-way street is entered only at its start."""
 
     def __init__(self, junctions: dict[str, GeoCoordinate], segments: dict[str, RoadSegment]):
         self.junctions = junctions
         self.segments = segments
         self.adjacency: dict[str, list[str]] = {j: [] for j in junctions}
-        for seg in segments.values():
-            self.adjacency[seg.junction_a].append(seg.segment_id)
-            self.adjacency[seg.junction_b].append(seg.segment_id)
-        for seg_ids in self.adjacency.values():
-            seg_ids.sort()
+        self.exits: dict[str, dict[str, tuple[str, str]]] = {j: {} for j in junctions}
+        for seg_id in sorted(segments):
+            seg = segments[seg_id]
+            self.adjacency[seg.junction_a].append(seg_id)
+            self.adjacency[seg.junction_b].append(seg_id)
+            self.exits[seg.junction_a][seg_id] = (FORWARD, seg.junction_b)
+            if not seg.oneway:
+                self.exits[seg.junction_b][seg_id] = (REVERSE, seg.junction_a)
+
+    def enter(self, junction_id: str, segment_id: str) -> tuple[str, str]:
+        """(direction, exit junction) for entering `segment_id` at
+        `junction_id`; DirectiveError where `exits` does not allow it."""
+        step = self.exits[junction_id].get(segment_id)
+        if step is not None:
+            return step
+        if segment_id in self.adjacency[junction_id]:
+            raise DirectiveError(f"segment {segment_id!r} is one-way, cannot enter at {junction_id!r}")
+        raise DirectiveError(f"segment {segment_id!r} is not adjacent to junction {junction_id!r}")
 
     def degree(self, junction_id: str) -> int:
         return len(self.adjacency[junction_id])
@@ -134,11 +160,7 @@ def load_network(text: str) -> RoadNetwork:
     junctions: dict[str, GeoCoordinate] = {}
     raw_segments: list[tuple[int, list[str]]] = []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        fields = body.split()
+    for lineno, fields in document_statements(text):
         kind = fields[0]
         if kind == "junction":
             if len(fields) != 4:
@@ -230,41 +252,6 @@ class MobilityDirective:
     turns: list[str] = field(default_factory=list)
 
 
-@dataclass
-class MobilityTrace:
-    node_id: str
-    samples: list[tuple[float, VehicleState]] = field(default_factory=list)
-
-
-def validate_trace(trace: MobilityTrace, network: RoadNetwork, slack: float = 0.10) -> list[str]:
-    """Check timestamp ordering and speed/position consistency (10% slack)."""
-    problems = []
-    prev_t, prev_state = None, None
-    for t, state in trace.samples:
-        if prev_t is not None:
-            if t <= prev_t:
-                problems.append(f"timestamps not strictly increasing at t={t}")
-            else:
-                moved = distance(prev_state.position(network), state.position(network))
-                allowed = (prev_state.speed / 3.6) * (t - prev_t) * (1 + slack) + 1e-6
-                if moved > allowed:
-                    problems.append(f"jump of {moved:.2f} m at t={t} exceeds speed budget")
-        prev_t, prev_state = t, state
-    return problems
-
-
-def _enter_segment(network: RoadNetwork, junction: str, segment_id: str) -> str:
-    """Direction of travel when entering `segment_id` at `junction`."""
-    seg = network.segments[segment_id]
-    if seg.junction_a == junction:
-        return FORWARD
-    if seg.junction_b == junction:
-        if seg.oneway:
-            raise DirectiveError(f"segment {segment_id!r} is one-way, cannot enter at {junction!r}")
-        return REVERSE
-    raise DirectiveError(f"segment {segment_id!r} is not adjacent to junction {junction!r}")
-
-
 def advance_vehicle(state: VehicleState, network: RoadNetwork, dt: float,
                     directive: MobilityDirective) -> VehicleState:
     """Advance along the heading segment by speed*dt, turning per directive.
@@ -294,7 +281,7 @@ def advance_vehicle(state: VehicleState, network: RoadNetwork, dt: float,
             offset = seg.length  # clamp at segment end
             break
         segment_id = turns.pop(0)
-        direction = _enter_segment(network, junction, segment_id)
+        direction = network.enter(junction, segment_id)[0]
         seg = network.segments[segment_id]
         offset = 0.0
 
@@ -304,8 +291,7 @@ def advance_vehicle(state: VehicleState, network: RoadNetwork, dt: float,
 
 
 def shortest_path(network: RoadNetwork, start: str, goal: str,
-                  weight: Callable[[RoadSegment, str], float],
-                  respect_oneway: bool = True) -> tuple[list[str], float] | None:
+                  weight: Callable[[RoadSegment, str], float]) -> tuple[list[str], float] | None:
     """Dijkstra over junctions; returns (segment id path, cost) or None.
 
     `weight(segment, direction)` prices one traversal.  Ties break on
@@ -322,16 +308,8 @@ def shortest_path(network: RoadNetwork, start: str, goal: str,
         done.add(here)
         if here == goal:
             break
-        for seg_id in network.segments_at(here):
-            seg = network.segments[seg_id]
-            try:
-                direction = _enter_segment(network, here, seg_id)
-            except DirectiveError:
-                if respect_oneway:
-                    continue
-                direction = REVERSE
-            nxt = seg.exit_junction(direction)
-            nd = d + weight(seg, direction)
+        for seg_id, (direction, nxt) in network.exits[here].items():
+            nd = d + weight(network.segments[seg_id], direction)
             if nxt not in dist or nd < dist[nxt]:
                 dist[nxt] = nd
                 prev[nxt] = (here, seg_id)
@@ -388,7 +366,8 @@ def path_between_points(network: RoadNetwork, origin: GeoCoordinate,
              "@target": snap_to_network(network, target)}
     junctions = dict(network.junctions)
     junctions.update((label, snap.point) for label, snap in snaps.items())
-    segments = dict(network.segments)
+    segments = {seg_id: replace(seg, oneway=False) if seg.oneway else seg
+                for seg_id, seg in network.segments.items()}
     cost: dict[str, float] = {}   # piece id -> walking cost
     for seg_id in sorted({snap.segment_id for snap in snaps.values()}):
         seg = segments.pop(seg_id)
@@ -400,17 +379,16 @@ def path_between_points(network: RoadNetwork, origin: GeoCoordinate,
             segments[piece] = RoadSegment(piece, a, b, junctions[a], junctions[b],
                                           seg.speed_limit)
             cost[piece] = 0.0 if seg.length == 0 else seg.length * ((m1 - m0) / seg.length)
-    found = shortest_path(RoadNetwork(junctions, segments), "@origin", "@target",
-                          lambda seg, direction: cost.get(seg.segment_id, seg.length),
-                          respect_oneway=False)
+    walk = RoadNetwork(junctions, segments)
+    found = shortest_path(walk, "@origin", "@target",
+                          lambda seg, direction: cost.get(seg.segment_id, seg.length))
     if found is None:
         raise ValueError("no path between points")
     seg_ids, total = found
     here = "@origin"
     points = [junctions[here]]
     for seg_id in seg_ids:
-        seg = segments[seg_id]
-        here = seg.junction_b if seg.junction_a == here else seg.junction_a
+        here = walk.enter(here, seg_id)[1]
         # Drop zero-length duplicates from snapping exactly onto a junction.
         if distance(junctions[here], points[-1]) > 0:
             points.append(junctions[here])

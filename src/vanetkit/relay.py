@@ -73,13 +73,9 @@ def plan_route(network: RoadNetwork, start_junction: str, goal_junction: str,
     junctions = [start_junction]
     directions = []
     for seg_id in seg_ids:
-        seg = network.segments[seg_id]
-        if seg.junction_a == junctions[-1]:
-            directions.append("fwd")
-            junctions.append(seg.junction_b)
-        else:
-            directions.append("rev")
-            junctions.append(seg.junction_a)
+        direction, here = network.enter(junctions[-1], seg_id)
+        directions.append(direction)
+        junctions.append(here)
     return RoutePlan(network.junctions[start_junction], network.junctions[goal_junction],
                      tuple(seg_ids), tuple(directions), tuple(junctions), cost)
 

@@ -32,9 +32,11 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
+from typing import get_type_hints
 
 from .events import AdvertEvent, DetectionConfig, advert_certificate_verifies
-from .geomodel import DocumentError, GeoCoordinate, RoadNetwork, load_network
+from .geomodel import (DirectiveError, DocumentError, GeoCoordinate, RoadNetwork,
+                       document_statements, load_network)
 from .simnet import (CongestionZone, FindDirective, ParkDirective, SimConfig,
                      Simulation, VehicleSpec)
 from .trust import Certificate, Roster, load_roster
@@ -60,10 +62,11 @@ class ScenarioBundle:
         return Simulation(self.config, self.network, self.roster)
 
 
-_CONFIG_INT = {"seed", "duration", "vehicle_count"}
-_CONFIG_FLOAT = {"tick", "obu_fraction", "radio_range", "auth_period",
-                 "min_pseudonym_lifetime", "max_pseudonym_lifetime"}
-_DETECTION_FLOAT = {"speed_fraction", "sustain_window", "min_limit", "cooldown", "parking_ttl"}
+# Each int or float field of the config dataclasses is one statement `<field> <value>`.
+_CONFIG_INT = {name for name, hint in get_type_hints(SimConfig).items() if hint is int}
+_CONFIG_FLOAT = {name for name, hint in get_type_hints(SimConfig).items() if hint is float}
+_DETECTION_FLOAT = {name for name, hint in get_type_hints(DetectionConfig).items()
+                    if hint is float}
 
 
 def _parse_vehicle(fields: list[str], lineno: int, problems: list[str]) -> VehicleSpec | None:
@@ -117,11 +120,7 @@ def parse_scenario(text: str, problems: list[str]) -> tuple[SimConfig, str, str,
     road_path = ""
     roster_path = ""
     advert_paths: list[tuple[str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        fields = body.split()
+    for lineno, fields in document_statements(text):
         key = fields[0]
         try:
             if key == "name":
@@ -168,11 +167,7 @@ def load_advert(text: str, roster: Roster, problems: list[str]) -> AdvertEvent |
     company = message = logo = None
     location = radius = expiry = None
     cert: Certificate | None = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        fields = body.split()
+    for lineno, fields in document_statements(text):
         if fields[0] == "advert":
             if len(fields) < 7:
                 problems.append(f"advert line {lineno}: needs company, x, y, radius, expiry, message")
@@ -283,17 +278,21 @@ def _cross_validate(config: SimConfig, network: RoadNetwork | None,
             continue
         if spec.segment not in network.segments:
             problems.append(f"vehicle {spec.vehicle_id!r} starts on unknown segment {spec.segment!r}")
-        else:
-            here = network.segments[spec.segment].exit_junction(spec.direction)
-            for seg_id in spec.route:
-                seg = network.segments.get(seg_id)
-                if seg is None:
-                    problems.append(f"vehicle {spec.vehicle_id!r} route names unknown segment {seg_id!r}")
-                    break
-                if here not in (seg.junction_a, seg.junction_b):
-                    problems.append(f"vehicle {spec.vehicle_id!r} route breaks at {seg_id!r}")
-                    break
-                here = seg.junction_b if seg.junction_a == here else seg.junction_a
+            continue
+        seg = network.segments[spec.segment]
+        if spec.segment not in network.exits[seg.entry_junction(spec.direction)]:
+            problems.append(f"vehicle {spec.vehicle_id!r} starts the wrong way "
+                            f"on one-way segment {spec.segment!r}")
+        here = seg.exit_junction(spec.direction)
+        for seg_id in spec.route:
+            if seg_id not in network.segments:
+                problems.append(f"vehicle {spec.vehicle_id!r} route names unknown segment {seg_id!r}")
+                break
+            try:
+                _, here = network.enter(here, seg_id)
+            except DirectiveError as err:
+                problems.append(f"vehicle {spec.vehicle_id!r} route breaks: {err}")
+                break
     if users is not None and config.vehicle_count > 0 \
             and len(users) < config.total_vehicles():
         problems.append("roster must provide one user per vehicle")

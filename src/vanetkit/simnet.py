@@ -21,14 +21,14 @@ import math
 import random
 import struct
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import aggregation, auth, crypto, wire
 from .aggregation import (JourneyContactLog, PendingObservation,
                           avg_users_per_minute, event_id_for, sign_observation)
-from .events import (CONGESTION_TTL, AdvertEvent, CongestionDetector, DetectionConfig,
-                     EventStore, ParkingEvent, ParkingMonitor, deliver_advert,
-                     location_cell, walking_route)
+from .events import (AdvertEvent, CongestionDetector, DetectionConfig, EventStore,
+                     ParkingEvent, ParkingMonitor, deliver_advert, location_cell,
+                     walking_route)
 from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, GeoCoordinate,
                        MobilityDirective, RoadNetwork, VehicleState,
                        advance_vehicle)
@@ -118,11 +118,11 @@ class SimConfig:
     vehicle_count: int = 0            # background fleet; 0 = scripted only
     obu_fraction: float = 1.0
     radio_range: float = 75.0
-    auth_period: float = 20.0
+    auth_period: float = auth.DEFAULT_AUTH_PERIOD
     battery_threshold: str = "low"
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-    min_pseudonym_lifetime: float = 120.0
-    max_pseudonym_lifetime: float = 600.0
+    min_pseudonym_lifetime: float = auth.DEFAULT_MIN_LIFETIME
+    max_pseudonym_lifetime: float = auth.DEFAULT_MAX_LIFETIME
     name: str = "scenario"
     vehicles: list[VehicleSpec] = field(default_factory=list)
     zones: list[CongestionZone] = field(default_factory=list)
@@ -167,8 +167,10 @@ class NodeStats:
     auth_accepted: int = 0
 
     def as_row(self) -> list[int]:
-        return [self.generated, self.sent, self.broadcasted, self.received,
-                self.lost, self.auth_attempts, self.auth_accepted]
+        return [getattr(self, name) for name in NODE_COUNTERS]
+
+
+NODE_COUNTERS = tuple(f.name for f in fields(NodeStats))   # the metrics CSV's columns
 
 
 @dataclass
@@ -180,19 +182,11 @@ class NetworkStats:
     in_flight: int = 0
 
     def totals(self) -> NodeStats:
-        total = NodeStats()
-        for stats in self.per_node.values():
-            total.generated += stats.generated
-            total.sent += stats.sent
-            total.broadcasted += stats.broadcasted
-            total.received += stats.received
-            total.lost += stats.lost
-            total.auth_attempts += stats.auth_attempts
-            total.auth_accepted += stats.auth_accepted
-        return total
+        rows = (stats.as_row() for stats in self.per_node.values())
+        return NodeStats(*(sum(column) for column in zip(*rows)))
 
     def csv(self) -> str:
-        lines = ["node,generated,sent,broadcasted,received,lost,auth_attempts,auth_accepted"]
+        lines = ["node," + ",".join(NODE_COUNTERS)]
         for node_id in sorted(self.per_node):
             row = self.per_node[node_id].as_row()
             lines.append(node_id + "," + ",".join(str(v) for v in row))
@@ -206,12 +200,15 @@ class AuditLog:
     one as `Simulation.audit` before `run()`; none is kept otherwise.
 
     `beacons` holds every beacon frame, `notices` every pseudonym change
-    notice as (sender, peer, frame), and `rotations` every pseudonym
-    change as (tick, node, old pseudonym, new pseudonym).
+    notice as (sender, peer, frame), `rotations` every pseudonym change as
+    (tick, node, old pseudonym, new pseudonym), and `payloads` every
+    opened event payload as (tick, receiver, tag, event id), the id empty
+    for a signed observation or corroboration request.
     """
     beacons: list[bytes] = field(default_factory=list)
     notices: list[tuple[str, str, bytes]] = field(default_factory=list)
     rotations: list[tuple[int, str, bytes, bytes]] = field(default_factory=list)
+    payloads: list[tuple[int, str, int, bytes]] = field(default_factory=list)
 
 
 class _Session:
@@ -229,8 +226,8 @@ class _Node:
     __slots__ = ("spec", "id", "user", "state", "turns", "equipped", "launched",
                  "pseudonyms", "revocations", "sessions", "handshakes", "journey",
                  "detector", "parking", "store", "pending", "pending_announced",
-                 "corroboration_inbox", "parking_queue", "seen_events", "transmitted",
-                 "coop", "plan", "stats", "shown", "decrypted_events", "last_advert_sent")
+                 "corroboration_inbox", "parking_queue", "coop", "plan", "stats", "shown",
+                 "last_advert_sent")
 
     def __init__(self, spec: VehicleSpec, sim: "Simulation"):
         self.spec = spec
@@ -252,20 +249,17 @@ class _Node:
         self.journey = JourneyContactLog()
         self.detector = CongestionDetector(sim.config.detection, spec.has_gps)
         self.parking = ParkingMonitor(sim.config.detection.parking_ttl, spec.has_gps)
-        self.store = EventStore(sim.config.detection)
+        self.store = EventStore()     # the events this node holds
         self.pending: dict[bytes, PendingObservation] = {}
         self.pending_announced: set[bytes] = set()
         # Corroboration requests we could not answer yet: our own detector
         # may start firing while the jam request is still fresh.
         self.corroboration_inbox: dict[bytes, tuple[str, object, float]] = {}
         self.parking_queue: list[tuple[bytes, ParkingEvent]] = []
-        self.seen_events: dict[bytes, float] = {}                # id -> expiry
-        self.transmitted: set[bytes] = set()
         self.coop: dict[str, CooperationRecord] = {}
         self.plan: RoutePlan | None = None
         self.stats = NodeStats()
         self.shown: set[bytes] = set()
-        self.decrypted_events: list[tuple[int, int, bytes]] = []  # (tick, tag, event id)
         self.last_advert_sent = -1e9
 
     @property
@@ -372,24 +366,18 @@ class Simulation:
         """Enough random turns to keep the vehicle moving all run long."""
         max_speed = seg.speed_limit / 3.6
         hops = int(self.config.duration * max_speed / self._min_seg_len) + 2
+        exits = self.network.exits
         route: list[str] = []
         here = seg.exit_junction(direction)
         prev = seg.segment_id
         for _ in range(hops):
-            options = []
-            for cand_id in self.network.segments_at(here):
-                cand = self.network.segments[cand_id]
-                if cand.oneway and cand.junction_a != here:
-                    continue
-                options.append(cand_id)
+            options = exits[here]
             if not options:
                 break
-            forwardish = [o for o in options if o != prev]
-            pick = forwardish or options
+            pick = [o for o in options if o != prev] or list(options)
             nxt = pick[self.rng.randrange(len(pick))]
             route.append(nxt)
-            cand = self.network.segments[nxt]
-            here = cand.junction_b if cand.junction_a == here else cand.junction_a
+            here = options[nxt][1]
             prev = nxt
         return route
 
@@ -465,13 +453,11 @@ class Simulation:
         cost = seg.travel_time_base
         here = junctions[-1]
         for seg_id in node.spec.route:
-            nxt = self.network.segments[seg_id]
-            direction = FORWARD if nxt.junction_a == here else REVERSE
+            direction, here = self.network.enter(here, seg_id)
             segments.append(seg_id)
             directions.append(direction)
-            here = nxt.exit_junction(direction)
             junctions.append(here)
-            cost += nxt.travel_time_base
+            cost += self.network.segments[seg_id].travel_time_base
         return RoutePlan(self.network.junctions[junctions[0]],
                          self.network.junctions[junctions[-1]],
                          tuple(segments), tuple(directions), tuple(junctions),
@@ -548,8 +534,8 @@ class Simulation:
             self._assembly(node, t, neighbors[node_id])
             self._parking_announcements(node, t, neighbors[node_id])
             self._advert_broadcast(node, t, neighbors[node_id])
-            for peer in sorted(node.coop):
-                node.coop[peer].close_expired(self.now)
+            for record in node.coop.values():
+                record.close_expired(self.now)
             self._expire_stores(node)
             self._searcher_show(node)
 
@@ -600,7 +586,7 @@ class Simulation:
         if obs is None:
             return
         event_id = event_id_for(obs)
-        if event_id in node.pending or event_id in node.seen_events:
+        if event_id in node.pending or node.store.holds(event_id):
             return
         own = sign_observation(obs, node.user.keys.private_key,
                                node.user.self_certificate,
@@ -632,7 +618,7 @@ class Simulation:
         rate = avg_users_per_minute(node.journey, self.now)
         for event_id in sorted(node.pending):
             pending = node.pending[event_id]
-            if event_id in node.seen_events:
+            if node.store.holds(event_id):
                 # Someone already aggregated this congestion cell.
                 del node.pending[event_id]
                 continue
@@ -645,7 +631,6 @@ class Simulation:
             if event is None:
                 continue
             del node.pending[event_id]
-            node.seen_events[event_id] = self.now + CONGESTION_TTL
             node.store.add_congestion(event_id, event, self.now)
             self._trace(node.id, "aggregate",
                         f"event={event_id.hex()[:8]} sigs={len(event.signatures)} "
@@ -663,12 +648,10 @@ class Simulation:
             if not event.visible(self.now):
                 continue
             payload = wire.encode_parking(event, event_id)
-            node.seen_events[event_id] = event.announced_at + event.ttl
             for peer in reachable:
                 if cooperation_gate(node.coop_record(peer)) == "serve":
                     node.coop_record(peer).hand_over(event_id, self.now + FORWARD_WINDOW)
                     self._seal_and_send(node, peer, wire.PARKING_EVENT, payload, t)
-            node.transmitted.add(event_id)
             self._trace(node.id, "announce", f"parking event={event_id.hex()[:8]}")
         node.parking_queue = []
 
@@ -692,9 +675,6 @@ class Simulation:
     def _expire_stores(self, node: _Node) -> None:
         for kind, event_id in node.store.expire(self.now):
             self._trace(node.id, "expire", f"{kind} event={event_id.hex()[:8]}")
-        for event_id in [e for e, exp in node.seen_events.items() if self.now > exp]:
-            del node.seen_events[event_id]
-            node.transmitted.discard(event_id)
 
     def _searcher_show(self, node: _Node) -> None:
         if not node.spec.searcher:
@@ -780,7 +760,7 @@ class Simulation:
             return
         if tag == wire.SIGNED_OBSERVATION:
             signed = wire.decode_signed_observation(payload)
-            node.decrypted_events.append((t, tag, b""))
+            self._audit_payload(t, node, tag, b"")
             event_id = event_id_for(signed.observation)
             pending = node.pending.get(event_id)
             if pending is not None:
@@ -788,25 +768,25 @@ class Simulation:
             return
         if tag == wire.AGGREGATED_EVENT:
             event = wire.decode_aggregate(payload)
-            node.decrypted_events.append((t, tag, event.event_id))
+            self._audit_payload(t, node, tag, event.event_id)
             self._handle_aggregate(node, sender, event, t, neighbors)
             return
         if tag == wire.PARKING_EVENT:
             event_id, event = wire.decode_parking(payload)
-            node.decrypted_events.append((t, tag, event_id))
+            self._audit_payload(t, node, tag, event_id)
             self._handle_parking(node, sender, event_id, event, t, neighbors)
             return
         if tag == wire.ADVERT:
             advert = wire.decode_advert(payload)
             advert_id = crypto.sha256(b"vk-advert", payload)[:16]
-            node.decrypted_events.append((t, tag, advert_id))
+            self._audit_payload(t, node, tag, advert_id)
             self._handle_advert(node, sender, advert_id, advert)
             return
 
     def _handle_corroboration_request(self, node: _Node, sender: str, payload: bytes,
                                       t: int) -> None:
         signed = wire.decode_signed_observation(payload)
-        node.decrypted_events.append((t, wire.CORROBORATION_REQUEST, b""))
+        self._audit_payload(t, node, wire.CORROBORATION_REQUEST, b"")
         if not signed.verify():
             self._report_sender(node, sender)
             return
@@ -847,7 +827,7 @@ class Simulation:
 
     def _handle_aggregate(self, node: _Node, sender: str, event, t: int, neighbors) -> None:
         event_id = event.event_id
-        if event_id in node.seen_events:
+        if node.store.holds(event_id):
             node.coop_record(sender).observed_forward(event_id)
             return
         accepted, reason = aggregation.verify_aggregate(event, node.revocations)
@@ -861,7 +841,6 @@ class Simulation:
             own_firing=node.detector.firing() and self._same_cell(node, event),
             plan=node.plan)
         self.events_accepted += 1
-        node.seen_events[event_id] = self.now + CONGESTION_TTL
         node.store.add_congestion(event_id, event, self.now)
         self._trace(node.id, "receive",
                     f"congestion event={event_id.hex()[:8]} sigs={len(event.signatures)}")
@@ -889,12 +868,11 @@ class Simulation:
 
     def _handle_parking(self, node: _Node, sender: str, event_id: bytes, event, t: int,
                         neighbors) -> None:
-        if event_id in node.seen_events:
+        if node.store.holds(event_id):
             node.coop_record(sender).observed_forward(event_id)
             return
         if not event.visible(self.now):
             return
-        node.seen_events[event_id] = event.announced_at + event.ttl
         node.store.add_parking(event_id, event)
         self._trace(node.id, "receive", f"parking event={event_id.hex()[:8]}")
         self._forward_event(node, wire.PARKING_EVENT, wire.encode_parking(event, event_id),
@@ -919,10 +897,10 @@ class Simulation:
 
     def _forward_event(self, node: _Node, tag: int, payload: bytes, event_id: bytes,
                        t: int, neighbor_ids: list[str]) -> None:
-        """Relay once per event id, sealed per serving-eligible session."""
-        if node.spec.freeride or event_id in node.transmitted:
+        """Relay an event the node has just come to hold, sealed per
+        serving-eligible session."""
+        if node.spec.freeride:
             return
-        node.transmitted.add(event_id)
         for peer in node.session_neighbors(neighbor_ids):
             if cooperation_gate(node.coop_record(peer)) != "serve":
                 continue
@@ -946,6 +924,10 @@ class Simulation:
         an aggregate led by an honest user's valid signature cannot frame
         that user."""
         report_misbehavior(node.revocations, node.sessions[sender].peer_user)
+
+    def _audit_payload(self, t: int, node: _Node, tag: int, event_id: bytes) -> None:
+        if self.audit is not None:
+            self.audit.payloads.append((t, node.id, tag, event_id))
 
     def _trace(self, node_id: str, kind: str, detail: str) -> None:
         self.trace.append(f"{self.now:g} {node_id} {kind} {detail}")

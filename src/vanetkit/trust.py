@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from . import crypto
-from .geomodel import DocumentError
+from .geomodel import DocumentError, document_statements
 
 REVOCATION_THRESHOLD = 3
 
@@ -292,11 +292,7 @@ def load_roster(text: str) -> Roster:
     problems: list[str] = []
     roster = Roster()
     friendships: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        fields = body.split()
+    for lineno, fields in document_statements(text):
         if fields[0] == "user":
             if len(fields) != 3:
                 problems.append(f"line {lineno}: user needs <id> <seed>")
@@ -323,15 +319,3 @@ def load_roster(text: str) -> Roster:
         raise DocumentError(problems)
     return roster
 
-
-def dump_certificates(roster: Roster) -> str:
-    """One `cert <subject> <signer> <hex signature>` line per certificate."""
-    lines = []
-    seen: set[tuple[str, str]] = set()
-    for user_id in sorted(roster.users):
-        for cert in roster.users[user_id].repository.certificates():
-            key = (cert.subject, cert.signer)
-            if key not in seen:
-                seen.add(key)
-                lines.append(f"cert {cert.subject} {cert.signer} {cert.signature.hex()}")
-    return "\n".join(lines) + "\n"

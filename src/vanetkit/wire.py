@@ -44,8 +44,7 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 PSEUDONYM_LEN = 16
 CHALLENGE_LEN = 16
-COMMITMENT_LEN = 32
-RESPONSE_LEN = 32
+FIELD_LEN = 32          # one commitment or response: a sha256 or HMAC-SHA256 digest
 
 
 class WireError(Exception):
@@ -157,20 +156,11 @@ def encode_beacon(pseudonym: bytes, sequence: int, tick: int) -> bytes:
     return encode_frame(BEACON, pseudonym + _U32_PAIR.pack(sequence, tick))
 
 
-def decode_beacon(body: bytes) -> tuple[bytes, int, int]:
-    r = _Reader(body)
-    pseudonym = r.raw(PSEUDONYM_LEN)
-    sequence = r.u32()
-    tick = r.u32()
-    r.expect_end()
-    return pseudonym, sequence, tick
-
-
 # -- authentication handshake ----------------------------------------------
 
 def _block_count(block: bytes) -> bytes:
     """The u8 field count written in front of a block of 32-byte fields."""
-    count, rest = divmod(len(block), COMMITMENT_LEN)
+    count, rest = divmod(len(block), FIELD_LEN)
     if rest or count > 255:
         raise WireError("block is not at most 255 fields of 32 bytes")
     return _U8.pack(count)
@@ -185,7 +175,7 @@ def decode_auth_commit(body: bytes) -> tuple[bytes, bytes, bytes]:
     r = _Reader(body)
     session_id = r.raw(16)
     pseudonym = r.raw(PSEUDONYM_LEN)
-    commitments = r.raw(r.u8() * COMMITMENT_LEN)
+    commitments = r.raw(r.u8() * FIELD_LEN)
     r.expect_end()
     return session_id, pseudonym, commitments
 
@@ -202,7 +192,7 @@ def decode_auth_challenge(body: bytes) -> tuple[bytes, bytes, bytes, bytes]:
     session_id = r.raw(16)
     pseudonym = r.raw(PSEUDONYM_LEN)
     challenge = r.raw(CHALLENGE_LEN)
-    commitments = r.raw(r.u8() * COMMITMENT_LEN)
+    commitments = r.raw(r.u8() * FIELD_LEN)
     r.expect_end()
     return session_id, pseudonym, challenge, commitments
 
@@ -219,7 +209,7 @@ def decode_auth_response(body: bytes) -> tuple[bytes, bool, bytes, bytes, bytes]
     session_id = r.raw(16)
     initiator = r.u8() == 1
     nonce = r.raw(16)
-    responses = r.raw(r.u8() * RESPONSE_LEN)
+    responses = r.raw(r.u8() * FIELD_LEN)
     counter_challenge = r.raw(CHALLENGE_LEN)
     r.expect_end()
     return session_id, initiator, nonce, responses, counter_challenge

@@ -393,19 +393,18 @@ def test_11_cooperation_incentive():
                        "keep receiving"):
         config, net, roster = freerider_setup()
         sim = Simulation(config, net, roster)
+        sim.audit = AuditLog()
         sim.run()
-        hub, rider, honest = sim.nodes["G"], sim.nodes["F"], sim.nodes["D"]
-        record = hub.coop["F"]
+        record = sim.nodes["G"].coop["F"]
         assert record.opportunities >= 4
         assert record.forwards == 0
-        cutoff = max(t for t, tag, _ in rider.decrypted_events
-                     if tag == wire.PARKING_EVENT)
-        rider_after = [e for t, tag, e in rider.decrypted_events
-                       if tag == wire.PARKING_EVENT and t > cutoff]
-        rider_all = [e for _, tag, e in rider.decrypted_events
-                     if tag == wire.PARKING_EVENT]
-        honest_all = [e for _, tag, e in honest.decrypted_events
-                      if tag == wire.PARKING_EVENT]
+        parking = {node: [(t, e) for t, receiver, tag, e in sim.audit.payloads
+                          if receiver == node and tag == wire.PARKING_EVENT]
+                   for node in ("F", "D")}
+        cutoff = max(t for t, _ in parking["F"])
+        rider_after = [e for t, e in parking["F"] if t > cutoff]
+        rider_all = [e for _, e in parking["F"]]
+        honest_all = [e for _, e in parking["D"]]
         assert len(rider_all) == 4            # gate closed after the fourth duty
         assert rider_after == []
         assert len(honest_all) == 5           # including the post-cutoff event

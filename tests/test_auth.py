@@ -13,6 +13,8 @@ from vanetkit.auth import (Handshakes, Party, PseudonymState, emit_beacon,
                            rotate_pseudonym, zk_mutual_authenticate)
 from vanetkit.trust import RevocationStore, Roster, register_user
 
+from reference import ref_decode_beacon
+
 
 def make_party(roster, user_id, rng):
     return Party(roster.user(user_id), RevocationStore(set(roster.users)),
@@ -157,7 +159,7 @@ def test_beacon_contents_and_sequence():
     assert b2.sequence == b1.sequence + 1
     tag, body = wire.decode_frame(f1)
     assert tag == wire.BEACON
-    pseudonym, seq, tick = wire.decode_beacon(body)
+    pseudonym, seq, tick = ref_decode_beacon(body)
     assert pseudonym == state.current.value
     assert (seq, tick) == (1, 0)
     assert b1.change_notice is None
@@ -497,6 +499,18 @@ def test_a_rejecting_responder_cannot_be_asked_again():
     with pytest.raises(auth.SessionMismatchError):
         step(*args)
     assert rng.getstate() == before and eng_r.reason == auth.REASON_NO_COMMON_FRIEND
+
+
+def test_a_responder_takes_one_result_only():
+    """After a rejecting result, an accepting one for the same session is
+    refused: it changes no slot and makes no session key."""
+    _, _, eng_r, _ = _handshake_to_step("b", 4)
+    eng_r.on_result(eng_r.session_id, False, 0.0)
+    assert eng_r.outcome == auth.OUTCOME_REJECTED
+    state = _slot_values(eng_r)
+    with pytest.raises(auth.SessionMismatchError):
+        eng_r.on_result(eng_r.session_id, True, 0.0)
+    assert _slot_values(eng_r) == state and eng_r.session_key is None
 
 
 def test_steps_out_of_order_are_refused():

@@ -139,3 +139,35 @@ def test_sweep_seed_override_matches_run(tmp_path, capsys):
             sweeps[seed] = fh.read().splitlines()[1].split(",")[1:6]
     assert sweeps["1"] == run_totals
     assert sweeps[None] != run_totals      # the bundle's own seed, 42, totals otherwise
+
+
+def oneway_bundle(tmp_path, vehicle):
+    """A bundle on a road whose street s2 runs one way, from c to b."""
+    (tmp_path / "road.txt").write_text(
+        "junction a 0 0\njunction b 500 0\njunction c 1000 0\n"
+        "segment s1 a b 50 twoway\nsegment s2 c b 50 oneway\n")
+    (tmp_path / "roster.txt").write_text("user u1 1\nuser u2 2\nfriend u1 u2\n")
+    (tmp_path / "scenario.txt").write_text(
+        f"name oneway\nduration 30\n{vehicle}\n"
+        "vehicle v2 user=u2 segment=s1 offset=40 dir=fwd speed=20\n"
+        "road road.txt\nroster roster.txt\n")
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("vehicle, problem", [
+    ("vehicle v1 user=u1 segment=s1 offset=10 dir=fwd speed=20 route=s2",
+     "vehicle 'v1' route breaks: segment 's2' is one-way, cannot enter at 'b'"),
+    ("vehicle v1 user=u1 segment=s2 offset=10 dir=rev speed=20",
+     "vehicle 'v1' starts the wrong way on one-way segment 's2'"),
+])
+def test_validate_refuses_a_wrong_way_on_a_one_way_street(tmp_path, capsys, vehicle, problem):
+    assert cli.main(["validate", oneway_bundle(tmp_path, vehicle)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {problem}"]
+
+
+def test_validate_accepts_a_one_way_street_driven_its_way(tmp_path, capsys):
+    vehicle = "vehicle v1 user=u1 segment=s2 offset=10 dir=fwd speed=20 route=s1"
+    assert cli.main(["validate", oneway_bundle(tmp_path, vehicle)]) == 0
+    assert "ok:" in capsys.readouterr().out

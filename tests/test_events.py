@@ -98,8 +98,7 @@ def test_no_gps_means_no_record_and_no_event():
 
 
 def test_event_expiry_boundaries():
-    config = DetectionConfig()
-    store = EventStore(config)
+    store = EventStore()
     event = ParkingEvent(GeoCoordinate(0, 0), announced_at=0.0, ttl=60.0)
     store.add_parking(b"e" * 16, event)
     assert store.expire(60.0) == []                # inclusive boundary: retained
@@ -109,9 +108,20 @@ def test_event_expiry_boundaries():
     assert store.expire(61.0) == []                # empty store stays empty
 
 
+def test_the_store_holds_congestion_and_parking_ids_until_they_expire():
+    store = EventStore()
+    store.add_parking(b"p" * 16, ParkingEvent(GeoCoordinate(0, 0), announced_at=0.0))
+    store.add_congestion(b"c" * 16, object(), now=0.0)
+    assert store.holds(b"p" * 16) and store.holds(b"c" * 16)
+    assert not store.holds(b"x" * 16)
+    store.expire(61.0)
+    assert not store.holds(b"p" * 16) and store.holds(b"c" * 16)
+    store.expire(901.0)
+    assert not store.holds(b"c" * 16)
+
+
 def test_congestion_events_pruned_after_ttl():
-    config = DetectionConfig()
-    store = EventStore(config)
+    store = EventStore()
     store.add_congestion(b"c" * 16, object(), now=0.0)
     assert store.expire(900.0) == []
     assert store.expire(901.0) == [("congestion", b"c" * 16)]

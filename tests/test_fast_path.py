@@ -27,49 +27,10 @@ from vanetkit.events import (AdvertEvent, CongestionDetector, CongestionObservat
 from vanetkit.geomodel import FORWARD, REVERSE, GeoCoordinate, VehicleState, load_network
 from vanetkit.trust import Certificate, RevocationStore, Roster, register_user
 
+from reference import RefReader, ref_decode_beacon
+
 
 # -- reference codecs: one slice per field ------------------------------------
-
-class _RefReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise wire.WireError("record truncated")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self._take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
-
-    def raw(self, n: int) -> bytes:
-        return self._take(n)
-
-    def blob(self) -> bytes:
-        return self._take(self.u16())
-
-    def text(self) -> str:
-        try:
-            return self.blob().decode()
-        except UnicodeDecodeError as exc:
-            raise wire.WireError("text field is not UTF-8") from exc
-
-    def expect_end(self) -> None:
-        if self.pos != len(self.data):
-            raise wire.WireError("trailing bytes in record")
-
 
 def ref_decode_frame(buf):
     if len(buf) < 5:
@@ -80,15 +41,8 @@ def ref_decode_frame(buf):
     return buf[4], buf[5:]
 
 
-def ref_decode_beacon(body):
-    r = _RefReader(body)
-    out = (r.raw(16), r.u32(), r.u32())
-    r.expect_end()
-    return out
-
-
 def ref_decode_auth_commit(body):
-    r = _RefReader(body)
+    r = RefReader(body)
     session_id, pseudonym = r.raw(16), r.raw(16)
     commitments = b"".join([r.raw(32) for _ in range(r.u8())])
     r.expect_end()
@@ -96,7 +50,7 @@ def ref_decode_auth_commit(body):
 
 
 def ref_decode_auth_challenge(body):
-    r = _RefReader(body)
+    r = RefReader(body)
     session_id, pseudonym, challenge = r.raw(16), r.raw(16), r.raw(16)
     commitments = b"".join([r.raw(32) for _ in range(r.u8())])
     r.expect_end()
@@ -104,7 +58,7 @@ def ref_decode_auth_challenge(body):
 
 
 def ref_decode_auth_response(body):
-    r = _RefReader(body)
+    r = RefReader(body)
     session_id = r.raw(16)
     initiator = r.u8() == 1
     nonce = r.raw(16)
@@ -115,7 +69,7 @@ def ref_decode_auth_response(body):
 
 
 def ref_decode_auth_result(body):
-    r = _RefReader(body)
+    r = RefReader(body)
     out = (r.raw(16), r.u8() == 1)
     r.expect_end()
     return out
@@ -145,7 +99,7 @@ def _ref_observation(r):
 
 
 def ref_decode_signed_observation(data):
-    r = _RefReader(data)
+    r = RefReader(data)
     obs = _ref_observation(r)
     signed = SignedObservation(obs, r.raw(16), _ref_certificate(r), r.raw(64))
     r.expect_end()
@@ -153,7 +107,7 @@ def ref_decode_signed_observation(data):
 
 
 def ref_decode_aggregate(data):
-    r = _RefReader(data)
+    r = RefReader(data)
     obs = _ref_observation(r)
     signatures = [ref_decode_signed_observation(r.blob()) for _ in range(r.u8())]
     promoter, created_at, rate, threshold = r.raw(16), r.f64(), r.f64(), r.u8()
@@ -163,7 +117,7 @@ def ref_decode_aggregate(data):
 
 
 def ref_decode_parking(data):
-    r = _RefReader(data)
+    r = RefReader(data)
     event_id, location = r.raw(16), _ref_coordinate(r)
     announced_at, ttl = r.f64(), r.f64()
     r.expect_end()
@@ -171,7 +125,7 @@ def ref_decode_parking(data):
 
 
 def ref_decode_advert(data):
-    r = _RefReader(data)
+    r = RefReader(data)
     company, message = r.text(), r.text()
     location = _ref_coordinate(r)
     radius, expiration, logo = r.f64(), r.f64(), r.text()
@@ -181,7 +135,7 @@ def ref_decode_advert(data):
 
 
 def ref_decode_revocations(data):
-    r = _RefReader(data)
+    r = RefReader(data)
     out = [(r.text(), r.u32(), r.u8() == 1) for _ in range(r.u16())]
     r.expect_end()
     return out
@@ -235,7 +189,7 @@ _SIGNED = st.builds(SignedObservation, _OBS, _b(16), _CERT, _b(64))
 # return frames, the others bare records.
 CODECS = {
     "beacon": (st.tuples(_b(16), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
-               wire.encode_beacon, ref_encode_beacon, wire.decode_beacon, ref_decode_beacon),
+               wire.encode_beacon, ref_encode_beacon, ref_decode_beacon, ref_decode_beacon),
     "commit": (st.tuples(_b(16), _b(16), _BLOCKS), wire.encode_auth_commit,
                ref_encode_auth_commit, wire.decode_auth_commit, ref_decode_auth_commit),
     "challenge": (st.tuples(_b(16), _b(16), _b(16), _BLOCKS), wire.encode_auth_challenge,

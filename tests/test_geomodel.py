@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vanetkit import geomodel, kits
-from vanetkit.geomodel import (FORWARD, DocumentError, GeoCoordinate,
+from vanetkit.geomodel import (FORWARD, REVERSE, DocumentError, GeoCoordinate,
                                MobilityDirective, VehicleState, advance_vehicle,
                                distance, grid_document, load_network)
+from vanetkit.simnet import SimConfig, Simulation
+from vanetkit.trust import Roster
+
+from reference import MobilityTrace, validate_trace
 
 TWO_SEGMENTS = """
 junction a 0 0
@@ -167,22 +171,22 @@ def test_snap_and_path_between_points():
 
 def test_trace_validation_flags_teleports():
     net = load_network(TWO_SEGMENTS)
-    good = geomodel.MobilityTrace("v", [
+    good = MobilityTrace("v", [
         (0.0, VehicleState("v", "s1", FORWARD, 0.0, speed=36.0)),
         (1.0, VehicleState("v", "s1", FORWARD, 10.0, speed=36.0)),
         (2.0, VehicleState("v", "s1", FORWARD, 20.0, speed=36.0)),
     ])
-    assert geomodel.validate_trace(good, net) == []
-    teleport = geomodel.MobilityTrace("v", [
+    assert validate_trace(good, net) == []
+    teleport = MobilityTrace("v", [
         (0.0, VehicleState("v", "s1", FORWARD, 0.0, speed=36.0)),
         (1.0, VehicleState("v", "s1", FORWARD, 90.0, speed=36.0)),
     ])
-    assert any("exceeds speed budget" in p for p in geomodel.validate_trace(teleport, net))
-    unordered = geomodel.MobilityTrace("v", [
+    assert any("exceeds speed budget" in p for p in validate_trace(teleport, net))
+    unordered = MobilityTrace("v", [
         (5.0, VehicleState("v", "s1", FORWARD, 0.0)),
         (5.0, VehicleState("v", "s1", FORWARD, 0.0)),
     ])
-    assert any("strictly increasing" in p for p in geomodel.validate_trace(unordered, net))
+    assert any("strictly increasing" in p for p in validate_trace(unordered, net))
 
 
 def test_connected_component_check():
@@ -337,3 +341,61 @@ def test_path_between_points_matches_its_own_dijkstra_bit_for_bit(data):
         target = data.draw(_walking_point(network))
     assert (_walk(network, origin, target, geomodel.path_between_points)
             == _walk(network, origin, target, reference_path_between_points))
+
+
+def _old_entry(network, junction, seg_id):
+    """The entry rule as driving, route planning, the random walk and the
+    bundle validator each wrote it out: (direction, exit junction), or None
+    where the segment cannot be entered at `junction`."""
+    seg = network.segments[seg_id]
+    if seg.junction_a == junction:
+        return FORWARD, seg.junction_b
+    if seg.junction_b == junction and not seg.oneway:
+        return REVERSE, seg.junction_a
+    return None
+
+
+def _old_random_walk(network, rng, seg, direction, hops):
+    """The background fleet's random walk as a loop over each junction's
+    segments, before the exit table."""
+    route = []
+    here = seg.exit_junction(direction)
+    prev = seg.segment_id
+    for _ in range(hops):
+        options = []
+        for cand_id in network.segments_at(here):
+            cand = network.segments[cand_id]
+            if cand.oneway and cand.junction_a != here:
+                continue
+            options.append(cand_id)
+        if not options:
+            break
+        forwardish = [o for o in options if o != prev]
+        pick = forwardish or options
+        nxt = pick[rng.randrange(len(pick))]
+        route.append(nxt)
+        cand = network.segments[nxt]
+        here = cand.junction_b if cand.junction_a == here else cand.junction_a
+        prev = nxt
+    return route
+
+
+@pytest.mark.filterwarnings("ignore:vehicle count")
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_exit_table_is_the_entry_rule(data):
+    network = data.draw(_walking_network())
+    for junction in network.junctions:
+        for seg_id in network.segments:
+            assert network.exits[junction].get(seg_id) == _old_entry(network, junction, seg_id)
+    sim = Simulation(SimConfig(duration=data.draw(st.integers(1, 20))), network, Roster())
+    min_len = min(s.length for s in network.segments.values())
+    for _ in range(3):
+        seg = network.segments[data.draw(st.sampled_from(sorted(network.segments)))]
+        direction = FORWARD if seg.oneway else data.draw(st.sampled_from([FORWARD, REVERSE]))
+        hops = int(sim.config.duration * (seg.speed_limit / 3.6) / min_len) + 2
+        seed = data.draw(st.integers(0, 2**32))
+        sim.rng, old_rng = random.Random(seed), random.Random(seed)
+        assert sim._random_walk(seg, direction) == _old_random_walk(network, old_rng, seg,
+                                                                    direction, hops)
+        assert sim.rng.getstate() == old_rng.getstate()

@@ -6,7 +6,7 @@ import pytest
 
 from vanetkit import kits, scenario, wire
 from scenario_builders import freerider_setup
-from vanetkit.simnet import Simulation, VehicleSpec
+from vanetkit.simnet import AuditLog, Simulation, VehicleSpec
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
 
@@ -149,10 +149,13 @@ segment tail m z 20 twoway
 def test_freerider_loses_service_honest_node_keeps_it():
     config, net, roster = freerider_setup()
     sim = Simulation(config, net, roster)
+    sim.audit = AuditLog()
     sim.run()
-    hub, rider, honest = sim.nodes["G"], sim.nodes["F"], sim.nodes["D"]
-    rider_events = [e for _, tag, e in rider.decrypted_events if tag == wire.PARKING_EVENT]
-    honest_events = [e for _, tag, e in honest.decrypted_events if tag == wire.PARKING_EVENT]
+    hub = sim.nodes["G"]
+    rider_events = [e for _, node, tag, e in sim.audit.payloads
+                    if node == "F" and tag == wire.PARKING_EVENT]
+    honest_events = [e for _, node, tag, e in sim.audit.payloads
+                     if node == "D" and tag == wire.PARKING_EVENT]
     record = hub.coop["F"]
     assert record.opportunities >= 4 and record.forwards == 0
     assert len(rider_events) == 4       # gate closed after four observed refusals

@@ -1,7 +1,9 @@
 """No vanetkit module reads another one's underscore names: what a module
-keeps private stays free to change without breaking its neighbours.  And
-only `wire` and `auth` know the handshake: no other module names a
-handshake tag or codec of `wire` or builds an engine of `auth`."""
+keeps private stays free to change without breaking its neighbours.  Only
+`wire` and `auth` know the handshake: no other module names a handshake
+tag or codec of `wire` or builds an engine of `auth`.  And only `geomodel`
+knows which way a segment may be entered: no other module compares a
+segment's endpoint junctions."""
 
 import ast
 import pathlib
@@ -166,3 +168,49 @@ def test_a_handshake_leak_is_found(source):
 ])
 def test_other_wire_and_auth_names_pass(source):
     assert handshake_leaks(source) == []
+
+
+_ENDPOINTS = {"junction_a", "junction_b"}
+
+
+def endpoint_comparisons(source: str) -> list[str]:
+    """Each place where `source` compares a segment's `junction_a` or
+    `junction_b`, which restates the rule for entering a segment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            found += [f"line {node.lineno}: compares .{part.attr}" for part in ast.walk(node)
+                      if isinstance(part, ast.Attribute) and part.attr in _ENDPOINTS]
+    return found
+
+
+def test_only_geomodel_compares_segment_endpoints():
+    """Driving, route planning, the random walk and bundle validation read
+    `RoadNetwork.exits`, the one entry rule, instead of restating it."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "geomodel":
+            problems = endpoint_comparisons(path.read_text())
+            if problems:
+                found[path.name] = problems
+    assert found == {}
+
+
+@pytest.mark.parametrize("source", [
+    "if seg.junction_a == here:\n    pass\n",
+    "direction = FORWARD if nxt.junction_a == here else REVERSE\n",
+    "here = cand.junction_b if cand.junction_a == here else cand.junction_a\n",
+    "ok = here not in (seg.junction_a, seg.junction_b)\n",
+    "ok = network.segments[s].junction_b is not here\n",
+])
+def test_an_endpoint_comparison_is_found(source):
+    assert endpoint_comparisons(source) != []
+
+
+@pytest.mark.parametrize("source", [
+    "origins.update((seg.junction_a, seg.junction_b))\n",
+    "direction, here = network.exits[here][seg_id]\n",
+    "ok = seg.exit_junction(direction) == here\n",
+])
+def test_reading_endpoints_without_comparing_passes(source):
+    assert endpoint_comparisons(source) == []

@@ -1,8 +1,11 @@
+import dataclasses
 import os
 
 import pytest
 
 from vanetkit import kits, scenario
+from vanetkit.events import DetectionConfig
+from vanetkit.simnet import SimConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
 
@@ -180,3 +183,35 @@ def test_a_protocol_constant_is_refused_not_ignored(tmp_path, key):
     text = GOOD_SCENARIO + f"{key} 10\n"
     _, problems = scenario.load_bundle(write_bundle(tmp_path, text, GOOD_ROAD, GOOD_ROSTER))
     assert problems == [f"line 8: unknown scenario statement {key!r}"]
+
+
+_INT_STATEMENTS = {"seed", "duration", "vehicle_count"}
+_FLOAT_STATEMENTS = {"tick", "obu_fraction", "radio_range", "auth_period",
+                     "min_pseudonym_lifetime", "max_pseudonym_lifetime", "speed_fraction",
+                     "sustain_window", "min_limit", "cooldown", "parking_ttl"}
+_OTHER_STATEMENTS = {"name", "battery_threshold", "road", "roster", "vehicle",
+                     "congestion_zone", "park", "find", "advertise"}
+
+
+def test_the_scenario_statements_are_the_config_fields_and_the_directives():
+    """The numeric statements come from the types the config dataclasses
+    declare: an int field takes an integer, a float field a number, and a
+    field of any other type is no statement."""
+    detection_fields = {f.name for f in dataclasses.fields(DetectionConfig)}
+    candidates = ({f.name for f in dataclasses.fields(SimConfig)} | detection_fields
+                  | _OTHER_STATEMENTS)
+    accepted = set()
+    for key in candidates:
+        problems = []
+        scenario.parse_scenario(f"{key} 0.5 0.5 0.5 0.5 0.5\n", problems)
+        if f"line 1: unknown scenario statement {key!r}" not in problems:
+            accepted.add(key)
+    assert accepted == _INT_STATEMENTS | _FLOAT_STATEMENTS | _OTHER_STATEMENTS
+    for key in _INT_STATEMENTS:
+        problems = []
+        scenario.parse_scenario(f"{key} 2.5\n", problems)
+        assert f"line 1: malformed {key!r} statement" in problems
+    for key in _FLOAT_STATEMENTS:
+        config = scenario.parse_scenario(f"{key} 0.25\n", [])[0]
+        value = getattr(config.detection if key in detection_fields else config, key)
+        assert type(value) is float and value == 0.25

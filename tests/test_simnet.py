@@ -103,6 +103,13 @@ def test_a_node_has_slots_and_refuses_an_unknown_attribute():
     assert not hasattr(node, "__dict__")
     with pytest.raises(AttributeError):
         node.undeclared = 1
+    # The event store is the one record of held events; the opened payloads
+    # are kept only by an attached `AuditLog`.
+    assert set(type(node).__slots__) == {
+        "spec", "id", "user", "state", "turns", "equipped", "launched", "pseudonyms",
+        "revocations", "sessions", "handshakes", "journey", "detector", "parking", "store",
+        "pending", "pending_announced", "corroboration_inbox", "parking_queue", "coop",
+        "plan", "stats", "shown", "last_advert_sent"}
 
 
 # What the simulator makes per vehicle, per tick or per session, taken from a
@@ -476,6 +483,24 @@ def _chain_sim(directory):
     return bundle.build()
 
 
+def test_opened_payloads_are_recorded_only_for_an_attached_audit(tmp_path):
+    plain = _chain_sim(tmp_path / "plain")
+    stats = plain.run()
+    audited = _chain_sim(tmp_path / "audited")
+    audited.audit = AuditLog()
+    assert audited.run().csv() == stats.csv() and audited.trace == plain.trace
+    assert plain.audit is None
+    payloads = audited.audit.payloads
+    assert {tag for _, _, tag, _ in payloads} == {
+        wire.CORROBORATION_REQUEST, wire.SIGNED_OBSERVATION, wire.AGGREGATED_EVENT}
+    for t, node, tag, event_id in payloads:
+        assert node in audited.nodes and 0 <= t <= audited.config.duration
+        if tag == wire.AGGREGATED_EVENT:
+            assert any(f"event={event_id.hex()[:8]}" in line for line in audited.trace)
+        else:
+            assert event_id == b""
+
+
 def test_malformed_and_mismatched_frames_are_dropped_and_counted(tmp_path):
     sim = _chain_sim(tmp_path / "chain")
     sim.run()
@@ -595,10 +620,11 @@ def test_sealed_observation_with_unencodable_number_is_dropped(tmp_path, tag, fi
     payload = payload[:offset] + struct.pack(">d", value) + payload[offset + 8:]
     blob = crypto.seal(c.sessions["D"].key.key, payload, bytes(16))
     frame = wire.encode_frame(tag, blob)
-    events, pending, trace = list(c.decrypted_events), dict(c.pending), list(sim.trace)
+    sim.audit = AuditLog()
+    pending, trace = dict(c.pending), list(sim.trace)
     sim._handle_frame(c, "D", frame, 121, neighbors)
     assert sim.malformed_frames == 1
-    assert c.decrypted_events == events and c.pending == pending and sim.trace == trace
+    assert sim.audit.payloads == [] and c.pending == pending and sim.trace == trace
     with pytest.raises(wire.WireError):
         (wire.decode_signed_observation if tag == wire.SIGNED_OBSERVATION
          else wire.decode_aggregate)(payload)

