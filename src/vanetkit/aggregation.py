@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .events import CongestionObservation, location_cell
@@ -26,13 +26,15 @@ from .trust import Certificate, RevocationStore
 
 MIN_REQUIRED_SIGNATURES = 2
 TIME_QUANTUM = 60.0   # seconds; observations are signed against a minute bucket
+_NO_PEERS: frozenset[str] = frozenset()
 
 
 @dataclass(slots=True)
 class JourneyContactLog:
-    """Authentication history for the current journey."""
+    """Authentication history for the current journey.  A journey without
+    contacts shares one empty `peers`; the first `record` makes its own."""
     first_auth_at: float | None = None
-    peers: set[str] = field(default_factory=set)   # session identities, not pseudonyms
+    peers: frozenset[str] | set[str] = _NO_PEERS   # session identities, not pseudonyms
 
     @property
     def distinct_peers(self) -> int:
@@ -46,11 +48,13 @@ class JourneyContactLog:
         """
         if self.first_auth_at is None:
             self.first_auth_at = now
+        if self.peers is _NO_PEERS:
+            self.peers = set()
         self.peers.add(peer)
 
     def reset(self) -> None:
         self.first_auth_at = None
-        self.peers.clear()
+        self.peers = _NO_PEERS
 
 
 def avg_users_per_minute(log: JourneyContactLog, now: float) -> float | None:

@@ -20,17 +20,26 @@ it changes any state or draws from the RNG, so a replayed message shifts
 no later draw.  Thousands of handshakes are open at once in a large run,
 so an engine has `__slots__` and keeps only what a later step reads: its
 pseudonym, its node's revocation store and the shared candidate-key
-tuple (no `Party`), and each block only until its last reader.  The
-responses go out in the frame and are never kept; the slot map is
-dropped once they are built.  Step by step, besides its fixed fields:
-- an initiator after `start` holds its slot map and its own commitments;
-- after `on_challenge` it has hashed the transcript, so it holds the
-  transcript digest, its challenge and the peer's commitments, which
+tuple (no `Party`), and the peer's block only until `match_keys` has read
+it.  Its own block goes out in a frame and into a running transcript
+hash, and is not kept: the transcript is `sha256(session_id || C_i || C_r
+|| challenge_r || challenge_i)`, fed one part at a time as each arrives,
+which yields the one-shot digest (a TLS 1.3 transcript hash is kept the
+same way, RFC 8446 section 4.4.1).  The responses go out in the frame and
+are never kept.  The slot map is one byte per slot, an index into the
+candidate-key tuple or `PAD_SLOT`, and is dropped once the responses are
+built.  Step by step, besides its fixed fields:
+- an initiator after `start` holds its slot map and the transcript hash
+  over the session id and its own commitments;
+- after `on_challenge` it has finished the transcript, so it holds the
+  digest, its challenge and the peer's commitments, which
   `on_peer_response` matches and then drops;
-- a responder after `on_commit` holds its slot map and both blocks;
-- after an accepting `on_response` it has hashed the transcript and
+- a responder after `on_commit` holds its slot map, the peer's
+  commitments and the transcript hash over all but the initiator's
+  challenge;
+- after an accepting `on_response` it has finished the transcript and
   holds only the session key bytes for `on_result`.  A rejecting one
-  keeps its blocks, but its router drops it at once.
+  keeps the peer's block and the hash, but its router drops it at once.
 
 One router, `Handshakes`, holds a node's open engines and its attempt
 schedule and routes each handshake message to its engine.  The
@@ -47,7 +56,7 @@ memoised in `_HMAC_STATES`, one entry per distinct certificate key, as
 `crypto._PUBLIC_KEYS` memoises public keys.
 
 A side's commitments, and its responses, are one `bytes` block of 32-byte
-fields in slot order, as on the wire: the engines hold, send and receive
+fields in slot order, as on the wire: the engines send and receive
 blocks, and `match_keys` reads the peer's at 32-byte offsets.  One block
 costs a single object where a list of fields costs one per field, and
 most handshakes are held open only to end in rejection.  Padding fields
@@ -163,6 +172,9 @@ def emit_beacon(state: PseudonymState, tick: int) -> tuple[Beacon, bytes]:
 _COMMIT_LABEL = b"vk-commit"
 _RESPONSE_LABEL = b"vk-resp"
 _HMAC_BLOCK = 64   # sha256 block size
+# A slot map's entry for a padding slot.  No key index reaches it, since a
+# block holds at most `wire.MAX_FIELDS` fields.
+PAD_SLOT = wire.MAX_FIELDS
 
 
 def _commitment_prefix(nonce: bytes):
@@ -198,43 +210,48 @@ def _response(key: bytes, message: bytes) -> bytes:
     return outer.digest()
 
 
-def _padding(slots: list[bytes | None], rng: random.Random):
+def _padding(slots: bytes, rng: random.Random):
     """Iterator over a random field per padding slot, in slot order, cut
     from one draw: the same bytes as one `randbytes(32)` per slot."""
-    pad = rng.randbytes(FIELD_LEN * slots.count(None))
+    pad = rng.randbytes(FIELD_LEN * slots.count(PAD_SLOT))
     return iter([pad[i:i + FIELD_LEN] for i in range(0, len(pad), FIELD_LEN)])
 
 
 def build_commitments(keys: Sequence[bytes], nonce: bytes,
-                      rng: random.Random) -> tuple[bytes, list[bytes | None]]:
+                      rng: random.Random) -> tuple[bytes, bytes]:
     """Commitment block padded and shuffled to hide which slots are real.
 
-    Returns the commitments plus a slot map carrying the key behind each
-    real slot (None for padding), which the prover needs for responses.
+    Returns the commitments plus the slot map the prover needs for its
+    responses: one byte per slot, the index in `keys` of the key behind a
+    real slot or `PAD_SLOT` for padding.  The map is shuffled as a list of
+    the keys and padding would be, with the same draws.  More keys than a
+    block has fields raise `wire.WireError`, as encoding the block would.
     """
-    slots: list[bytes | None] = list(keys)
-    while len(slots) < PAD_COMMITMENTS:
-        slots.append(None)
+    if len(keys) > wire.MAX_FIELDS:
+        raise wire.WireError(f"{len(keys)} candidate keys exceed a block's "
+                             f"{wire.MAX_FIELDS} fields")
+    slots = bytearray(range(len(keys))) + bytes([PAD_SLOT]) * (PAD_COMMITMENTS - len(keys))
     rng.shuffle(slots)
     prefix = _commitment_prefix(nonce)
     pads = _padding(slots, rng)
     commitments = []
-    for key in slots:
-        if key is None:
+    for i in slots:
+        if i == PAD_SLOT:
             commitments.append(next(pads))
         else:
             h = prefix.copy()
-            h.update(key)
+            h.update(keys[i])
             commitments.append(h.digest())
-    return b"".join(commitments), slots
+    return b"".join(commitments), bytes(slots)
 
 
-def build_responses(slots: list[bytes | None], challenge: bytes, nonce: bytes,
+def build_responses(keys: Sequence[bytes], slots: bytes, challenge: bytes, nonce: bytes,
                     rng: random.Random) -> bytes:
+    """Response block for the slot map of `build_commitments(keys, ...)`."""
     message = _RESPONSE_LABEL + challenge + nonce
     pads = _padding(slots, rng)
-    return b"".join([_response(k, message) if k is not None else next(pads)
-                     for k in slots])
+    return b"".join([_response(keys[i], message) if i != PAD_SLOT else next(pads)
+                     for i in slots])
 
 
 def match_keys(own_keys: Sequence[bytes], commitments: bytes, nonce: bytes,
@@ -257,13 +274,6 @@ def match_keys(own_keys: Sequence[bytes], commitments: bytes, nonce: bytes,
         if at >= 0 and responses.startswith(_response(key, message), at):
             matched.append(key)
     return matched
-
-
-def _transcript_digest(session_id: bytes, commitments_i: bytes, commitments_r: bytes,
-                       challenge_r: bytes, challenge_i: bytes) -> bytes:
-    """Hash of the handshake transcript: the last reader of both
-    commitment blocks."""
-    return crypto.sha256(session_id, commitments_i, commitments_r, challenge_r, challenge_i)
 
 
 def _session_key_bytes(transcript: bytes, shared_key: bytes, nonce_i: bytes,
@@ -303,8 +313,8 @@ class Party:
 class _EngineBase:
     __slots__ = ("pseudonym", "revocations", "keys", "rng", "started_at", "peer_user_id",
                  "outcome", "reason", "session_key", "session_id", "nonce",
-                 "commitments", "_slots", "challenge_for_peer", "peer_commitments",
-                 "peer_pseudonym")
+                 "commitments", "_slots", "_transcript", "challenge_for_peer",
+                 "peer_commitments", "peer_pseudonym")
 
     def __init__(self, party: Party, rng: random.Random, now: float,
                  peer_user_id: str | None = None):
@@ -317,6 +327,11 @@ class _EngineBase:
         self.outcome: str | None = None
         self.reason = REASON_OK
         self.session_key: SessionKey | None = None
+        self.commitments = b""
+        # the slot map of our commitments, until the responses are built
+        self._slots: bytes | None = None
+        # the running transcript hash; an initiator then keeps its digest
+        self._transcript = None
         self.peer_commitments = b""
         self.peer_pseudonym = b""
 
@@ -358,31 +373,37 @@ def _check_session(expected: bytes, got: bytes, role_ok: bool = True,
 class AuthInitiator(_EngineBase):
     """Initiator side of the five-message mutual authentication."""
 
-    __slots__ = ("_transcript",)
+    __slots__ = ()
 
     def __init__(self, party: Party, rng: random.Random, now: float,
                  peer_user_id: str | None = None):
         super().__init__(party, rng, now, peer_user_id)
         self.session_id = rng.randbytes(16)
         self.nonce = rng.randbytes(16)
-        # the key behind each commitment slot, until the responses are built
         self.commitments, self._slots = build_commitments(self.keys, self.nonce, rng)
         self.challenge_for_peer = b""
-        self._transcript = b""
 
     def start(self) -> bytes:
-        return wire.encode_auth_commit(self.session_id, self.pseudonym, self.commitments)
+        """The commit frame.  The transcript hash takes the session id and
+        our commitments, which are not held after that."""
+        if self._transcript is not None:
+            raise SessionMismatchError("handshake already started")
+        frame = wire.encode_auth_commit(self.session_id, self.pseudonym, self.commitments)
+        self._transcript = hashlib.sha256(self.session_id + self.commitments)
+        self.commitments = b""
+        return frame
 
     def on_challenge(self, session_id: bytes, peer_pseudonym: bytes, challenge: bytes,
                      peer_commitments: bytes) -> bytes:
-        _check_session(self.session_id, session_id, step_ok=self._slots is not None)
+        _check_session(self.session_id, session_id,
+                       step_ok=self._transcript is not None and self._slots is not None)
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
         self.challenge_for_peer = self.rng.randbytes(CHALLENGE_LEN)
-        self._transcript = _transcript_digest(session_id, self.commitments, peer_commitments,
-                                              challenge, self.challenge_for_peer)
-        self.commitments = b""
-        responses = build_responses(self._slots, challenge, self.nonce, self.rng)
+        transcript = self._transcript
+        transcript.update(peer_commitments + challenge + self.challenge_for_peer)
+        self._transcript = transcript.digest()
+        responses = build_responses(self.keys, self._slots, challenge, self.nonce, self.rng)
         self._slots = None
         return wire.encode_auth_response(self.session_id, True, self.nonce,
                                          responses, self.challenge_for_peer)
@@ -403,32 +424,35 @@ class AuthInitiator(_EngineBase):
 
 
 class AuthResponder(_EngineBase):
-    """Responder side; challenges first, proves second."""
+    """Responder side; challenges first, proves second.  `peer` is the node
+    that committed, the only one whose messages continue the handshake."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("peer", "_key")
 
     def __init__(self, party: Party, rng: random.Random, now: float,
-                 peer_user_id: str | None = None):
+                 peer_user_id: str | None = None, peer: str | None = None):
         super().__init__(party, rng, now, peer_user_id)
+        self.peer = peer
         self.session_id: bytes | None = None      # until the commit names it
         self.nonce = rng.randbytes(16)
         self.challenge_for_peer = rng.randbytes(CHALLENGE_LEN)
-        self.commitments = b""
-        # the key behind each commitment slot, from the commit until the responses
-        self._slots: list[bytes | None] | None = None
         # set once we accept the peer's proof: the session key if it accepts ours
         self._key: bytes | None = None
 
     def on_commit(self, session_id: bytes, peer_pseudonym: bytes,
                   peer_commitments: bytes) -> bytes:
+        """The challenge frame.  Our commitments go into it and into the
+        transcript hash, and are not held after that."""
         if self.session_id is not None:
             raise SessionMismatchError("handshake already committed")
+        commitments, self._slots = build_commitments(self.keys, self.nonce, self.rng)
         self.session_id = session_id
         self.peer_pseudonym = peer_pseudonym
         self.peer_commitments = peer_commitments
-        self.commitments, self._slots = build_commitments(self.keys, self.nonce, self.rng)
+        self._transcript = hashlib.sha256(session_id + peer_commitments + commitments
+                                          + self.challenge_for_peer)
         return wire.encode_auth_challenge(session_id, self.pseudonym,
-                                          self.challenge_for_peer, self.commitments)
+                                          self.challenge_for_peer, commitments)
 
     def on_response(self, session_id: bytes, is_initiator: bool, peer_nonce: bytes,
                     peer_responses: bytes, counter_challenge: bytes) -> bytes:
@@ -439,13 +463,14 @@ class AuthResponder(_EngineBase):
         shared = self._shared_key(peer_nonce, peer_responses)
         if shared is None:
             return wire.encode_auth_result(self.session_id, False)
-        transcript = _transcript_digest(session_id, self.peer_commitments, self.commitments,
-                                        self.challenge_for_peer, counter_challenge)
-        self.peer_commitments = self.commitments = b""
-        self._key = _session_key_bytes(transcript, shared, peer_nonce, self.nonce)
+        transcript, self._transcript = self._transcript, None
+        transcript.update(counter_challenge)
+        self.peer_commitments = b""
+        self._key = _session_key_bytes(transcript.digest(), shared, peer_nonce, self.nonce)
         return wire.encode_auth_response(
             self.session_id, False, self.nonce,
-            build_responses(slots, counter_challenge, self.nonce, self.rng), b"\x00" * 16)
+            build_responses(self.keys, slots, counter_challenge, self.nonce, self.rng),
+            b"\x00" * 16)
 
     def on_result(self, session_id: bytes, accepted: bool, now: float) -> None:
         _check_session(self.session_id, session_id,
@@ -526,11 +551,12 @@ HANDSHAKE_TIMEOUT = 10.0     # seconds an open handshake is kept
 class Handshakes:
     """One node's open handshakes and its attempt schedule.
 
-    Initiator engines are held by peer, responder engines by session id
-    with the peer that committed.  `due` allows a neighbour with neither a
-    session nor an open initiator one attempt per period.  The smaller id
-    opens; the larger takes over once it has seen the peer for a full
-    period, which heals a pair where one side lost the final message.
+    Initiator engines are held by peer, responder engines by session id;
+    a responder names the peer that committed.  `due` allows a neighbour
+    with neither a session nor an open initiator one attempt per period.
+    The smaller id opens; the larger takes over once it has seen the peer
+    for a full period, which heals a pair where one side lost the final
+    message.
 
     The schedule holds only what `due` reads: `first_seen` only peers with
     a smaller id, and `last_attempt` only attempts less than a period old,
@@ -548,7 +574,7 @@ class Handshakes:
         self.rng = rng
         self.period = period
         self.initiators: dict[str, AuthInitiator] = {}
-        self.responders: dict[bytes, tuple[str, AuthResponder]] = {}
+        self.responders: dict[bytes, AuthResponder] = {}
         self.last_attempt: dict[str, float] = {}
         self.first_seen: dict[str, float] = {}
 
@@ -588,8 +614,8 @@ class Handshakes:
             if session_id in self.responders:
                 raise SessionMismatchError("handshake already committed")
             responder = AuthResponder(Party(self.identity, self.revocations, pseudonym),
-                                      self.rng, now, peer_user_id=peer_user)
-            self.responders[session_id] = (sender, responder)
+                                      self.rng, now, peer_user_id=peer_user, peer=sender)
+            self.responders[session_id] = responder
             return responder.on_commit(session_id, peer_pseudonym, commitments), None
         initiator = self.initiators.get(sender)
         if tag == wire.AUTH_CHALLENGE:
@@ -604,20 +630,20 @@ class Handshakes:
                 reply = initiator.on_peer_response(session_id, False, nonce, responses, now)
                 del self.initiators[sender]
                 return reply, initiator
-            entry = self.responders.get(session_id)
-            if entry is None or entry[0] != sender:
+            responder = self.responders.get(session_id)
+            if responder is None or responder.peer != sender:
                 return None, None
-            reply = entry[1].on_response(session_id, True, nonce, responses, counter)
-            if entry[1].outcome is None:
+            reply = responder.on_response(session_id, True, nonce, responses, counter)
+            if responder.outcome is None:
                 return reply, None
             del self.responders[session_id]      # rejected: nothing more can arrive
-            return reply, entry[1]
+            return reply, responder
         session_id, accepted = wire.decode_auth_result(body)
-        entry = self.responders.get(session_id)
-        if entry is not None and entry[0] == sender:
-            entry[1].on_result(session_id, accepted, now)   # raises on a step out of turn
+        responder = self.responders.get(session_id)
+        if responder is not None and responder.peer == sender:
+            responder.on_result(session_id, accepted, now)   # raises on a step out of turn
             del self.responders[session_id]
-            return None, entry[1]
+            return None, responder
         if initiator is None or initiator.session_id != session_id:
             return None, None
         # The responder rejected our proof; the wire carries only the verdict.
@@ -637,6 +663,6 @@ class Handshakes:
                          if now - engine.started_at > HANDSHAKE_TIMEOUT]:
                 del self.initiators[peer]
         if self.responders:
-            for session_id in [s for s, (_, engine) in self.responders.items()
+            for session_id in [s for s, engine in self.responders.items()
                                if now - engine.started_at > HANDSHAKE_TIMEOUT]:
                 del self.responders[session_id]

@@ -23,7 +23,9 @@ freed as soon as a newer one is pushed.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable
 
 from .geomodel import (GeoCoordinate, RoadNetwork, VehicleState, distance,
@@ -33,6 +35,7 @@ from .trust import Certificate
 
 CONGESTION_TTL = 900.0   # seconds an accepted congestion event is retained
 PARKING_TTL = 60.0       # seconds a vacancy announcement stays visible, by default
+_EMPTY: Mapping = MappingProxyType({})   # every map a detector or store has not written yet
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,8 @@ class CongestionDetector:
         self.has_gps = has_gps
         self.times: list[float] = []          # the window's sample times, oldest first
         self.newest: tuple[VehicleState, float] | None = None   # (state, segment limit)
-        self.last_emitted: dict[tuple[str, str], float] = {}
+        # made on the first emission; until then the shared read-only empty map
+        self.last_emitted: Mapping[tuple[str, str], float] = _EMPTY
         self._pushed = 0         # samples pushed so far
         self._broken_at = -1     # push number of the newest breaking non-newest sample
 
@@ -205,6 +209,8 @@ class CongestionDetector:
         last = self.last_emitted.get(key)
         if last is not None and now - last < self.config.cooldown:
             return None
+        if self.last_emitted is _EMPTY:
+            self.last_emitted = {}
         self.last_emitted[key] = now
         return candidate
 
@@ -233,26 +239,34 @@ class ParkingMonitor:
 
 class EventStore:
     """Node-local store of events, pruned by TTL: the one record of which
-    congestion and parking events a node holds."""
+    congestion and parking events a node holds.  Each map starts as the
+    shared read-only empty one; its `add_*` method, the one writer, makes
+    the store its own on the first event of that kind."""
 
     __slots__ = ("parking", "congestion", "adverts")
 
     def __init__(self):
-        self.parking: dict[bytes, ParkingEvent] = {}
-        self.congestion: dict[bytes, tuple[object, float]] = {}   # id -> (event, stored_at)
-        self.adverts: dict[bytes, AdvertEvent] = {}
+        self.parking: Mapping[bytes, ParkingEvent] = _EMPTY
+        self.congestion: Mapping[bytes, tuple[object, float]] = _EMPTY   # id -> (event, stored_at)
+        self.adverts: Mapping[bytes, AdvertEvent] = _EMPTY
 
     def holds(self, event_id: bytes) -> bool:
         """True for a congestion or parking event id the store holds."""
         return event_id in self.congestion or event_id in self.parking
 
     def add_parking(self, event_id: bytes, event: ParkingEvent) -> None:
+        if self.parking is _EMPTY:
+            self.parking = {}
         self.parking[event_id] = event
 
     def add_congestion(self, event_id: bytes, event: object, now: float) -> None:
+        if self.congestion is _EMPTY:
+            self.congestion = {}
         self.congestion[event_id] = (event, now)
 
     def add_advert(self, advert_id: bytes, advert: AdvertEvent) -> None:
+        if self.adverts is _EMPTY:
+            self.adverts = {}
         self.adverts[advert_id] = advert
 
     def visible_parking(self, now: float) -> list[tuple[bytes, ParkingEvent]]:

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .events import AdvertEvent, DetectionConfig, advert_certificate_verifies
-from .geomodel import (DirectiveError, DocumentError, GeoCoordinate, RoadNetwork,
-                       document_statements, load_network)
+from .geomodel import (BATTERY_LEVELS, FORWARD, REVERSE, DirectiveError, DocumentError,
+                       GeoCoordinate, RoadNetwork, document_statements, load_network)
 from .simnet import (CongestionZone, FindDirective, ParkDirective, SimConfig,
                      Simulation, VehicleSpec)
 from .trust import Certificate, Roster, load_roster
@@ -61,6 +61,8 @@ class ScenarioBundle:
             raise BundleNotLoadedError(f"bundle {self.directory} has no network or roster")
         return Simulation(self.config, self.network, self.roster)
 
+
+_DIRECTIONS = (FORWARD, REVERSE)
 
 # Each int or float field of the config dataclasses is one statement `<field> <value>`.
 _CONFIG_INT = {name for name, hint in get_type_hints(SimConfig).items() if hint is int}
@@ -92,12 +94,19 @@ def _parse_vehicle(fields: list[str], lineno: int, problems: list[str]) -> Vehic
             elif key == "offset":
                 spec["offset"] = float(value)
             elif key == "dir":
+                if value not in _DIRECTIONS:
+                    problems.append(f"line {lineno}: vehicle direction {value!r} is not "
+                                    f"{FORWARD!r} or {REVERSE!r}")
+                    return None
                 spec["direction"] = value
             elif key == "speed":
                 spec["speed"] = float(value)
             elif key == "route":
                 spec["route"] = [s for s in value.split(",") if s]
             elif key == "battery":
+                if value not in BATTERY_LEVELS:
+                    problems.append(f"line {lineno}: unknown battery level {value!r}")
+                    return None
                 spec["battery"] = value
             elif key == "start":
                 spec["start"] = float(value)
@@ -142,8 +151,13 @@ def parse_scenario(text: str, problems: list[str]) -> tuple[SimConfig, str, str,
                 if spec is not None:
                     config.vehicles.append(spec)
             elif key == "congestion_zone":
-                config.zones.append(CongestionZone(fields[1], fields[2], float(fields[3]),
-                                                   float(fields[4]), float(fields[5])))
+                zone = CongestionZone(fields[1], fields[2], float(fields[3]),
+                                      float(fields[4]), float(fields[5]))
+                if zone.direction in _DIRECTIONS:
+                    config.zones.append(zone)
+                else:
+                    problems.append(f"line {lineno}: congestion zone direction "
+                                    f"{zone.direction!r} is not {FORWARD!r} or {REVERSE!r}")
             elif key == "park":
                 config.parks.append(ParkDirective(fields[1], float(fields[2]), float(fields[3])))
             elif key == "find":

@@ -21,7 +21,9 @@ import math
 import random
 import struct
 import warnings
+from collections.abc import Mapping, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 from . import aggregation, auth, crypto, wire
 from .aggregation import (JourneyContactLog, PendingObservation,
@@ -39,6 +41,10 @@ from .relay import (ACTION_CORROBORATE, ACTION_DROP, ACTION_REROUTE_FORWARD,
 from .trust import RevocationStore, Roster, report_misbehavior
 
 _BATTERY_ORDER = {level: i for i, level in enumerate(BATTERY_LEVELS)}
+
+# The read-only empty values every node's unwritten containers share.
+_EMPTY_MAP: Mapping = MappingProxyType({})
+_EMPTY_SET: AbstractSet = frozenset()
 
 # Why a sealed frame was dropped unopened (`Simulation.sealed_drops`).
 DROP_NO_SESSION = "no-session"
@@ -221,7 +227,14 @@ class _Session:
 
 
 class _Node:
-    """Runtime state of one vehicle's protocol stack inside the simulator."""
+    """Runtime state of one vehicle's protocol stack inside the simulator.
+
+    Most vehicles never fill most of their containers, so each of
+    `sessions`, `pending`, `pending_announced`, `corroboration_inbox`,
+    `parking_queue`, `coop` and `shown` starts as one read-only empty value
+    that every node shares.  The container's one write method below gives
+    the node a container of its own on the first write; readers and `del`
+    see either kind alike."""
 
     __slots__ = ("spec", "id", "user", "state", "turns", "equipped", "launched",
                  "pseudonyms", "revocations", "sessions", "handshakes", "journey",
@@ -243,23 +256,23 @@ class _Node:
         self.launched = False          # battery gate outcome for the current journey
         self.pseudonyms: auth.PseudonymState | None = None
         self.revocations = RevocationStore(sim.known_users)
-        self.sessions: dict[str, _Session] = {}
+        self.sessions: Mapping[str, _Session] = _EMPTY_MAP
         self.handshakes = auth.Handshakes(self.id, self.user, self.revocations, sim.rng,
                                           sim.config.auth_period)
         self.journey = JourneyContactLog()
         self.detector = CongestionDetector(sim.config.detection, spec.has_gps)
         self.parking = ParkingMonitor(sim.config.detection.parking_ttl, spec.has_gps)
         self.store = EventStore()     # the events this node holds
-        self.pending: dict[bytes, PendingObservation] = {}
-        self.pending_announced: set[bytes] = set()
+        self.pending: Mapping[bytes, PendingObservation] = _EMPTY_MAP
+        self.pending_announced: AbstractSet[bytes] = _EMPTY_SET
         # Corroboration requests we could not answer yet: our own detector
         # may start firing while the jam request is still fresh.
-        self.corroboration_inbox: dict[bytes, tuple[str, object, float]] = {}
-        self.parking_queue: list[tuple[bytes, ParkingEvent]] = []
-        self.coop: dict[str, CooperationRecord] = {}
+        self.corroboration_inbox: Mapping[bytes, tuple[str, object, float]] = _EMPTY_MAP
+        self.parking_queue: Sequence[tuple[bytes, ParkingEvent]] = ()
+        self.coop: Mapping[str, CooperationRecord] = _EMPTY_MAP
         self.plan: RoutePlan | None = None
         self.stats = NodeStats()
-        self.shown: set[bytes] = set()
+        self.shown: AbstractSet[bytes] = _EMPTY_SET
         self.last_advert_sent = -1e9
 
     @property
@@ -272,7 +285,42 @@ class _Node:
         return [p for p in sorted(self.sessions) if p in present]
 
     def coop_record(self, peer: str) -> CooperationRecord:
-        return self.coop.setdefault(peer, CooperationRecord())
+        record = self.coop.get(peer)
+        if record is None:
+            if self.coop is _EMPTY_MAP:
+                self.coop = {}
+            record = self.coop[peer] = CooperationRecord()
+        return record
+
+    def open_session(self, peer: str, session: _Session) -> None:
+        if self.sessions is _EMPTY_MAP:
+            self.sessions = {}
+        self.sessions[peer] = session
+
+    def add_pending(self, event_id: bytes, pending: PendingObservation) -> None:
+        if self.pending is _EMPTY_MAP:
+            self.pending = {}
+        self.pending[event_id] = pending
+
+    def mark_announced(self, event_id: bytes) -> None:
+        if self.pending_announced is _EMPTY_SET:
+            self.pending_announced = set()
+        self.pending_announced.add(event_id)
+
+    def hold_request(self, event_id: bytes, request: tuple[str, object, float]) -> None:
+        if self.corroboration_inbox is _EMPTY_MAP:
+            self.corroboration_inbox = {}
+        self.corroboration_inbox[event_id] = request
+
+    def queue_parking(self, event_id: bytes, event: ParkingEvent) -> None:
+        if not self.parking_queue:
+            self.parking_queue = []
+        self.parking_queue.append((event_id, event))
+
+    def mark_shown(self, item_id: bytes) -> None:
+        if self.shown is _EMPTY_SET:
+            self.shown = set()
+        self.shown.add(item_id)
 
 
 class Simulation:
@@ -312,6 +360,8 @@ class Simulation:
             if spec.vehicle_id in self.nodes:
                 raise ValueError(f"duplicate vehicle id {spec.vehicle_id!r}")
             self.nodes[spec.vehicle_id] = _Node(spec, self)
+        # Node ids never change, so the per-tick phases walk this one order.
+        self._in_id_order = tuple(self.nodes[nid] for nid in sorted(self.nodes))
 
         equipped = assign_obus(self.nodes.keys(), config.obu_fraction, config.seed)
         for node_id in equipped:
@@ -402,12 +452,11 @@ class Simulation:
     # -- phase 1: scripted ignition and journeys ---------------------------
 
     def _script_step(self, t: int) -> None:
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            park = self._park_index.get((t, node_id))
+        for node in self._in_id_order:
+            park = self._park_index.get((t, node.id))
             if park is not None and node.state.ignition:
                 self._ignition_off(node)
-            unpark = self._unpark_index.get((t, node_id))
+            unpark = self._unpark_index.get((t, node.id))
             if unpark is not None and not node.state.ignition:
                 self._ignition_on(node, announce=True)
             if (not node.state.ignition and unpark is None
@@ -438,7 +487,7 @@ class Simulation:
             event = node.parking.ignition_on(self.now)
             if event is not None:
                 event_id = _parking_event_id(event)
-                node.parking_queue.append((event_id, event))
+                node.queue_parking(event_id, event)
                 node.store.add_parking(event_id, event)
                 self._trace(node.id, "detect",
                             f"parking x={event.location.x:.3f} y={event.location.y:.3f}")
@@ -483,8 +532,7 @@ class Simulation:
 
     def _mobility_step(self, t: int) -> None:
         dt = self.config.tick
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
+        for node in self._in_id_order:
             if not node.state.ignition:
                 continue
             zone = self._zone_speed(node)
@@ -508,8 +556,7 @@ class Simulation:
 
     def _adjacency(self) -> tuple[dict[str, GeoCoordinate], dict[str, list[str]]]:
         """Every node's position, and each active node's active neighbours."""
-        positions = {nid: self.nodes[nid].state.position(self.network)
-                     for nid in sorted(self.nodes)}
+        positions = {node.id: node.state.position(self.network) for node in self._in_id_order}
         return positions, self.radio.neighbors(self.nodes, positions)
 
     def _delivery_step(self, t: int, positions, neighbors) -> None:
@@ -520,20 +567,20 @@ class Simulation:
     # -- phase 5: per-node protocol actions -------------------------------------
 
     def _node_step(self, t: int, positions, neighbors) -> None:
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
+        for node in self._in_id_order:
             if not node.active:
                 continue
+            near = neighbors[node.id]
             self._rotate_if_due(node, t)
-            self._beacon(node, t, neighbors[node_id])
-            self._schedule_auth(node, t, neighbors[node_id])
-            self._gc_sessions(node, neighbors[node_id])
+            self._beacon(node, t, near)
+            self._schedule_auth(node, t, near)
+            self._gc_sessions(node, near)
             self._detect(node)
             self._corroboration_inbox_sweep(node, t)
-            self._corroboration_requests(node, t, neighbors[node_id])
-            self._assembly(node, t, neighbors[node_id])
-            self._parking_announcements(node, t, neighbors[node_id])
-            self._advert_broadcast(node, t, neighbors[node_id])
+            self._corroboration_requests(node, t, near)
+            self._assembly(node, t, near)
+            self._parking_announcements(node, t, near)
+            self._advert_broadcast(node, t, near)
             for record in node.coop.values():
                 record.close_expired(self.now)
             self._expire_stores(node)
@@ -591,8 +638,8 @@ class Simulation:
         own = sign_observation(obs, node.user.keys.private_key,
                                node.user.self_certificate,
                                node.pseudonyms.current.value)
-        node.pending[event_id] = PendingObservation(
-            obs, own, self.now, self.now + self.config.detection.cooldown)
+        node.add_pending(event_id, PendingObservation(
+            obs, own, self.now, self.now + self.config.detection.cooldown))
         self._trace(node.id, "detect",
                     f"congestion road={obs.road_id} dir={obs.direction}")
 
@@ -611,7 +658,7 @@ class Simulation:
                     payload = wire.encode_signed_observation(pending.signatures[0])
                 self._seal_and_send(node, peer, wire.CORROBORATION_REQUEST, payload, t)
             if pending.requested_peers and event_id not in node.pending_announced:
-                node.pending_announced.add(event_id)
+                node.mark_announced(event_id)
                 self._trace(node.id, "announce", f"congestion event={event_id.hex()[:8]}")
 
     def _assembly(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
@@ -653,7 +700,7 @@ class Simulation:
                     node.coop_record(peer).hand_over(event_id, self.now + FORWARD_WINDOW)
                     self._seal_and_send(node, peer, wire.PARKING_EVENT, payload, t)
             self._trace(node.id, "announce", f"parking event={event_id.hex()[:8]}")
-        node.parking_queue = []
+        node.parking_queue = ()
 
     def _advert_broadcast(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
         adverts = self._advert_carriers.get(node.id)
@@ -681,7 +728,7 @@ class Simulation:
             return
         for event_id, event in node.store.visible_parking(self.now):
             if event_id not in node.shown:
-                node.shown.add(event_id)
+                node.mark_shown(event_id)
                 self._trace(node.id, "show",
                             f"parking event={event_id.hex()[:8]} "
                             f"x={event.location.x:.3f} y={event.location.y:.3f}")
@@ -734,7 +781,7 @@ class Simulation:
         if engine is None or engine.outcome != auth.OUTCOME_ACCEPTED:
             return
         peer_user = self.nodes[peer].spec.user_id
-        node.sessions[peer] = _Session(engine.session_key, peer_user, self.now)
+        node.open_session(peer, _Session(engine.session_key, peer_user, self.now))
         node.stats.auth_accepted += 1
         node.journey.record(peer_user, self.now)
         if isinstance(engine, auth.AuthInitiator):
@@ -795,8 +842,8 @@ class Simulation:
         if not self._answer_corroboration(node, sender, signed, t):
             # Not stuck (yet): keep the request while the jam could still
             # reach us, bounded by the promoter's pending window.
-            node.corroboration_inbox[event_id_for(signed.observation)] = (
-                sender, signed, self.now + self.config.detection.cooldown)
+            node.hold_request(event_id_for(signed.observation),
+                              (sender, signed, self.now + self.config.detection.cooldown))
 
     def _answer_corroboration(self, node: _Node, sender: str, signed, t: int) -> bool:
         own_obs = None
@@ -892,7 +939,7 @@ class Simulation:
             return
         node.store.add_advert(advert_id, advert)
         if shown:
-            node.shown.add(advert_id)
+            node.mark_shown(advert_id)
             self._trace(node.id, "show", f"advert company={advert.company_name}")
 
     def _forward_event(self, node: _Node, tag: int, payload: bytes, event_id: bytes,

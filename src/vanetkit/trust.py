@@ -20,13 +20,15 @@ mutations, so no locking is needed anywhere in this module.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import crypto
 from .geomodel import DocumentError, document_statements
 
 REVOCATION_THRESHOLD = 3
+_NO_RECORDS: Mapping = MappingProxyType({})
 
 
 class UnknownUserError(Exception):
@@ -241,7 +243,11 @@ class RevocationRecord:
 
 
 class RevocationStore:
-    """Per-node devaluation ledger; revokes at the misbehavior threshold."""
+    """Per-node devaluation ledger; revokes at the misbehavior threshold.
+
+    A store that has no record shares one read-only empty `records`;
+    `_record`, the one writer, gives the store its own on the first
+    report or merge."""
 
     __slots__ = ("threshold", "known_users", "records")
 
@@ -251,12 +257,20 @@ class RevocationStore:
         # frozenset() of a frozenset is that same object, so nodes given one
         # shared roster set share it instead of each holding a copy.
         self.known_users = frozenset(known_users) if known_users is not None else None
-        self.records: dict[str, RevocationRecord] = {}
+        self.records: Mapping[str, RevocationRecord] = _NO_RECORDS
+
+    def _record(self, subject: str) -> RevocationRecord:
+        if self.records is _NO_RECORDS:
+            self.records = {}
+        rec = self.records.get(subject)
+        if rec is None:
+            rec = self.records[subject] = RevocationRecord(subject)
+        return rec
 
     def report(self, subject: str) -> RevocationRecord:
         if self.known_users is not None and subject not in self.known_users:
             raise UnknownUserError(subject)
-        rec = self.records.setdefault(subject, RevocationRecord(subject))
+        rec = self._record(subject)
         rec.misbehavior_count += 1
         if rec.misbehavior_count >= self.threshold:
             rec.revoked = True
@@ -267,7 +281,7 @@ class RevocationStore:
         return rec.revoked if rec else False
 
     def merge_record(self, subject: str, count: int, revoked: bool) -> None:
-        rec = self.records.setdefault(subject, RevocationRecord(subject))
+        rec = self._record(subject)
         rec.misbehavior_count = max(rec.misbehavior_count, count)
         if revoked or rec.misbehavior_count >= self.threshold:
             rec.revoked = True

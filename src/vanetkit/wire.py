@@ -45,6 +45,7 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 PSEUDONYM_LEN = 16
 CHALLENGE_LEN = 16
 FIELD_LEN = 32          # one commitment or response: a sha256 or HMAC-SHA256 digest
+MAX_FIELDS = 255        # fields in one block: its count is one byte
 
 
 class WireError(Exception):
@@ -161,8 +162,8 @@ def encode_beacon(pseudonym: bytes, sequence: int, tick: int) -> bytes:
 def _block_count(block: bytes) -> bytes:
     """The u8 field count written in front of a block of 32-byte fields."""
     count, rest = divmod(len(block), FIELD_LEN)
-    if rest or count > 255:
-        raise WireError("block is not at most 255 fields of 32 bytes")
+    if rest or count > MAX_FIELDS:
+        raise WireError(f"block is not at most {MAX_FIELDS} fields of 32 bytes")
     return _U8.pack(count)
 
 

@@ -171,3 +171,23 @@ def test_validate_accepts_a_one_way_street_driven_its_way(tmp_path, capsys):
     vehicle = "vehicle v1 user=u1 segment=s2 offset=10 dir=fwd speed=20 route=s1"
     assert cli.main(["validate", oneway_bundle(tmp_path, vehicle)]) == 0
     assert "ok:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("statement, problem", [
+    ("vehicle v1 user=u1 segment=s1 offset=10 dir=sideways speed=20",
+     "line 3: vehicle direction 'sideways' is not 'fwd' or 'rev'"),
+    ("vehicle v1 user=u1 segment=s1 offset=10 dir=fwd speed=20 battery=full",
+     "line 3: unknown battery level 'full'"),
+    ("vehicle v1 user=u1 segment=s1 offset=10 dir=fwd speed=20\n"
+     "congestion_zone s1 sideways 0 10 5",
+     "line 4: congestion zone direction 'sideways' is not 'fwd' or 'rev'"),
+])
+def test_validate_and_run_refuse_a_value_the_run_cannot_read(tmp_path, capsys, statement,
+                                                             problem):
+    directory = oneway_bundle(tmp_path, statement)
+    assert cli.main(["validate", directory]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {problem}"]
+    assert cli.main(["run", directory, "--out", str(tmp_path / "out")]) == 2
+    assert not os.path.exists(tmp_path / "out")

@@ -306,15 +306,23 @@ def _ref_build_commitments(keys, nonce, rng):
                      else rng.randbytes(32) for k in slots]), slots
 
 
+def _slot_keys(keys, slots):
+    """A slot map as the reference's list: the key behind each slot, or None."""
+    return [keys[i] if i != auth.PAD_SLOT else None for i in slots]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_b(32), max_size=26, unique=True), _b(16), _b(16), st.integers(0, 2**32))
 def test_commitments_responses_and_matches_equal_the_reference(keys, nonce, challenge, seed):
     rng, ref_rng = random.Random(seed), random.Random(seed)
     commitments, slots = auth.build_commitments(keys, nonce, rng)
-    assert (commitments, slots) == _ref_build_commitments(keys, nonce, ref_rng)
-    responses = auth.build_responses(slots, challenge, nonce, rng)
+    assert type(slots) is bytes and len(slots) == max(len(keys), auth.PAD_COMMITMENTS)
+    ref_commitments, ref_slots = _ref_build_commitments(keys, nonce, ref_rng)
+    assert (commitments, _slot_keys(keys, slots)) == (ref_commitments, ref_slots)
+    responses = auth.build_responses(keys, slots, challenge, nonce, rng)
     assert responses == b"".join([crypto.hmac_sha256(k, b"vk-resp", challenge, nonce)
-                                  if k is not None else ref_rng.randbytes(32) for k in slots])
+                                  if k is not None else ref_rng.randbytes(32)
+                                  for k in ref_slots])
     assert rng.getstate() == ref_rng.getstate()
     own = keys[: len(keys) // 2] + [hashlib.sha256(k).digest() for k in keys[len(keys) // 2:]]
     assert auth.match_keys(own, commitments, nonce, challenge, responses) == \
@@ -330,12 +338,14 @@ def test_padding_from_one_draw_equals_a_draw_per_field(n_keys):
     keys = [random.Random(i).randbytes(32) for i in range(n_keys)]
     rng, ref_rng = random.Random(n_keys), random.Random(n_keys)
     commitments, slots = auth.build_commitments(keys, b"n" * 16, rng)
-    assert (commitments, slots) == _ref_build_commitments(keys, b"n" * 16, ref_rng)
+    ref_commitments, ref_slots = _ref_build_commitments(keys, b"n" * 16, ref_rng)
+    assert (commitments, _slot_keys(keys, slots)) == (ref_commitments, ref_slots)
     assert len(commitments) == 32 * max(n_keys, auth.PAD_COMMITMENTS)
-    assert slots.count(None) == max(0, auth.PAD_COMMITMENTS - n_keys)
-    responses = auth.build_responses(slots, b"c" * 16, b"n" * 16, rng)
+    assert slots.count(auth.PAD_SLOT) == max(0, auth.PAD_COMMITMENTS - n_keys)
+    responses = auth.build_responses(keys, slots, b"c" * 16, b"n" * 16, rng)
     assert responses == b"".join([crypto.hmac_sha256(k, b"vk-resp", b"c" * 16, b"n" * 16)
-                                  if k is not None else ref_rng.randbytes(32) for k in slots])
+                                  if k is not None else ref_rng.randbytes(32)
+                                  for k in ref_slots])
     assert rng.getstate() == ref_rng.getstate()
 
 
