@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 FORWARD = "fwd"   # travel from junction_a towards junction_b
@@ -67,7 +68,7 @@ class RoadSegment:
     speed_limit: float        # km/h
     oneway: bool = False
 
-    @property
+    @cached_property
     def length(self) -> float:
         return distance(self.start, self.end)
 

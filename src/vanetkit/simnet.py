@@ -149,6 +149,17 @@ class SimConfig:
             problems.append("obu_fraction must be within [0, 1]")
         if self.battery_threshold not in BATTERY_LEVELS:
             problems.append(f"unknown battery threshold {self.battery_threshold!r}")
+        for spec in self.vehicles:
+            if spec.direction not in (FORWARD, REVERSE):
+                problems.append(f"vehicle {spec.vehicle_id!r} direction {spec.direction!r} "
+                                f"is not {FORWARD!r} or {REVERSE!r}")
+            if spec.battery not in BATTERY_LEVELS:
+                problems.append(f"vehicle {spec.vehicle_id!r} has unknown battery level "
+                                f"{spec.battery!r}")
+        for zone in self.zones:
+            if zone.direction not in (FORWARD, REVERSE):
+                problems.append(f"congestion zone on {zone.segment!r} direction "
+                                f"{zone.direction!r} is not {FORWARD!r} or {REVERSE!r}")
         total = self.total_vehicles()
         if not 600 <= total <= 15000:
             warnings.warn(f"vehicle count {total} outside the calibrated 600-15000 range",

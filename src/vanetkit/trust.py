@@ -8,20 +8,24 @@ revocation knowledge merges after every successful authentication.
 
 Certificates are issued when a roster is loaded and signed the first
 time their `signature` is read: `make_certificate` keeps the signer's
-private key in the certificate's private `_unsigned` attribute, and the
-first read makes the Schnorr signature with `crypto.sign`, stores it and
-drops the key.  Signing is deterministic, so every reader gets the bytes
-an eager signature would have had, and a certificate shared by two
+private key in the certificate's private `_unsigned` slot, and the first
+read makes the Schnorr signature with `crypto.sign`, stores it and drops
+the key.  Signing is deterministic, so every reader gets the bytes an
+eager signature would have had, and a certificate shared by two
 repositories is signed once.  A simulated run reads few certificates.
 
-Repositories are value-semantic stores; the simulator serializes all
-mutations, so no locking is needed anywhere in this module.
+A repository keeps its certificates in one list, in the order they were
+added, and holds the last one added for each (subject, signer): the
+first read after an `add` drops every certificate a later one replaced.
+The simulator serializes all mutations, so no locking is needed anywhere
+in this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 
 from . import crypto
@@ -43,7 +47,7 @@ class MissingCertificateError(LookupError):
     """A user's repository no longer holds the user's self-certificate."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyPair:
     public_key: bytes
     private_key: bytes
@@ -54,24 +58,43 @@ def _cert_message(subject: str, subject_public_key: bytes) -> bytes:
 
 
 class _SignOnRead:
-    """`Certificate.signature` while it is pending.
+    """`Certificate.signature`: its slot, signed on the first read.
 
-    A non-data descriptor: an instance that holds its signature shadows
-    it, so it runs only for a certificate from `make_certificate` whose
-    signature was never read.  It signs, stores the signature as a plain
-    attribute and drops the signer's private key."""
+    A certificate from `make_certificate` leaves the slot empty and keeps
+    the signer's private key in `_unsigned`.  The first read signs, fills
+    the slot and drops the key; every later read returns the slot.
+    Setting passes through to the slot, since the frozen `__init__`
+    writes every field with `object.__setattr__`."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, slot):
+        self.slot = slot
 
     def __get__(self, cert, owner=None):
         if cert is None:
             return self
+        try:
+            return self.slot.__get__(cert, owner)
+        except AttributeError:
+            pass
         signature = crypto.sign(cert._unsigned, _cert_message(cert.subject, cert.subject_public_key))
-        object.__setattr__(cert, "signature", signature)
+        self.slot.__set__(cert, signature)
         object.__delattr__(cert, "_unsigned")
         return signature
 
+    def __set__(self, cert, value):
+        self.slot.__set__(cert, value)
 
-@dataclass(frozen=True)
-class Certificate:
+
+class _Pending:
+    """The signer's private key of a certificate not yet signed, in a slot
+    of a base class because `slots=True` makes slots for the fields only."""
+    __slots__ = ("_unsigned",)
+
+
+@dataclass(frozen=True, slots=True)
+class Certificate(_Pending):
     """A signer's attestation binding `subject` to `subject_public_key`."""
     subject: str
     subject_public_key: bytes
@@ -84,36 +107,77 @@ class Certificate:
                              self.signature)
 
 
-# Installed after the decorator, which would otherwise take the descriptor
-# for the field's default value.  Equality, hashing, repr and
-# dataclasses.replace read the field as an attribute, so they sign a
-# pending certificate first and never see its key.
-Certificate.signature = _SignOnRead()
+# Installed after the decorator, which makes the slot.  Equality, hashing,
+# repr and dataclasses.replace read the field as an attribute, so they
+# sign a pending certificate first and never see its key.
+Certificate.signature = _SignOnRead(Certificate.signature)
+_write = object.__setattr__
 
 
 def make_certificate(subject: str, subject_public_key: bytes, signer: str,
                      signer_private_key: bytes) -> Certificate:
-    """Issue a certificate that is signed the first time its `signature` is read."""
-    cert = Certificate(subject, subject_public_key, signer, None)
-    object.__delattr__(cert, "signature")
-    object.__setattr__(cert, "_unsigned", signer_private_key)
+    """Issue a certificate that is signed the first time its `signature` is read.
+
+    Writes the slots the way the frozen `__init__` does, but leaves the
+    signature's empty instead of filling and then emptying it."""
+    cert = object.__new__(Certificate)
+    _write(cert, "subject", subject)
+    _write(cert, "subject_public_key", subject_public_key)
+    _write(cert, "signer", signer)
+    _write(cert, "trust_weight", 0)
+    _write(cert, "_unsigned", signer_private_key)
     return cert
 
 
+_SUBJECT_SIGNER = attrgetter("subject", "signer")
+
+
 class CertificateRepository:
-    """One user's certificate store: the self-certificate plus friends'."""
+    """One user's certificate store: the self-certificate plus friends'.
+
+    The certificates sit in one list in the order they were added, and
+    the repository holds one per (subject, signer): the last one added.
+    `add` only appends; the first read after it drops every certificate
+    that a later one replaced."""
+
+    __slots__ = ("owner", "_certs", "_replaced", "_candidate_keys")
 
     def __init__(self, owner: str):
         self.owner = owner
-        self._certs: dict[tuple[str, str], Certificate] = {}
+        self._certs: list[Certificate] = []
+        self._replaced = False        # the list may hold a replaced certificate
         self._candidate_keys: tuple[bytes, ...] | None = None
 
     def add(self, cert: Certificate) -> None:
-        self._certs[(cert.subject, cert.signer)] = cert
+        self._certs.append(cert)
+        self._replaced = True
         self._candidate_keys = None
 
+    def _held(self) -> list[Certificate]:
+        """The list, once every replaced certificate is dropped from it."""
+        if self._replaced:
+            seen: set[tuple[str, str]] = set()
+            kept = []
+            for cert in reversed(self._certs):
+                key = _SUBJECT_SIGNER(cert)
+                if key not in seen:
+                    seen.add(key)
+                    kept.append(cert)
+            if len(kept) < len(self._certs):
+                self._certs = kept[::-1]
+            self._replaced = False
+        return self._certs
+
+    def get(self, subject: str, signer: str) -> Certificate | None:
+        """The certificate `signer` issued for `subject`, or None."""
+        for cert in self._held():
+            if cert.subject == subject and cert.signer == signer:
+                return cert
+        return None
+
     def certificates(self) -> list[Certificate]:
-        return [self._certs[k] for k in sorted(self._certs)]
+        """Every held certificate, in (subject, signer) order."""
+        return sorted(self._held(), key=_SUBJECT_SIGNER)
 
     def candidate_ids(self) -> set[str]:
         """Users this repository can vouch knowing.
@@ -123,11 +187,11 @@ class CertificateRepository:
         or as a signer of the owner's own certificate.
         """
         out: set[str] = set()
-        for subject, signer in self._certs:
-            if signer == self.owner:
-                out.add(subject)
-            if subject == self.owner:
-                out.add(signer)
+        for cert in self._held():
+            if cert.signer == self.owner:
+                out.add(cert.subject)
+            if cert.subject == self.owner:
+                out.add(cert.signer)
         return out
 
     def candidate_keys(self) -> tuple[bytes, ...]:
@@ -137,7 +201,7 @@ class CertificateRepository:
         a tuple that none of them can change."""
         if self._candidate_keys is None:
             self._candidate_keys = tuple(sorted(
-                {cert.subject_public_key for cert in self._certs.values()}))
+                {cert.subject_public_key for cert in self._held()}))
         return self._candidate_keys
 
 
@@ -146,7 +210,7 @@ def common_friends(repo_a: CertificateRepository, repo_b: CertificateRepository)
     return repo_a.candidate_ids() & repo_b.candidate_ids()
 
 
-@dataclass
+@dataclass(slots=True)
 class UserIdentity:
     user_id: str
     keys: KeyPair
@@ -154,7 +218,7 @@ class UserIdentity:
 
     @property
     def self_certificate(self) -> Certificate:
-        cert = self.repository._certs.get((self.user_id, self.user_id))
+        cert = self.repository.get(self.user_id, self.user_id)
         if cert is None:
             raise MissingCertificateError(
                 f"repository of {self.user_id} lost its self-certificate")

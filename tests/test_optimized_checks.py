@@ -25,10 +25,9 @@ def _raised_under_optimize(body: str) -> str:
 
 _CASES = {
     "MissingCertificateError": """
-        from vanetkit.trust import Roster, register_user
+        from vanetkit.trust import CertificateRepository, Roster, UserIdentity, register_user
         identity = register_user(Roster(), "u", 1)
-        identity.repository._certs.clear()
-        identity.self_certificate
+        UserIdentity("u", identity.keys, CertificateRepository("u")).self_certificate
     """,
     "BundleNotLoadedError": """
         from vanetkit.scenario import ScenarioBundle

@@ -129,6 +129,10 @@ _SLOTTED = {
     "PseudonymState": lambda sim, node: node.pseudonyms,
     "Pseudonym": lambda sim, node: node.pseudonyms.current,
     "SessionKey": lambda sim, node: node.sessions["n2"].key,
+    "UserIdentity": lambda sim, node: node.user,
+    "KeyPair": lambda sim, node: node.user.keys,
+    "CertificateRepository": lambda sim, node: node.user.repository,
+    "Certificate": lambda sim, node: node.user.self_certificate,
     "AuthInitiator": lambda sim, node: auth.AuthInitiator(
         auth.Party(node.user, node.revocations, b"p" * 16), random.Random(1), sim.now),
     "AuthResponder": lambda sim, node: auth.AuthResponder(
@@ -394,6 +398,25 @@ def test_config_range_warnings():
         warnings.simplefilter("always")
         big.validate()
     assert caught == []
+
+
+def test_validate_names_a_vehicle_with_an_unknown_battery_level():
+    config, net, roster = two_node_setup(duration=5)
+    config.vehicles[0].battery = "full"
+    assert config.validate() == ["vehicle 'n1' has unknown battery level 'full'"]
+    with pytest.raises(ValueError, match="vehicle 'n1' has unknown battery level"):
+        Simulation(config, net, roster)
+
+
+def test_validate_names_a_vehicle_and_a_zone_with_an_unknown_direction():
+    config, net, roster = two_node_setup(duration=5)
+    config.vehicles[0].direction = "sideways"
+    config.zones = [CongestionZone("main", "sideways", 0, 5, 1)]
+    assert config.validate() == [
+        "vehicle 'n1' direction 'sideways' is not 'fwd' or 'rev'",
+        "congestion zone on 'main' direction 'sideways' is not 'fwd' or 'rev'"]
+    with pytest.raises(ValueError, match="congestion zone on 'main'"):
+        Simulation(config, net, roster)
 
 
 def test_corroboration_request_retries_until_peer_authenticates():
