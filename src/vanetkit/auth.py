@@ -46,14 +46,14 @@ schedule and routes each handshake message to its engine.  The
 simulator and `zk_mutual_authenticate` both drive the five messages
 through it, so every handshake test runs the routing a run uses.
 
-Hashing is the cost of a handshake, so it is done from prepared states
-with byte-equal results.  A commitment is
+Hashing is the cost of a handshake, so it is done with byte-equal
+results but less work than the generic helpers.  A commitment is
 `crypto.sha256(b"vk-commit", nonce, key)`: each key is fed to a copy of
 one sha256 state over the label and nonce.  A response is HMAC-SHA256 of
-the key over label, challenge and nonce (RFC 2104), finished from the
-key's inner and outer states after their first block.  Those states are
-memoised in `_HMAC_STATES`, one entry per distinct certificate key, as
-`crypto._PUBLIC_KEYS` memoises public keys.
+the key over label, challenge and nonce (RFC 2104), from two sha256
+calls over pads that each call builds from the key with a translation
+table.  No hashing state outlives its call, so nothing is kept per key
+between handshakes or between simulations.
 
 A side's commitments, and its responses, are one `bytes` block of 32-byte
 fields in slot order, as on the wire: the engines send and receive
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
@@ -183,31 +184,18 @@ def _commitment_prefix(nonce: bytes):
     return hashlib.sha256(_COMMIT_LABEL + nonce)
 
 
-def _hmac_pads(key: bytes):
-    """HMAC-SHA256 inner and outer states for `key` after its first block,
-    as RFC 2104 defines them."""
-    if len(key) > _HMAC_BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_HMAC_BLOCK, b"\0")
-    return (hashlib.sha256(bytes(b ^ 0x36 for b in key)),
-            hashlib.sha256(bytes(b ^ 0x5C for b in key)))
-
-
-# certificate public key -> its HMAC inner and outer states; one entry per
-# distinct key, like crypto._PUBLIC_KEYS
-_HMAC_STATES: dict[bytes, tuple] = {}
+# the byte-wise XOR with each RFC 2104 pad, as `bytes.translate` tables
+_INNER_PAD = bytes(b ^ 0x36 for b in range(256))
+_OUTER_PAD = bytes(b ^ 0x5C for b in range(256))
 
 
 def _response(key: bytes, message: bytes) -> bytes:
-    """`crypto.hmac_sha256(key, message)` from the memoised states."""
-    states = _HMAC_STATES.get(key)
-    if states is None:
-        states = _HMAC_STATES[key] = _hmac_pads(key)
-    inner = states[0].copy()
-    inner.update(message)
-    outer = states[1].copy()
-    outer.update(inner.digest())
-    return outer.digest()
+    """`crypto.hmac_sha256(key, message)`, in about two thirds of its time."""
+    if len(key) > _HMAC_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_HMAC_BLOCK, b"\0")
+    inner = hashlib.sha256(key.translate(_INNER_PAD) + message).digest()
+    return hashlib.sha256(key.translate(_OUTER_PAD) + inner).digest()
 
 
 def _padding(slots: bytes, rng: random.Random):
@@ -215,6 +203,37 @@ def _padding(slots: bytes, rng: random.Random):
     from one draw: the same bytes as one `randbytes(32)` per slot."""
     pad = rng.randbytes(FIELD_LEN * slots.count(PAD_SLOT))
     return iter([pad[i:i + FIELD_LEN] for i in range(0, len(pad), FIELD_LEN)])
+
+
+# the 32-bit words behind the shuffle of a slot map of `PAD_COMMITMENTS` slots
+_SHUFFLE_WORDS = struct.Struct(f"<{PAD_COMMITMENTS - 1}I")
+# position i of a slot map takes the top (i + 1).bit_length() bits of a word
+_SHUFFLE_SHIFTS = tuple(32 - (i + 1).bit_length() for i in range(PAD_SLOT + 1))
+
+
+def _shuffle(slots: bytearray, rng: random.Random) -> None:
+    """`rng.shuffle(slots)`: the same permutation from the same draws.
+
+    CPython's shuffle is Fisher-Yates; for position `i` it draws
+    `getrandbits(k)` with `k = (i + 1).bit_length()`, which is the top `k`
+    bits of one 32-bit word, and draws again while that is above `i`.
+    Here the words come from one `getrandbits(32 * (n - 1))` draw, which
+    yields them low word first, and a rejection past the last of them
+    draws one more word, so the generator ends in the same state."""
+    count = max(len(slots) - 1, 0)
+    words = _SHUFFLE_WORDS if count == PAD_COMMITMENTS - 1 else struct.Struct(f"<{count}I")
+    draws = iter(words.unpack(rng.getrandbits(32 * count).to_bytes(4 * count, "little")))
+    for i in range(count, 0, -1):
+        shift = _SHUFFLE_SHIFTS[i]
+        for j in draws:
+            j >>= shift
+            if j <= i:
+                break
+        else:                     # every word of the one draw is used
+            j = rng.getrandbits(32) >> shift
+            while j > i:
+                j = rng.getrandbits(32) >> shift
+        slots[i], slots[j] = slots[j], slots[i]
 
 
 def build_commitments(keys: Sequence[bytes], nonce: bytes,
@@ -231,7 +250,7 @@ def build_commitments(keys: Sequence[bytes], nonce: bytes,
         raise wire.WireError(f"{len(keys)} candidate keys exceed a block's "
                              f"{wire.MAX_FIELDS} fields")
     slots = bytearray(range(len(keys))) + bytes([PAD_SLOT]) * (PAD_COMMITMENTS - len(keys))
-    rng.shuffle(slots)
+    _shuffle(slots, rng)
     prefix = _commitment_prefix(nonce)
     pads = _padding(slots, rng)
     commitments = []

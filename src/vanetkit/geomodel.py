@@ -259,12 +259,16 @@ def advance_vehicle(state: VehicleState, network: RoadNetwork, dt: float,
 
     Turns are consumed from directive.turns as junctions are crossed; with
     no turn queued the vehicle clamps at the segment end.  Deterministic:
-    identical inputs give bit-identical outputs.
+    identical inputs give bit-identical outputs.  The new state comes from
+    the constructor: this runs per vehicle per tick, and
+    `dataclasses.replace` costs several times as much.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not state.ignition or directive.speed <= 0:
-        return replace(state, speed=0.0 if not state.ignition else directive.speed)
+        return VehicleState(state.node_id, state.segment_id, state.direction, state.offset,
+                            0.0 if not state.ignition else directive.speed, state.ignition,
+                            state.battery)
 
     remaining = directive.speed / 3.6 * dt
     seg = network.segments[state.segment_id]
@@ -287,8 +291,8 @@ def advance_vehicle(state: VehicleState, network: RoadNetwork, dt: float,
         offset = 0.0
 
     directive.turns[:] = turns
-    return replace(state, segment_id=segment_id, direction=direction,
-                   offset=offset, speed=directive.speed)
+    return VehicleState(state.node_id, segment_id, direction, offset, directive.speed,
+                        state.ignition, state.battery)
 
 
 def shortest_path(network: RoadNetwork, start: str, goal: str,

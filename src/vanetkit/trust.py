@@ -6,24 +6,37 @@ edges form the trust graph that authentication later intersects.
 Misbehavior reports devaluate a user and revoke after a threshold;
 revocation knowledge merges after every successful authentication.
 
-Certificates are issued when a roster is loaded and signed the first
-time their `signature` is read: `make_certificate` keeps the signer's
-private key in the certificate's private `_unsigned` slot, and the first
-read makes the Schnorr signature with `crypto.sign`, stores it and drops
-the key.  Signing is deterministic, so every reader gets the bytes an
-eager signature would have had, and a certificate shared by two
-repositories is signed once.  A simulated run reads few certificates.
+A simulated run reads a user's self-certificate and the candidate keys,
+never a friend's certificate, so a roster issues each certificate only
+when something first reads it.  `register_user` issues the
+self-certificate.  `Roster.befriend(a, b)` adds one friendship entry to
+both users' repositories; it stands for the two certificates a mutual
+signing issues, `a` certifying `b` and then `b` certifying `a`, and
+holds both users' identities.  The candidate ids and keys are read off
+it.  The first read that needs one of its certificates (`get`
+of one of its two pairs, or `certificates()`) issues both with
+`make_certificate` and keeps them on the entry, so the two repositories
+share the two objects.
 
-A repository keeps its certificates in one list, in the order they were
-added, and holds the last one added for each (subject, signer): the
-first read after an `add` drops every certificate a later one replaced.
-The simulator serializes all mutations, so no locking is needed anywhere
-in this module.
+A certificate is signed the first time its `signature` is read:
+`make_certificate` keeps the signer's private key in the certificate's
+private `_unsigned` slot, and the first read makes the Schnorr signature
+with `crypto.sign`, stores it and drops the key.  Signing is
+deterministic, so every reader gets the bytes an eager signature would
+have had, and a certificate shared by two repositories is signed once.
+
+A repository keeps its certificates and friendships in one list, in the
+order they were added, and holds the last one added for each (subject,
+signer), a friendship counting as its two pairs: the first read after an
+`add` drops every entry a later one replaced, and a friendship that a
+later certificate replaced only in part is issued and leaves its other
+certificate in its place.  The simulator serializes all mutations, so no
+locking is needed anywhere in this module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from operator import attrgetter
 from types import MappingProxyType
@@ -132,52 +145,113 @@ def make_certificate(subject: str, subject_public_key: bytes, signer: str,
 _SUBJECT_SIGNER = attrgetter("subject", "signer")
 
 
+class _Friendship:
+    """The two certificates of a mutual signing, issued on first read.
+
+    `a` certifies `b` (subject `b`, signer `a`), then `b` certifies `a`,
+    in the order `Roster.befriend(a, b)` has always issued them.  Both
+    users' repositories hold this one entry."""
+
+    __slots__ = ("a", "b", "_pair")
+
+    def __init__(self, a: UserIdentity, b: UserIdentity):
+        self.a, self.b = a, b
+        self._pair: tuple[Certificate, Certificate] | None = None
+
+    def pairs(self) -> tuple[tuple[str, str], tuple[str, str]]:
+        """The (subject, signer) of each certificate, in order."""
+        a, b = self.a.user_id, self.b.user_id
+        return (b, a), (a, b)
+
+    def issue(self) -> tuple[Certificate, Certificate]:
+        """Both certificates, issued by the first call and kept."""
+        if self._pair is None:
+            a, b = self.a, self.b
+            self._pair = (
+                make_certificate(b.user_id, b.keys.public_key, a.user_id, a.keys.private_key),
+                make_certificate(a.user_id, a.keys.public_key, b.user_id, b.keys.private_key))
+        return self._pair
+
+
 class CertificateRepository:
     """One user's certificate store: the self-certificate plus friends'.
 
-    The certificates sit in one list in the order they were added, and
-    the repository holds one per (subject, signer): the last one added.
-    `add` only appends; the first read after it drops every certificate
-    that a later one replaced."""
+    Certificates and friendships sit in one list in the order they were
+    added, and the repository holds one certificate per (subject,
+    signer): the last one added.  `add` only appends; the first read
+    after it drops every entry that later ones replaced."""
 
-    __slots__ = ("owner", "_certs", "_replaced", "_candidate_keys")
+    __slots__ = ("owner", "_entries", "_replaced", "_candidate_keys")
 
     def __init__(self, owner: str):
         self.owner = owner
-        self._certs: list[Certificate] = []
-        self._replaced = False        # the list may hold a replaced certificate
+        self._entries: list[Certificate | _Friendship] = []
+        self._replaced = False        # the list may hold a replaced entry
         self._candidate_keys: tuple[bytes, ...] | None = None
 
-    def add(self, cert: Certificate) -> None:
-        self._certs.append(cert)
+    def add(self, entry: Certificate | _Friendship) -> None:
+        self._entries.append(entry)
         self._replaced = True
         self._candidate_keys = None
 
-    def _held(self) -> list[Certificate]:
-        """The list, once every replaced certificate is dropped from it."""
+    def _held(self) -> list[Certificate | _Friendship]:
+        """The list, once every replaced entry is dropped from it.  A
+        friendship replaced in one pair only gives way to its other
+        certificate."""
         if self._replaced:
             seen: set[tuple[str, str]] = set()
             kept = []
-            for cert in reversed(self._certs):
-                key = _SUBJECT_SIGNER(cert)
-                if key not in seen:
-                    seen.add(key)
-                    kept.append(cert)
-            if len(kept) < len(self._certs):
-                self._certs = kept[::-1]
+            for entry in reversed(self._entries):
+                if type(entry) is _Friendship:
+                    pairs = entry.pairs()
+                    live = [pair not in seen for pair in pairs]
+                    seen.update(pairs)
+                    if all(live):
+                        kept.append(entry)
+                    elif any(live):
+                        kept.append(entry.issue()[live.index(True)])
+                else:
+                    key = _SUBJECT_SIGNER(entry)
+                    if key not in seen:
+                        seen.add(key)
+                        kept.append(entry)
+            self._entries = kept[::-1]
             self._replaced = False
-        return self._certs
+        return self._entries
+
+    def _facts(self) -> Iterator[tuple[str, str, bytes]]:
+        """(subject, signer, subject's public key) of every held
+        certificate, read off a friendship without issuing it."""
+        for entry in self._held():
+            if type(entry) is _Friendship:
+                a, b = entry.a, entry.b
+                yield b.user_id, a.user_id, b.keys.public_key
+                yield a.user_id, b.user_id, a.keys.public_key
+            else:
+                yield entry.subject, entry.signer, entry.subject_public_key
 
     def get(self, subject: str, signer: str) -> Certificate | None:
-        """The certificate `signer` issued for `subject`, or None."""
-        for cert in self._held():
-            if cert.subject == subject and cert.signer == signer:
-                return cert
+        """The certificate `signer` issued for `subject`, or None.  Issues
+        only the friendship that holds it."""
+        for entry in self._held():
+            if type(entry) is _Friendship:
+                pairs = entry.pairs()
+                if (subject, signer) in pairs:
+                    return entry.issue()[pairs.index((subject, signer))]
+            elif entry.subject == subject and entry.signer == signer:
+                return entry
         return None
 
     def certificates(self) -> list[Certificate]:
-        """Every held certificate, in (subject, signer) order."""
-        return sorted(self._held(), key=_SUBJECT_SIGNER)
+        """Every held certificate, in (subject, signer) order; issues every
+        friendship."""
+        out: list[Certificate] = []
+        for entry in self._held():
+            if type(entry) is _Friendship:
+                out.extend(entry.issue())
+            else:
+                out.append(entry)
+        return sorted(out, key=_SUBJECT_SIGNER)
 
     def candidate_ids(self) -> set[str]:
         """Users this repository can vouch knowing.
@@ -187,11 +261,11 @@ class CertificateRepository:
         or as a signer of the owner's own certificate.
         """
         out: set[str] = set()
-        for cert in self._held():
-            if cert.signer == self.owner:
-                out.add(cert.subject)
-            if cert.subject == self.owner:
-                out.add(cert.signer)
+        for subject, signer, _ in self._facts():
+            if signer == self.owner:
+                out.add(subject)
+            if subject == self.owner:
+                out.add(signer)
         return out
 
     def candidate_keys(self) -> tuple[bytes, ...]:
@@ -200,8 +274,7 @@ class CertificateRepository:
         Built once after each `add` and shared by every caller, so it is
         a tuple that none of them can change."""
         if self._candidate_keys is None:
-            self._candidate_keys = tuple(sorted(
-                {cert.subject_public_key for cert in self._held()}))
+            self._candidate_keys = tuple(sorted({key for _, _, key in self._facts()}))
         return self._candidate_keys
 
 
@@ -232,9 +305,14 @@ class Roster:
         self.users: dict[str, UserIdentity] = {}
 
     def befriend(self, a: str, b: str) -> None:
-        """Mutual signing: both users gain both certificates."""
-        sign_friend(self.users[a], self.users[b])
-        sign_friend(self.users[b], self.users[a])
+        """Mutual signing: both users gain both certificates, as one
+        friendship entry that issues them when first read."""
+        first, second = self.users[a], self.users[b]
+        if first.user_id == second.user_id:
+            raise ValueError("self-certificates are created at registration")
+        friendship = _Friendship(first, second)
+        first.repository.add(friendship)
+        second.repository.add(friendship)
 
     def user(self, user_id: str) -> UserIdentity:
         try:

@@ -299,6 +299,17 @@ def test_precomputed_hmac_equals_hmac_digest_for_every_key_length(message):
         assert auth._response(key, message) == hmac.digest(key, message, "sha256")
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 16, 17, 40])
+def test_slot_shuffle_equals_random_shuffle_and_its_draws(length):
+    for seed in range(400):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        slots, ref_slots = bytearray(range(length)), bytearray(range(length))
+        auth._shuffle(slots, rng)
+        ref_rng.shuffle(ref_slots)
+        assert slots == ref_slots
+        assert rng.getrandbits(32) == ref_rng.getrandbits(32)
+
+
 def _ref_build_commitments(keys, nonce, rng):
     slots = list(keys) + [None] * max(0, auth.PAD_COMMITMENTS - len(keys))
     rng.shuffle(slots)

@@ -1,12 +1,17 @@
 import dataclasses
 import gc
+import importlib
+import pkgutil
 import random
+import re
 import struct
 import tracemalloc
+import types
 import warnings
 
 import pytest
 
+import vanetkit
 from vanetkit import aggregation, auth, crypto, kits, scenario, wire
 from vanetkit.aggregation import (PendingObservation, SignedObservation, event_id_for,
                                   sign_observation)
@@ -133,6 +138,9 @@ _SLOTTED = {
     "KeyPair": lambda sim, node: node.user.keys,
     "CertificateRepository": lambda sim, node: node.user.repository,
     "Certificate": lambda sim, node: node.user.self_certificate,
+    # the friendship entry that `befriend("ua", "F")` put in the repository
+    "_Friendship": lambda sim, node: next(
+        ref for ref in gc.get_referents(node.user.repository) if type(ref) is list)[1],
     "AuthInitiator": lambda sim, node: auth.AuthInitiator(
         auth.Party(node.user, node.revocations, b"p" * 16), random.Random(1), sim.now),
     "AuthResponder": lambda sim, node: auth.AuthResponder(
@@ -166,20 +174,20 @@ def test_per_vehicle_and_per_session_state_has_slots(name, finished_two_node_run
 # (6x6 grid, 3 s), by tracemalloc on CPython 3.11: 9 422 bytes with
 # dict-backed per-vehicle objects and handshake engines that keep every
 # block to the end, 7 787 with both slotted and each block dropped after
-# its last reader.
+# its last reader.  With no process-wide HMAC-state memo it reads 6 150 in
+# a fresh process (6 299 with the memo filling during the run).
 _RUN_HEAP_PER_VEHICLE = 8600
 
 # The same over `build()` and `run()`, which also sees the containers each
 # vehicle is built with: 10 587 bytes with 13 empty containers of its own
 # per vehicle and engines that hold their own block until it is answered,
 # 7 828 with every empty container shared until its first write and a
-# running transcript hash in place of the own block.
+# running transcript hash in place of the own block.  With no HMAC-state
+# memo it reads 7 668 in a fresh process, as with it.
 _BUILD_AND_RUN_HEAP_PER_VEHICLE = 9200
 
 
-def _demo_peak_heap_per_vehicle(tmp_path, monkeypatch, build_traced):
-    # A fresh HMAC-state memo, so earlier tests' entries cannot lower the peak.
-    monkeypatch.setattr(auth, "_HMAC_STATES", {})
+def _demo_peak_heap_per_vehicle(tmp_path, build_traced):
     vehicles = 300
     bundle, problems = scenario.load_bundle(
         kits.demo_bundle(str(tmp_path), vehicle_count=vehicles, duration=3, grid=6))
@@ -195,13 +203,82 @@ def _demo_peak_heap_per_vehicle(tmp_path, monkeypatch, build_traced):
     return peak / vehicles
 
 
-def test_a_run_keeps_its_peak_heap_per_vehicle_within_budget(tmp_path, monkeypatch):
-    assert _demo_peak_heap_per_vehicle(tmp_path, monkeypatch, False) <= _RUN_HEAP_PER_VEHICLE
+def test_a_run_keeps_its_peak_heap_per_vehicle_within_budget(tmp_path):
+    assert _demo_peak_heap_per_vehicle(tmp_path, False) <= _RUN_HEAP_PER_VEHICLE
 
 
-def test_build_and_run_keep_their_peak_heap_per_vehicle_within_budget(tmp_path, monkeypatch):
-    assert (_demo_peak_heap_per_vehicle(tmp_path, monkeypatch, True)
+def test_build_and_run_keep_their_peak_heap_per_vehicle_within_budget(tmp_path):
+    assert (_demo_peak_heap_per_vehicle(tmp_path, True)
             <= _BUILD_AND_RUN_HEAP_PER_VEHICLE)
+
+
+# The one module-level container a run may fill: the public-key memo, which
+# spares every set-up after a process's first from deriving each key again
+# (about 38 us a key).  `crypto._verify_memo` is an `lru_cache` of bounded
+# size, not a container.
+_PROCESS_MEMOS = {("crypto", "_PUBLIC_KEYS")}
+
+
+def _module_container_sizes():
+    sizes = {}
+    for info in pkgutil.iter_modules(vanetkit.__path__):
+        if info.name == "__main__":          # runs the command line when imported
+            continue
+        module = importlib.import_module(f"vanetkit.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, (dict, set, list)) and not name.startswith("__")
+                    and (info.name, name) not in _PROCESS_MEMOS):
+                sizes[info.name, name] = len(value)
+    return sizes
+
+
+def _fresh_key_bundle(directory, tag):
+    """A 40-vehicle demo bundle whose users have seeds no other test uses,
+    so no process-wide memo can hold their keys already."""
+    kits.demo_bundle(str(directory), vehicle_count=40, duration=30, grid=3)
+    roster = directory / "roster.txt"
+    roster.write_text(re.sub(r"^user (\S+) (\d+)$", rf"user \1 {tag}-\2",
+                             roster.read_text(), flags=re.M))
+    bundle, problems = scenario.load_bundle(str(directory))
+    assert not problems
+    return bundle
+
+
+def test_a_run_grows_no_module_level_container(tmp_path):
+    before = _module_container_sizes()
+    stats = _fresh_key_bundle(tmp_path, "module-scan").build().run()
+    assert stats.connections > 0
+    assert _module_container_sizes() == before
+
+
+_IMMUTABLE = (str, bytes, int, float, bool, type(None), tuple, frozenset,
+              types.MappingProxyType)
+_CODE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def _state_reachable(roots):
+    """Objects reachable from `roots` that can change, by id.  Classes,
+    modules and functions are not walked; immutable values are walked but
+    not returned, and a read-only mapping is neither."""
+    seen, todo = {}, list(roots)
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if id(ref) not in seen and not isinstance(ref, _CODE):
+                seen[id(ref)] = ref
+                if not isinstance(ref, types.MappingProxyType):
+                    todo.append(ref)
+    return {key: obj for key, obj in seen.items() if not isinstance(obj, _IMMUTABLE)}
+
+
+def test_two_simulations_in_one_process_share_no_handshake_state(tmp_path):
+    sims = [_fresh_key_bundle(tmp_path / name, "shared-state").build() for name in "ab"]
+    for sim in sims:
+        sim.run()
+    routers = [[node.handshakes for node in sim.nodes.values()] for sim in sims]
+    assert all(any(r.initiators or r.responders or r.last_attempt for r in rs)
+               for rs in routers)
+    first, second = (_state_reachable(rs) for rs in routers)
+    assert [type(first[key]).__name__ for key in first.keys() & second.keys()] == []
 
 
 def _containers(node):

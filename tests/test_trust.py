@@ -306,6 +306,107 @@ def test_kit_certificates_known_answer(name, tmp_path):
     assert hashlib.sha256(dump.encode()).hexdigest() == _KIT_CERTIFICATE_DIGESTS[name]
 
 
+# -- friendships are issued on first read -----------------------------------
+
+@pytest.fixture
+def issued(monkeypatch):
+    """(subject, signer) of every certificate `make_certificate` issues."""
+    calls = []
+    real = trust.make_certificate
+    monkeypatch.setattr(trust, "make_certificate",
+                        lambda subject, *rest: calls.append((subject, rest[1])) or
+                        real(subject, *rest))
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:vehicle count")
+def test_loading_and_running_a_bundle_issues_only_self_certificates(tmp_path, issued):
+    users = 60
+    directory = kits.demo_bundle(str(tmp_path / "demo"), vehicle_count=users, duration=40,
+                                 seed=3, grid=3)
+    (tmp_path / "demo" / "roster.txt").write_text(
+        kits.demo_roster_text(users, friends_per_user=8, seed=3))
+    bundle, problems = scenario.load_bundle(directory)
+    assert problems == []
+    stats = bundle.build().run()
+    assert stats.connections > 0
+    assert len(issued) == users
+    assert all(subject == signer for subject, signer in issued)
+
+
+def test_a_friendship_issues_its_pair_once_for_both_repositories(issued, sign_calls):
+    roster = Roster()
+    a, b, c = (register_user(roster, user_id, seed) for user_id, seed in
+               (("a", 1), ("b", 2), ("c", 3)))
+    roster.befriend("a", "b")
+    roster.befriend("c", "a")
+    del issued[:]
+    for user in (a, b, c):
+        user.self_certificate
+        user.repository.candidate_keys()
+        user.repository.candidate_ids()
+    assert issued == []
+    assert a.repository.candidate_ids() == {"a", "b", "c"}
+    assert b.repository.candidate_keys() == tuple(sorted([a.keys.public_key,
+                                                          b.keys.public_key]))
+    b_by_a = a.repository.get("b", "a")
+    assert issued == [("b", "a"), ("a", "b")]        # the one friendship, in order
+    assert b.repository.get("b", "a") is b_by_a
+    assert b.repository.get("a", "b") is a.repository.get("a", "b")
+    assert sign_calls == []
+    assert b_by_a.verify(a.keys.public_key) and b_by_a.signature
+    assert b.repository.get("a", "b").verify(b.keys.public_key)
+    assert len(sign_calls) == 2
+    assert len(a.repository.certificates()) == 5     # issues the a-c friendship too
+    assert len(issued) == 4 and len(sign_calls) == 2
+
+
+def _eager_roster(users, friendships):
+    roster = Roster()
+    for user_id, seed in users:
+        register_user(roster, user_id, seed)
+    for x, y in friendships:
+        sign_friend(roster.user(x), roster.user(y))
+        sign_friend(roster.user(y), roster.user(x))
+    return roster
+
+
+def test_replacing_one_pair_of_a_friendship_keeps_the_other(issued):
+    users = [("a", 1), ("b", 2), ("c", 3)]
+    friendships = [("a", "b"), ("b", "c")]
+    eager = _eager_roster(users, friendships)
+    lazy = load_roster("".join(f"user {u} {seed}\n" for u, seed in users)
+                       + "".join(f"friend {x} {y}\n" for x, y in friendships))
+    new_b = register_user(Roster(), "b", 99)
+    for roster in (eager, lazy):
+        roster.user("a").repository.add(trust.make_certificate(
+            "b", new_b.keys.public_key, "a", roster.user("a").keys.private_key))
+    del issued[:]
+    for user_id, _ in users:
+        repo, expected = lazy.user(user_id).repository, eager.user(user_id).repository
+        assert repo.candidate_keys() == expected.candidate_keys()
+        assert repo.candidate_ids() == expected.candidate_ids()
+    assert issued == [("b", "a"), ("a", "b")]         # the a-b friendship, for its survivor
+    kept = lazy.user("a").repository.get("a", "b")
+    assert kept is lazy.user("b").repository.get("a", "b")
+    assert kept == eager.user("a").repository.get("a", "b")
+    assert new_b.keys.public_key in lazy.user("a").repository.candidate_keys()
+    assert lazy.user("b").keys.public_key not in lazy.user("a").repository.candidate_keys()
+    for user_id, _ in users:
+        assert (lazy.user(user_id).repository.certificates()
+                == eager.user(user_id).repository.certificates())
+
+
+def test_befriend_refuses_a_self_friendship_and_an_unknown_user():
+    roster = Roster()
+    register_user(roster, "a", 1)
+    with pytest.raises(ValueError):
+        roster.befriend("a", "a")
+    with pytest.raises(KeyError):
+        roster.befriend("a", "ghost")
+    assert len(roster.user("a").repository.certificates()) == 1
+
+
 def test_shared_certificate_is_signed_once(sign_calls):
     roster = Roster()
     a, b = register_user(roster, "a", 1), register_user(roster, "b", 2)
@@ -364,8 +465,9 @@ def test_certificate_stays_a_frozen_value(sign_calls):
 # with 8 friends per user, by tracemalloc on CPython 3.11: 5 712 bytes with
 # a dict per repository keyed by (subject, signer) tuples and an instance
 # dict on every certificate, identity and key pair, 2 097 with one list per
-# repository and all three slotted.
-_ROSTER_HEAP_PER_USER = 2600
+# repository and all three slotted, 1 145 with each friendship one entry
+# whose two certificates are issued on first read.
+_ROSTER_HEAP_PER_USER = 1400
 
 
 def test_a_loaded_roster_keeps_its_heap_per_user_within_budget(monkeypatch):
