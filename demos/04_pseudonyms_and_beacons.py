@@ -17,9 +17,10 @@ state = PseudonymState(now=0.0, rng=rng, min_lifetime=120.0, max_lifetime=600.0)
 print(f"pseudonym {state.current.value.hex()[:16]}... "
       f"valid {state.current.valid_from:.0f}..{state.current.valid_until:.0f} s")
 
-beacon, frame = emit_beacon(state, tick=5)
+tick = 5
+frame = emit_beacon(state, tick)
 print(f"beacon frame ({len(frame)} bytes): {frame.hex()}")
-print(f"  = pseudonym + sequence {beacon.sequence} + tick {beacon.timestamp:.0f}")
+print(f"  = pseudonym + sequence {state.sequence} + tick {tick}")
 
 # Two authenticated peers hold session keys from earlier handshakes.
 sessions = {

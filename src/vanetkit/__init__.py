@@ -20,7 +20,7 @@ from .trust import (Certificate, CertificateRepository, KeyPair,
                     RevocationRecord, RevocationStore, Roster, TrustGraph,
                     common_friends, exchange_revocations, load_roster,
                     register_user, report_misbehavior, sign_friend)
-from .auth import (AuthTranscript, Beacon, Handshakes, Party, Pseudonym,
+from .auth import (AuthTranscript, Handshakes, Party, Pseudonym,
                    PseudonymState, SessionKey, emit_beacon, rotate_pseudonym,
                    zk_mutual_authenticate)
 from .events import (AdvertEvent, CongestionDetector, CongestionObservation,

@@ -99,21 +99,6 @@ class Pseudonym:
     valid_until: float
 
 
-@dataclass(frozen=True)
-class Beacon:
-    """Periodic presence announcement.
-
-    Carries nothing but the pseudonym, a sequence number and the tick:
-    no coordinates, no speed, no long-term key, no user id.  The change
-    notice, present only in per-peer unicast copies after a rotation, is
-    sealed under that peer's session key.
-    """
-    sender_pseudonym: bytes
-    sequence: int
-    timestamp: float
-    change_notice: bytes | None = None
-
-
 @dataclass(frozen=True, slots=True)
 class SessionKey:
     key: bytes
@@ -161,11 +146,16 @@ def rotate_pseudonym(state: PseudonymState, now: float, rng: random.Random,
     return state.current, notices
 
 
-def emit_beacon(state: PseudonymState, tick: int) -> tuple[Beacon, bytes]:
-    """Next beacon and its wire frame; the sequence increments by one."""
+def emit_beacon(state: PseudonymState, tick: int) -> bytes:
+    """The next beacon frame; the sequence increments by one.
+
+    A beacon carries nothing but the pseudonym, the sequence number and
+    the tick: no coordinates, no speed, no long-term key, no user id.  A
+    pseudonym change reaches each peer as a separate notice, sealed under
+    that peer's session key (`rotate_pseudonym`).
+    """
     state.sequence += 1
-    beacon = Beacon(state.current.value, state.sequence, float(tick))
-    return beacon, wire.encode_beacon(beacon.sender_pseudonym, beacon.sequence, tick)
+    return wire.encode_beacon(state.current.value, state.sequence, tick)
 
 
 # -- the sigma-style proof over a shared certificate key ---------------------

@@ -124,12 +124,6 @@ class RoadNetwork:
             raise DirectiveError(f"segment {segment_id!r} is one-way, cannot enter at {junction_id!r}")
         raise DirectiveError(f"segment {segment_id!r} is not adjacent to junction {junction_id!r}")
 
-    def degree(self, junction_id: str) -> int:
-        return len(self.adjacency[junction_id])
-
-    def segments_at(self, junction_id: str) -> list[str]:
-        return self.adjacency[junction_id]
-
     def connected(self, junction_ids: Iterable[str]) -> bool:
         """True when the given junctions all sit in one component."""
         wanted = set(junction_ids)

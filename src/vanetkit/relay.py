@@ -14,6 +14,7 @@ is the whole cooperation incentive.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .aggregation import AggregatedEvent
@@ -70,14 +71,25 @@ def plan_route(network: RoadNetwork, start_junction: str, goal_junction: str,
     if found is None:
         return None
     seg_ids, cost = found
-    junctions = [start_junction]
-    directions = []
+    directions, junctions, _ = follow_route(network, start_junction, seg_ids)
+    return RoutePlan(network.junctions[start_junction], network.junctions[goal_junction],
+                     tuple(seg_ids), tuple(directions), tuple(junctions), cost)
+
+
+def follow_route(network: RoadNetwork, junction: str, seg_ids: Iterable[str],
+                 cost: float = 0.0) -> tuple[list[str], list[str], float]:
+    """Drive `seg_ids` from `junction`, entering each segment by the
+    network's one entry rule: the direction taken on each segment, the
+    junctions passed (`junction` first), and `cost` plus each segment's
+    free-flow travel time, added in route order."""
+    directions: list[str] = []
+    junctions = [junction]
     for seg_id in seg_ids:
         direction, here = network.enter(junctions[-1], seg_id)
         directions.append(direction)
         junctions.append(here)
-    return RoutePlan(network.junctions[start_junction], network.junctions[goal_junction],
-                     tuple(seg_ids), tuple(directions), tuple(junctions), cost)
+        cost += network.segments[seg_id].travel_time_base
+    return directions, junctions, cost
 
 
 def plan_cost(plan: RoutePlan, network: RoadNetwork,

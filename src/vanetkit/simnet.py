@@ -1,12 +1,17 @@
 """Deterministic discrete-event simulation of the protocol stack.
 
-Each tick runs five phases in a fixed order: the script (ignition,
-parking and the battery gate that decides which equipped vehicles launch
-the stack), vehicle mobility, radio adjacency, delivery of the frames
-sent on earlier ticks, and each active node's protocol step.  The
-transport is `radio`'s: it decides who hears whom, holds the frames in
-flight and counts every packet.  After the last tick the radio is closed
-and one more delivery drains it, so packet conservation holds exactly:
+`Simulation.step(t)` runs tick `t` as five phases in a fixed order: the
+script (ignition, parking and the battery gate that decides which
+equipped vehicles launch the stack), vehicle mobility, radio adjacency,
+delivery of the frames sent on earlier ticks, and each active node's
+protocol step.  It keeps the tick state, `tick`, `now`, `positions` and
+`neighbors`, on the simulation, where every handler reads it.  The radio
+hands each unicast frame that arrives to `Simulation.receive(node,
+sender, frame)`, the one receive path, which takes any byte string
+without raising.  The transport is `radio`'s: it decides who hears whom,
+holds the frames in flight and counts every packet.  `run()` steps every
+tick, then closes the radio and drains it with one more delivery, so
+packet conservation holds exactly:
 
     sum(generated) == sum(received) + sum(lost) + in_flight_at_end
 
@@ -37,7 +42,7 @@ from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, GeoCoordinate,
 from .radio import Radio
 from .relay import (ACTION_CORROBORATE, ACTION_DROP, ACTION_REROUTE_FORWARD,
                     CooperationRecord, RoutePlan, cooperation_gate,
-                    decide_relay, recompute_route)
+                    decide_relay, follow_route, recompute_route)
 from .trust import RevocationStore, Roster, report_misbehavior
 
 _BATTERY_ORDER = {level: i for i, level in enumerate(BATTERY_LEVELS)}
@@ -357,7 +362,11 @@ class Simulation:
         # Sealed frames dropped unopened, by reason; not part of the CSV.
         self.sealed_drops = {DROP_NO_SESSION: 0, DROP_WRONG_KEY: 0, DROP_INTEGRITY: 0}
         self.radio = Radio(config.radio_range)
+        # The tick state: the tick index, its clock, positions and adjacency.
+        self.tick = 0
         self.now = 0.0
+        self.positions: dict[str, GeoCoordinate] = {}
+        self.neighbors: dict[str, list[str]] = {}
         self._min_seg_len = min(s.length for s in network.segments.values())
         # (segment, direction) -> its zones in config order; the first active one applies
         self._zones: dict[tuple[str, str], list[CongestionZone]] = {}
@@ -447,18 +456,24 @@ class Simulation:
     def run(self) -> NetworkStats:
         steps = int(round(self.config.duration / self.config.tick))
         for t in range(steps):
-            self.now = t * self.config.tick
-            self._script_step(t)
-            self._mobility_step(t)
-            positions, neighbors = self._adjacency()
-            self._delivery_step(t, positions, neighbors)
-            self._node_step(t, positions, neighbors)
+            self.step(t)
         # Final drain: resolve traffic sent on the last tick; no new sends.
-        self.now = steps * self.config.tick
         self.radio.close()
-        positions, neighbors = self._adjacency()
-        self._delivery_step(steps, positions, neighbors)
+        self.tick, self.now = steps, steps * self.config.tick
+        self.positions, self.neighbors = self._adjacency()
+        self._delivery_step(steps)
         return collect_metrics(self)
+
+    def step(self, t: int) -> None:
+        """Run tick `t`: the script, mobility, this tick's adjacency, the
+        delivery of every frame sent before `t`, and each active node's
+        protocol step."""
+        self.tick, self.now = t, t * self.config.tick
+        self._script_step(t)
+        self._mobility_step()
+        self.positions, self.neighbors = self._adjacency()
+        self._delivery_step(t)
+        self._node_step()
 
     # -- phase 1: scripted ignition and journeys ---------------------------
 
@@ -503,25 +518,17 @@ class Simulation:
                 self._trace(node.id, "detect",
                             f"parking x={event.location.x:.3f} y={event.location.y:.3f}")
 
-    def _build_plan(self, node: _Node) -> RoutePlan | None:
-        """Route plan for a scripted vehicle, derived from its turn queue."""
+    def _build_plan(self, node: _Node) -> RoutePlan:
+        """Route plan for a scripted vehicle: its segment, then its turn queue."""
         state = node.state
         seg = self.network.segments[state.segment_id]
-        segments = [state.segment_id]
-        directions = [state.direction]
-        junctions = [seg.entry_junction(state.direction), seg.exit_junction(state.direction)]
-        cost = seg.travel_time_base
-        here = junctions[-1]
-        for seg_id in node.spec.route:
-            direction, here = self.network.enter(here, seg_id)
-            segments.append(seg_id)
-            directions.append(direction)
-            junctions.append(here)
-            cost += self.network.segments[seg_id].travel_time_base
-        return RoutePlan(self.network.junctions[junctions[0]],
-                         self.network.junctions[junctions[-1]],
-                         tuple(segments), tuple(directions), tuple(junctions),
-                         cost, position_index=0)
+        entry = seg.entry_junction(state.direction)
+        directions, junctions, cost = follow_route(
+            self.network, seg.exit_junction(state.direction), node.spec.route,
+            seg.travel_time_base)
+        return RoutePlan(self.network.junctions[entry], self.network.junctions[junctions[-1]],
+                         (state.segment_id, *node.spec.route), (state.direction, *directions),
+                         (entry, *junctions), cost, position_index=0)
 
     def _handle_find(self, find: FindDirective) -> None:
         node = self.nodes[find.vehicle_id]
@@ -541,7 +548,7 @@ class Simulation:
                 return zone.speed
         return None
 
-    def _mobility_step(self, t: int) -> None:
+    def _mobility_step(self) -> None:
         dt = self.config.tick
         for node in self._in_id_order:
             if not node.state.ignition:
@@ -570,59 +577,58 @@ class Simulation:
         positions = {node.id: node.state.position(self.network) for node in self._in_id_order}
         return positions, self.radio.neighbors(self.nodes, positions)
 
-    def _delivery_step(self, t: int, positions, neighbors) -> None:
-        """Deliver every frame sent before tick `t`, handling each unicast."""
-        self.radio.deliver(t, self.nodes, positions, lambda node, sender, frame:
-                           self._handle_frame(node, sender, frame, t, neighbors))
+    def _delivery_step(self, t: int) -> None:
+        """Deliver every frame sent before tick `t`; `receive` takes each unicast."""
+        self.radio.deliver(t, self.nodes, self.positions, self.receive)
 
     # -- phase 5: per-node protocol actions -------------------------------------
 
-    def _node_step(self, t: int, positions, neighbors) -> None:
+    def _node_step(self) -> None:
         for node in self._in_id_order:
             if not node.active:
                 continue
-            near = neighbors[node.id]
-            self._rotate_if_due(node, t)
-            self._beacon(node, t, near)
-            self._schedule_auth(node, t, near)
+            near = self.neighbors[node.id]
+            self._rotate_if_due(node)
+            self._beacon(node, near)
+            self._schedule_auth(node, near)
             self._gc_sessions(node, near)
             self._detect(node)
-            self._corroboration_inbox_sweep(node, t)
-            self._corroboration_requests(node, t, near)
-            self._assembly(node, t, near)
-            self._parking_announcements(node, t, near)
-            self._advert_broadcast(node, t, near)
+            self._corroboration_inbox_sweep(node)
+            self._corroboration_requests(node, near)
+            self._assembly(node)
+            self._parking_announcements(node, near)
+            self._advert_broadcast(node, near)
             for record in node.coop.values():
                 record.close_expired(self.now)
             self._expire_stores(node)
             self._searcher_show(node)
 
-    def _rotate_if_due(self, node: _Node, t: int) -> None:
+    def _rotate_if_due(self, node: _Node) -> None:
         if not node.pseudonyms.due(self.now):
             return
         old = node.pseudonyms.current.value
         sessions = {peer: node.sessions[peer].key for peer in sorted(node.sessions)}
         new, notices = auth.rotate_pseudonym(node.pseudonyms, self.now, self.rng, sessions)
         if self.audit is not None:
-            self.audit.rotations.append((t, node.id, old, new.value))
+            self.audit.rotations.append((self.tick, node.id, old, new.value))
             self.audit.notices.extend((node.id, peer, frame) for peer, frame in notices)
         for peer, frame in notices:
-            self.radio.unicast(node, peer, frame, t)
+            self.radio.unicast(node, peer, frame, self.tick)
 
-    def _beacon(self, node: _Node, t: int, targets: list[str]) -> None:
-        _, frame = auth.emit_beacon(node.pseudonyms, t)
+    def _beacon(self, node: _Node, targets: list[str]) -> None:
+        frame = auth.emit_beacon(node.pseudonyms, self.tick)
         if self.audit is not None:
             self.audit.beacons.append(frame)
-        self.radio.broadcast(node, frame, targets, t)
+        self.radio.broadcast(node, frame, targets, self.tick)
 
-    def _schedule_auth(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
+    def _schedule_auth(self, node: _Node, neighbor_ids: list[str]) -> None:
         """`neighbor_ids` is in id order, as `_adjacency` returns it."""
         node.handshakes.expire(self.now)
         for peer in node.handshakes.due(neighbor_ids, node.sessions, self.now):
             node.stats.auth_attempts += 1
             frame = node.handshakes.open(peer, self.nodes[peer].spec.user_id,
                                          node.pseudonyms.current.value, self.now)
-            self.radio.unicast(node, peer, frame, t)
+            self.radio.unicast(node, peer, frame, self.tick)
 
     def _gc_sessions(self, node: _Node, neighbor_ids: list[str]) -> None:
         if not node.sessions:
@@ -654,7 +660,7 @@ class Simulation:
         self._trace(node.id, "detect",
                     f"congestion road={obs.road_id} dir={obs.direction}")
 
-    def _corroboration_requests(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
+    def _corroboration_requests(self, node: _Node, neighbor_ids: list[str]) -> None:
         if not node.pending:
             return
         reachable = node.session_neighbors(neighbor_ids)
@@ -667,12 +673,12 @@ class Simulation:
                 pending.requested_peers.add(peer)
                 if payload is None:
                     payload = wire.encode_signed_observation(pending.signatures[0])
-                self._seal_and_send(node, peer, wire.CORROBORATION_REQUEST, payload, t)
+                self._seal_and_send(node, peer, wire.CORROBORATION_REQUEST, payload)
             if pending.requested_peers and event_id not in node.pending_announced:
                 node.mark_announced(event_id)
                 self._trace(node.id, "announce", f"congestion event={event_id.hex()[:8]}")
 
-    def _assembly(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
+    def _assembly(self, node: _Node) -> None:
         rate = avg_users_per_minute(node.journey, self.now)
         for event_id in sorted(node.pending):
             pending = node.pending[event_id]
@@ -694,9 +700,9 @@ class Simulation:
                         f"event={event_id.hex()[:8]} sigs={len(event.signatures)} "
                         f"threshold={event.threshold}")
             self._forward_event(node, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
-                                event_id, t, neighbor_ids)
+                                event_id)
 
-    def _parking_announcements(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
+    def _parking_announcements(self, node: _Node, neighbor_ids: list[str]) -> None:
         if not node.parking_queue:
             return
         reachable = node.session_neighbors(neighbor_ids)
@@ -709,11 +715,11 @@ class Simulation:
             for peer in reachable:
                 if cooperation_gate(node.coop_record(peer)) == "serve":
                     node.coop_record(peer).hand_over(event_id, self.now + FORWARD_WINDOW)
-                    self._seal_and_send(node, peer, wire.PARKING_EVENT, payload, t)
+                    self._seal_and_send(node, peer, wire.PARKING_EVENT, payload)
             self._trace(node.id, "announce", f"parking event={event_id.hex()[:8]}")
         node.parking_queue = ()
 
-    def _advert_broadcast(self, node: _Node, t: int, neighbor_ids: list[str]) -> None:
+    def _advert_broadcast(self, node: _Node, neighbor_ids: list[str]) -> None:
         adverts = self._advert_carriers.get(node.id)
         if not adverts:
             return
@@ -728,7 +734,7 @@ class Simulation:
                 continue
             payload = wire.encode_advert(advert)
             for peer in reachable:
-                self._seal_and_send(node, peer, wire.ADVERT, payload, t)
+                self._seal_and_send(node, peer, wire.ADVERT, payload)
 
     def _expire_stores(self, node: _Node) -> None:
         for kind, event_id in node.store.expire(self.now):
@@ -746,18 +752,19 @@ class Simulation:
 
     # -- frame handling -----------------------------------------------------
 
-    def _handle_frame(self, node: _Node, sender: str, frame: bytes, t: int, neighbors) -> None:
-        """Handle one received frame.  Any byte string is accepted: a frame
-        that fails to decode, or names another handshake than the one in
-        progress, is dropped and counted in `malformed_frames`.  Every
-        handler decodes before it changes any state, so a dropped frame
-        leaves none behind."""
+    def receive(self, node: _Node, sender: str, frame: bytes) -> None:
+        """The one receive path: `node`, a value of `nodes`, handles `frame`
+        from the node `sender` on the current tick.  Any byte string is
+        accepted: a frame that fails to decode, opens to a tag no payload
+        has, or names another handshake than the one in progress, is
+        dropped and counted in `malformed_frames`.  Every handler decodes
+        before it changes any state, so a dropped frame leaves none behind."""
         try:
-            self._dispatch_frame(node, sender, frame, t, neighbors)
+            self._dispatch_frame(node, sender, frame)
         except (wire.WireError, auth.SessionMismatchError):
             self.malformed_frames += 1
 
-    def _dispatch_frame(self, node: _Node, sender: str, frame: bytes, t: int, neighbors) -> None:
+    def _dispatch_frame(self, node: _Node, sender: str, frame: bytes) -> None:
         tag, body = wire.decode_frame(frame)
         if tag == wire.BEACON:
             return
@@ -766,8 +773,8 @@ class Simulation:
                 tag, body, sender, self.nodes[sender].spec.user_id,
                 node.pseudonyms.current.value, self.now)
             if reply is not None:
-                self.radio.unicast(node, sender, reply, t)
-            self._handshake_done(node, sender, finished, t)
+                self.radio.unicast(node, sender, reply, self.tick)
+            self._handshake_done(node, sender, finished)
             return
         # Sealed payloads, the pseudonym change notice and every event,
         # require an established session with the sender.
@@ -783,9 +790,9 @@ class Simulation:
         except crypto.IntegrityError:
             self.sealed_drops[DROP_INTEGRITY] += 1
             return
-        self._handle_payload(node, sender, tag, payload, t, neighbors)
+        self._handle_payload(node, sender, tag, payload)
 
-    def _handshake_done(self, node: _Node, peer: str, engine, t: int) -> None:
+    def _handshake_done(self, node: _Node, peer: str, engine) -> None:
         """Open the session a finished handshake accepted, if one did, and
         send the peer our revocation records; the initiator's side counts
         the connection."""
@@ -799,11 +806,9 @@ class Simulation:
             self.connections += 1
         records = sorted((r.subject, r.misbehavior_count, r.revoked)
                          for r in node.revocations.records.values())
-        self._seal_and_send(node, peer, wire.REVOCATION_SYNC,
-                            wire.encode_revocations(records), t)
+        self._seal_and_send(node, peer, wire.REVOCATION_SYNC, wire.encode_revocations(records))
 
-    def _handle_payload(self, node: _Node, sender: str, tag: int, payload: bytes,
-                        t: int, neighbors) -> None:
+    def _handle_payload(self, node: _Node, sender: str, tag: int, payload: bytes) -> None:
         if tag == wire.CHANGE_NOTICE:
             _, new_pseudonym = wire.decode_pseudonym_change(payload)
             session = node.sessions[sender]
@@ -814,11 +819,11 @@ class Simulation:
                 node.revocations.merge_record(subject, count, revoked)
             return
         if tag == wire.CORROBORATION_REQUEST:
-            self._handle_corroboration_request(node, sender, payload, t)
+            self._handle_corroboration_request(node, sender, payload)
             return
         if tag == wire.SIGNED_OBSERVATION:
             signed = wire.decode_signed_observation(payload)
-            self._audit_payload(t, node, tag, b"")
+            self._audit_payload(node, tag, b"")
             event_id = event_id_for(signed.observation)
             pending = node.pending.get(event_id)
             if pending is not None:
@@ -826,37 +831,37 @@ class Simulation:
             return
         if tag == wire.AGGREGATED_EVENT:
             event = wire.decode_aggregate(payload)
-            self._audit_payload(t, node, tag, event.event_id)
-            self._handle_aggregate(node, sender, event, t, neighbors)
+            self._audit_payload(node, tag, event.event_id)
+            self._handle_aggregate(node, sender, event)
             return
         if tag == wire.PARKING_EVENT:
             event_id, event = wire.decode_parking(payload)
-            self._audit_payload(t, node, tag, event_id)
-            self._handle_parking(node, sender, event_id, event, t, neighbors)
+            self._audit_payload(node, tag, event_id)
+            self._handle_parking(node, sender, event_id, event)
             return
         if tag == wire.ADVERT:
             advert = wire.decode_advert(payload)
             advert_id = crypto.sha256(b"vk-advert", payload)[:16]
-            self._audit_payload(t, node, tag, advert_id)
+            self._audit_payload(node, tag, advert_id)
             self._handle_advert(node, sender, advert_id, advert)
             return
+        raise wire.WireError(f"no payload has tag {tag:#04x}")
 
-    def _handle_corroboration_request(self, node: _Node, sender: str, payload: bytes,
-                                      t: int) -> None:
+    def _handle_corroboration_request(self, node: _Node, sender: str, payload: bytes) -> None:
         signed = wire.decode_signed_observation(payload)
-        self._audit_payload(t, node, wire.CORROBORATION_REQUEST, b"")
+        self._audit_payload(node, wire.CORROBORATION_REQUEST, b"")
         if not signed.verify():
             self._report_sender(node, sender)
             return
         if node.revocations.is_revoked(signed.signer_certificate.subject):
             return
-        if not self._answer_corroboration(node, sender, signed, t):
+        if not self._answer_corroboration(node, sender, signed):
             # Not stuck (yet): keep the request while the jam could still
             # reach us, bounded by the promoter's pending window.
             node.hold_request(event_id_for(signed.observation),
                               (sender, signed, self.now + self.config.detection.cooldown))
 
-    def _answer_corroboration(self, node: _Node, sender: str, signed, t: int) -> bool:
+    def _answer_corroboration(self, node: _Node, sender: str, signed) -> bool:
         own_obs = None
         if node.detector.firing():
             own_obs = node.detector.detect_candidate(self.now, self.network,
@@ -872,18 +877,18 @@ class Simulation:
         self._trace(node.id, "corroborate",
                     f"event={event_id_for(signed.observation).hex()[:8]}")
         self._seal_and_send(node, sender, wire.SIGNED_OBSERVATION,
-                            wire.encode_signed_observation(answer), t)
+                            wire.encode_signed_observation(answer))
         return True
 
-    def _corroboration_inbox_sweep(self, node: _Node, t: int) -> None:
+    def _corroboration_inbox_sweep(self, node: _Node) -> None:
         for event_id in sorted(node.corroboration_inbox):
             sender, signed, expires = node.corroboration_inbox[event_id]
             if self.now > expires:
                 del node.corroboration_inbox[event_id]
-            elif self._answer_corroboration(node, sender, signed, t):
+            elif self._answer_corroboration(node, sender, signed):
                 del node.corroboration_inbox[event_id]
 
-    def _handle_aggregate(self, node: _Node, sender: str, event, t: int, neighbors) -> None:
+    def _handle_aggregate(self, node: _Node, sender: str, event) -> None:
         event_id = event.event_id
         if node.store.holds(event_id):
             node.coop_record(sender).observed_forward(event_id)
@@ -915,7 +920,7 @@ class Simulation:
         self._trace(node.id, "show", detail)
         if decision.action != ACTION_DROP:
             self._forward_event(node, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
-                                event_id, t, neighbors[node.id])
+                                event_id)
 
     def _same_cell(self, node: _Node, event) -> bool:
         obs = event.observation
@@ -924,8 +929,7 @@ class Simulation:
                 and location_cell(node.state.position(self.network))
                 == location_cell(obs.location))
 
-    def _handle_parking(self, node: _Node, sender: str, event_id: bytes, event, t: int,
-                        neighbors) -> None:
+    def _handle_parking(self, node: _Node, sender: str, event_id: bytes, event) -> None:
         if node.store.holds(event_id):
             node.coop_record(sender).observed_forward(event_id)
             return
@@ -934,7 +938,7 @@ class Simulation:
         node.store.add_parking(event_id, event)
         self._trace(node.id, "receive", f"parking event={event_id.hex()[:8]}")
         self._forward_event(node, wire.PARKING_EVENT, wire.encode_parking(event, event_id),
-                            event_id, t, neighbors[node.id])
+                            event_id)
 
     def _handle_advert(self, node: _Node, sender: str, advert_id: bytes, advert) -> None:
         if advert_id in node.shown:
@@ -953,25 +957,23 @@ class Simulation:
             node.mark_shown(advert_id)
             self._trace(node.id, "show", f"advert company={advert.company_name}")
 
-    def _forward_event(self, node: _Node, tag: int, payload: bytes, event_id: bytes,
-                       t: int, neighbor_ids: list[str]) -> None:
+    def _forward_event(self, node: _Node, tag: int, payload: bytes, event_id: bytes) -> None:
         """Relay an event the node has just come to hold, sealed per
-        serving-eligible session."""
+        serving-eligible session in radio range."""
         if node.spec.freeride:
             return
-        for peer in node.session_neighbors(neighbor_ids):
+        for peer in node.session_neighbors(self.neighbors[node.id]):
             if cooperation_gate(node.coop_record(peer)) != "serve":
                 continue
             node.coop_record(peer).hand_over(event_id, self.now + FORWARD_WINDOW)
-            self._seal_and_send(node, peer, tag, payload, t)
+            self._seal_and_send(node, peer, tag, payload)
 
-    def _seal_and_send(self, node: _Node, peer: str, tag: int, payload: bytes,
-                       tick: int) -> None:
+    def _seal_and_send(self, node: _Node, peer: str, tag: int, payload: bytes) -> None:
         if self.radio.closed:
             return    # nothing more goes out, so nothing is sealed
         session = node.sessions[peer]
         blob = crypto.seal(session.key.key, payload, self.rng.randbytes(16))
-        self.radio.unicast(node, peer, wire.encode_frame(tag, blob), tick)
+        self.radio.unicast(node, peer, wire.encode_frame(tag, blob), self.tick)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -983,9 +985,9 @@ class Simulation:
         that user."""
         report_misbehavior(node.revocations, node.sessions[sender].peer_user)
 
-    def _audit_payload(self, t: int, node: _Node, tag: int, event_id: bytes) -> None:
+    def _audit_payload(self, node: _Node, tag: int, event_id: bytes) -> None:
         if self.audit is not None:
-            self.audit.payloads.append((t, node.id, tag, event_id))
+            self.audit.payloads.append((self.tick, node.id, tag, event_id))
 
     def _trace(self, node_id: str, kind: str, detail: str) -> None:
         self.trace.append(f"{self.now:g} {node_id} {kind} {detail}")

@@ -178,23 +178,21 @@ def test_04_replay_resistance():
 
 # -- 5 ---------------------------------------------------------------------
 
-def _position_speed_patterns(config, network, roster):
-    """Every per-tick coordinate and speed, as big- and little-endian f64.
-
-    Computed by an independent mobility-only replay: mobility never
-    depends on protocol traffic, so the replay shadows the real run.
-    """
-    shadow = Simulation(config, network, roster)
+def _record_position_speed_patterns(sim):
+    """A set that `sim.run()` fills with every per-tick coordinate and
+    speed, as big- and little-endian f64, read after each tick."""
     patterns = set()
-    for t in range(config.duration):
-        shadow.now = float(t)
-        shadow._script_step(t)
-        shadow._mobility_step(t)
-        for node in shadow.nodes.values():
-            pos = node.state.position(network)
+    step = sim.step
+
+    def recorded(t):
+        step(t)
+        for node in sim.nodes.values():
+            pos = sim.positions[node.id]
             for value in (pos.x, pos.y, node.state.speed):
                 patterns.add(struct.pack(">d", value))
                 patterns.add(struct.pack("<d", value))
+
+    sim.step = recorded
     return patterns
 
 
@@ -202,14 +200,14 @@ def test_05_privacy_surface_of_beacons():
     with criterion(5, "1000-tick beacon stream leaks no key, id, position or "
                       "speed bytes; rotation linkage decrypts only per peer"):
         config, network, roster = privacy_setup(duration=1000)
-        patterns = _position_speed_patterns(config, network, roster)
+        sim = Simulation(config, network, roster)
+        sim.audit = AuditLog()
+        patterns = _record_position_speed_patterns(sim)
+        sim.run()
+        assert len(patterns) >= 4
         for ident in roster.users.values():
             patterns.add(ident.keys.public_key)
             patterns.add(ident.user_id.encode())
-
-        sim = Simulation(config, network, roster)
-        sim.audit = AuditLog()
-        sim.run()
         assert len(sim.audit.beacons) >= 3000
         blob = b"\xff".join(sim.audit.beacons)
         for pattern in patterns:
@@ -282,7 +280,7 @@ def _enumerate_walk(net, start, goal):
         if here == goal:
             best = cost if best is None else min(best, cost)
             return
-        for seg_id in net.segments_at(here):
+        for seg_id in net.adjacency[here]:
             seg = net.segments[seg_id]
             nxt = seg.junction_b if seg.junction_a == here else seg.junction_a
             if nxt not in seen:
@@ -424,7 +422,7 @@ def _enumerate_drive(net, start, goal, congested, penalty=5.0):
             if best is None or cost < best:
                 best = cost
             return
-        for seg_id in net.segments_at(here):
+        for seg_id in net.adjacency[here]:
             seg = net.segments[seg_id]
             direction = "fwd" if seg.junction_a == here else "rev"
             nxt = seg.junction_b if direction == "fwd" else seg.junction_a

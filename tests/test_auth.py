@@ -154,15 +154,14 @@ def test_commitments_padded_to_fixed_count():
 def test_beacon_contents_and_sequence():
     rng = random.Random(10)
     state = PseudonymState(0.0, rng)
-    b1, f1 = emit_beacon(state, 0)
-    b2, f2 = emit_beacon(state, 1)
-    assert b2.sequence == b1.sequence + 1
-    tag, body = wire.decode_frame(f1)
-    assert tag == wire.BEACON
-    pseudonym, seq, tick = ref_decode_beacon(body)
-    assert pseudonym == state.current.value
-    assert (seq, tick) == (1, 0)
-    assert b1.change_notice is None
+    frames = [emit_beacon(state, 0), emit_beacon(state, 7)]
+    for frame, expected in zip(frames, [(1, 0), (2, 7)]):
+        tag, body = wire.decode_frame(frame)
+        assert tag == wire.BEACON
+        pseudonym, seq, tick = ref_decode_beacon(body)
+        assert pseudonym == state.current.value
+        assert (seq, tick) == expected
+    assert state.sequence == 2
 
 
 def test_rotation_notices_per_authenticated_peer():

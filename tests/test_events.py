@@ -135,7 +135,7 @@ def brute_force_shortest(net, start, goal):
         if here == goal:
             best = cost if best is None else min(best, cost)
             return
-        for seg_id in net.segments_at(here):
+        for seg_id in net.adjacency[here]:
             seg = net.segments[seg_id]
             nxt = seg.junction_b if seg.junction_a == here else seg.junction_a
             if nxt in seen:

@@ -45,7 +45,7 @@ def test_load_network_shared_endpoint():
     net = load_network(TWO_SEGMENTS)
     assert len(net.junctions) == 3
     assert len(net.segments) == 2
-    assert net.segments_at("b") == ["s1", "s2"]
+    assert net.adjacency["b"] == ["s1", "s2"]
 
 
 def test_load_network_rejects_zero_speed_limit():
@@ -73,7 +73,7 @@ def test_grid_4x4_has_24_segments_and_sane_degrees():
     assert len(net.segments) == len(expected_edges) == 24
     got = {(s.junction_a, s.junction_b) for s in net.segments.values()}
     assert got == expected_edges
-    assert {net.degree(j) for j in net.junctions} == {2, 3, 4}
+    assert {len(net.adjacency[j]) for j in net.junctions} == {2, 3, 4}
 
 
 def test_advance_straight_segment():
@@ -146,7 +146,7 @@ def test_position_continuity_along_trace():
     for step in range(120):
         if not turns:
             junction = net.segments[state.segment_id].exit_junction(state.direction)
-            options = [s for s in net.segments_at(junction) if s != state.segment_id]
+            options = [s for s in net.adjacency[junction] if s != state.segment_id]
             turns = [rng.choice(options)] if options else []
         speed = rng.uniform(0.0, 50.0)
         directive = MobilityDirective(speed, turns)
@@ -363,7 +363,7 @@ def _old_random_walk(network, rng, seg, direction, hops):
     prev = seg.segment_id
     for _ in range(hops):
         options = []
-        for cand_id in network.segments_at(here):
+        for cand_id in network.adjacency[here]:
             cand = network.segments[cand_id]
             if cand.oneway and cand.junction_a != here:
                 continue

@@ -1,9 +1,10 @@
 """No vanetkit module reads another one's underscore names: what a module
-keeps private stays free to change without breaking its neighbours.  Only
-`wire` and `auth` know the handshake: no other module names a handshake
-tag or codec of `wire` or builds an engine of `auth`.  And only `geomodel`
-knows which way a segment may be entered: no other module compares a
-segment's endpoint junctions."""
+keeps private stays free to change without breaking its neighbours.  The
+tests drive a `Simulation` through `step` and `receive`, not through its
+underscore methods.  Only `wire` and `auth` know the handshake: no other
+module names a handshake tag or codec of `wire` or builds an engine of
+`auth`.  And only `geomodel` knows which way a segment may be entered: no
+other module compares a segment's endpoint junctions."""
 
 import ast
 import pathlib
@@ -11,8 +12,10 @@ import pathlib
 import pytest
 
 import vanetkit
+from vanetkit.simnet import Simulation
 
 SRC = pathlib.Path(vanetkit.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 MODULES = {"vanetkit"} | {f"vanetkit.{path.stem}" for path in SRC.glob("*.py")
                           if path.stem != "__init__"}
 
@@ -73,6 +76,61 @@ def private_reads(source: str, module: str) -> list[str]:
             if owner in MODULES and owner != module:
                 found.append(f"line {node.lineno}: reads {owner}.{node.attr}")
     return found
+
+
+# The underscore methods of `Simulation` a test may still read, and why.
+SIMULATION_PRIVATES_READ = {
+    "_random_walk": "set-up, before the first tick, so no step or receive reaches it; "
+                    "test_geomodel pins it draw for draw against the walk it replaced",
+}
+# The receive path's old name: a test that patched it on an instance
+# would now patch nothing.
+RETIRED_SIMULATION_NAMES = {"_handle_frame"}
+
+
+def _simulation_privates() -> set[str]:
+    return {name for name in vars(Simulation) if _private(name)} | RETIRED_SIMULATION_NAMES
+
+
+def simulation_private_reads(source: str) -> list[str]:
+    """Each place where `source` reads an attribute named like an
+    underscore method of `Simulation` that is not in
+    SIMULATION_PRIVATES_READ."""
+    names = _simulation_privates() - set(SIMULATION_PRIVATES_READ)
+    return [f"line {node.lineno}: reads .{node.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
+def test_tests_drive_a_simulation_through_step_and_receive():
+    assert set(SIMULATION_PRIVATES_READ) <= _simulation_privates()
+    found = {}
+    for path in sorted(TESTS.rglob("*.py")):
+        problems = simulation_private_reads(path.read_text())
+        if problems:
+            found[str(path.relative_to(TESTS))] = problems
+    assert found == {}
+
+
+@pytest.mark.parametrize("source", [
+    "sim._node_step()\n",
+    "positions, neighbors = sim._adjacency()\n",
+    "shadow._script_step(t)\nshadow._mobility_step()\n",
+    "handle = sim._delivery_step\n",
+    "sim._handle_frame = counted\n",
+    "sim._dispatch_frame(node, 'C', frame)\n",
+    "sim._zone_speed(node)\n",
+])
+def test_a_simulation_private_read_is_found(source):
+    assert simulation_private_reads(source) != []
+
+
+@pytest.mark.parametrize("source", [
+    "sim.step(0)\nsim.receive(node, 'C', frame)\nsim.neighbors['n1']\n",
+    "sim._random_walk(seg, direction)\n",            # allowed, with its reason
+    "crypto._g_pow(3)\nsim._zones\n",                 # not a method of Simulation
+])
+def test_public_and_allowed_simulation_reads_pass(source):
+    assert simulation_private_reads(source) == []
 
 
 _ENGINES = {"vanetkit.auth.AuthInitiator", "vanetkit.auth.AuthResponder"}

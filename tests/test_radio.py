@@ -108,8 +108,8 @@ def _layouts(draw):
 def test_cell_list_equals_the_dense_pairwise_reference(layout):
     points, inactive = layout
     sim = _placed(points, inactive)
-    positions, neighbors = sim._adjacency()
-    assert set(positions) == set(sim.nodes)
+    positions = {f"n{i:02d}": GeoCoordinate(x, y) for i, (x, y) in enumerate(points)}
+    neighbors = sim.radio.neighbors(sim.nodes, positions)
     assert neighbors == _dense(sim, positions)
     for nid, near in neighbors.items():
         assert near == sorted(set(near)) and nid not in near
@@ -117,8 +117,9 @@ def test_cell_list_equals_the_dense_pairwise_reference(layout):
 
 
 def test_beacon_to_a_departed_or_parked_receiver_is_lost():
-    """n1 beacons to three neighbours at tick 0; by tick 1 n2 has driven out
-    of range and n3 has switched its ignition off, so only n4 receives."""
+    """n1 beacons to three neighbours at tick 0 and opens a handshake with
+    each; by tick 1 n2 has driven out of range and n3 has switched its
+    ignition off, so only n4 receives."""
     roster = Roster()
     for i in range(4):
         register_user(roster, f"u{i}", i + 1)
@@ -129,28 +130,25 @@ def test_beacon_to_a_departed_or_parked_receiver_is_lost():
         VehicleSpec("n4", "u3", "main", 120.0, FORWARD, speed=0.0),
     ], parks=[ParkDirective("n3", 1.0, 5.0)])
     sim = Simulation(config, NETWORK, roster)
-    sim._script_step(0)
-    sim._mobility_step(0)
-    _, neighbors = sim._adjacency()
-    assert neighbors["n1"] == ["n2", "n3", "n4"]
+    sim.step(0)
+    assert sim.neighbors["n1"] == ["n2", "n3", "n4"]
     n1 = sim.nodes["n1"]
-    sim._beacon(n1, 0, neighbors["n1"])
-    assert len(sim.in_flight) == 1 and sim.in_flight[0].receivers == ("n2", "n3", "n4")
-    assert (n1.stats.generated, n1.stats.broadcasted) == (3, 1)
-    assert collect_metrics(sim).in_flight == 3
+    assert [d.receivers for d in sim.in_flight if d.sender == "n1"] == [
+        ("n2", "n3", "n4"), ("n2",), ("n3",), ("n4",)]
+    assert (n1.stats.generated, n1.stats.broadcasted) == (6, 1)
+    to_n4 = sum(d.receivers.count("n4") for d in sim.in_flight)
+    assert collect_metrics(sim).in_flight == sum(len(d.receivers) for d in sim.in_flight)
 
-    sim.now = 1.0
-    sim._script_step(1)
-    sim._mobility_step(1)
-    positions, neighbors = sim._adjacency()
+    sim.step(1)
+    positions = sim.positions
     assert not sim.nodes["n3"].active
     assert not in_radio_range(positions["n2"].x - positions["n1"].x,
                               positions["n2"].y - positions["n1"].y, RANGE)
-    sim._delivery_step(1, positions, neighbors)
-    assert n1.stats.lost == 2
-    assert [sim.nodes[n].stats.received for n in ("n2", "n3", "n4")] == [0, 0, 1]
+    assert n1.stats.lost == 4          # the beacon and the commit to each of n2 and n3
+    assert [sim.nodes[n].stats.received for n in ("n2", "n3", "n4")] == [2, 0, to_n4]
     stats = collect_metrics(sim)
-    assert stats.in_flight == 0 and sim.in_flight == []
+    assert stats.in_flight == sum(len(d.receivers) for d in sim.in_flight)
+    assert all(d.sent_at == 1 for d in sim.in_flight)
 
 
 def test_conservation_counts_queued_beacon_receivers_not_records():
@@ -164,12 +162,7 @@ def test_conservation_counts_queued_beacon_receivers_not_records():
         for i in range(4)])
     sim = Simulation(config, NETWORK, roster)
     for t in range(3):
-        sim.now = float(t)
-        sim._script_step(t)
-        sim._mobility_step(t)
-        positions, neighbors = sim._adjacency()
-        sim._delivery_step(t, positions, neighbors)
-        sim._node_step(t, positions, neighbors)
+        sim.step(t)
     beacons = [d for d in sim.in_flight if len(d.receivers) == 3]
     assert len(beacons) == 4
     stats = collect_metrics(sim)      # raises ConservationError if it fails
@@ -188,9 +181,7 @@ def test_each_delivery_is_released_once_handled():
         VehicleSpec(f"n{i}", f"u{i}", "main", 100.0 + 10 * i, FORWARD, speed=0.0)
         for i in range(2)])
     sim = Simulation(config, NETWORK, roster)
-    sim._script_step(0)
-    sim._mobility_step(0)
-    positions, neighbors = sim._adjacency()
+    sim.step(0)
     frames = [bytes([0xFF, 0, i, 1]) for i in range(4)]   # undecodable: dropped and counted
 
     def refs():
@@ -200,14 +191,15 @@ def test_each_delivery_is_released_once_handled():
     for i in range(4):
         sim.radio.unicast(sim.nodes["n0"], "n1", frames[i], 0)
     extra = []
-    handle = sim._handle_frame
+    receive = sim.receive
 
-    def counted(node, sender, frame, *args):
-        extra.append([n - m for n, m in zip(refs(), own)])
-        handle(node, sender, frame, *args)
+    def counted(node, sender, frame):
+        if any(frame is f for f in frames):
+            extra.append([n - m for n, m in zip(refs(), own)])
+        receive(node, sender, frame)
 
-    sim._handle_frame = counted
-    sim._delivery_step(1, positions, neighbors)
+    sim.receive = counted
+    sim.step(1)
     assert len(extra) == 4 and sim.malformed_frames == 4
     for i, row in enumerate(extra):
         assert row[:i] == [0] * i and row[i + 1:] == [1] * (3 - i)

@@ -65,7 +65,7 @@ def enumerate_paths_cost(net, start, goal, congested, penalty=5.0):
             if best is None or cost < best:
                 best = cost
             return
-        for seg_id in net.segments_at(here):
+        for seg_id in net.adjacency[here]:
             seg = net.segments[seg_id]
             direction = "fwd" if seg.junction_a == here else "rev"
             nxt = seg.junction_b if direction == "fwd" else seg.junction_a

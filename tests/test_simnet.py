@@ -10,6 +10,8 @@ import types
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vanetkit
 from vanetkit import aggregation, auth, crypto, kits, scenario, wire
@@ -523,31 +525,32 @@ def test_corroboration_request_retries_until_peer_authenticates():
 
 
 def test_overlapping_zones_first_in_config_order_applies():
+    """Each tick, a vehicle crawls at the speed of the first zone, in config
+    order, that is active on its segment and direction at the tick's clock."""
     config, net, roster = two_node_setup()
+    config.tick = 0.5
+    config.vehicles[1].direction = REVERSE
     config.zones = [CongestionZone("main", REVERSE, 0.0, 100.0, 1.0),
                     CongestionZone("main", FORWARD, 10.0, 50.0, 5.0),
                     CongestionZone("main", FORWARD, 0.0, 80.0, 20.0),
                     CongestionZone("main", FORWARD, 30.0, 40.0, 9.0),
                     CongestionZone("other", FORWARD, 0.0, 100.0, 3.0)]
     sim = Simulation(config, net, roster)
-    node = sim.nodes["n1"]
+    speeds = {}
+    for t in range(162):
+        sim.step(t)
+        speeds[sim.now] = (sim.nodes["n1"].state.speed, sim.nodes["n2"].state.speed)
     for now, speed in [(0.0, 20.0), (10.0, 5.0), (35.0, 5.0), (49.5, 5.0),
-                       (50.0, 20.0), (79.0, 20.0), (80.0, None)]:
-        sim.now = now
-        assert sim._zone_speed(node) == speed
-    node.state = dataclasses.replace(node.state, direction=REVERSE)
-    sim.now = 35.0
-    assert sim._zone_speed(node) == 1.0
+                       (50.0, 20.0), (79.0, 20.0), (80.0, 0.0)]:
+        assert speeds[now] == (speed, 1.0)
 
 
 def test_radio_symmetry_every_tick():
     config, net, roster = two_node_setup(gap=74.0)
     sim = Simulation(config, net, roster)
     for t in range(5):
-        sim.now = float(t)
-        sim._script_step(t)
-        sim._mobility_step(t)
-        positions, neighbors = sim._adjacency()
+        sim.step(t)
+        neighbors = sim.neighbors
         for a in neighbors:
             for b in neighbors[a]:
                 assert a in neighbors[b]
@@ -576,12 +579,11 @@ def test_assembly_rejects_planted_tampered_signature_at_threshold():
     node.add_pending(event_id, pending)
     assert aggregation.required_signatures(
         aggregation.avg_users_per_minute(node.journey, 1.0)) == len(pending.signatures)
-    sim.now = 1.0
-    sim._assembly(node, 1, [])
+    sim.step(0)
     assert node.pending[event_id] is pending
     assert not any(" aggregate " in line for line in sim.trace)
     pending.signatures[1] = genuine
-    sim._assembly(node, 1, [])
+    sim.step(1)
     assert event_id not in node.pending
     assert [l for l in sim.trace if " aggregate " in l] == [
         f"1 n1 aggregate event={event_id.hex()[:8]} sigs=2 threshold=2"]
@@ -647,6 +649,13 @@ def _chain_sim(directory):
     return bundle.build()
 
 
+def _sealed(receiver, sender: str, tag: int, payload: bytes) -> bytes:
+    """A frame carrying `payload` sealed under `receiver`'s session with
+    `sender`."""
+    return wire.encode_frame(tag, crypto.seal(receiver.sessions[sender].key.key, payload,
+                                              bytes(16)))
+
+
 def test_opened_payloads_are_recorded_only_for_an_attached_audit(tmp_path):
     plain = _chain_sim(tmp_path / "plain")
     stats = plain.run()
@@ -668,12 +677,10 @@ def test_opened_payloads_are_recorded_only_for_an_attached_audit(tmp_path):
 def test_malformed_and_mismatched_frames_are_dropped_and_counted(tmp_path):
     sim = _chain_sim(tmp_path / "chain")
     sim.run()
-    _, neighbors = sim._adjacency()
     d = sim.nodes["D"]
     responders, rng_state = dict(d.handshakes.responders), sim.rng.getstate()
-    sim._handle_frame(d, "C", b"\x00\x00", 999, neighbors)
-    sim._handle_frame(d, "C", wire.encode_frame(wire.AUTH_COMMIT, b"\x00" * 5), 999,
-                      neighbors)
+    sim.receive(d, "C", b"\x00\x00")
+    sim.receive(d, "C", wire.encode_frame(wire.AUTH_COMMIT, b"\x00" * 5))
     assert sim.malformed_frames == 2
     assert d.handshakes.responders == responders and sim.rng.getstate() == rng_state
 
@@ -686,7 +693,7 @@ def test_malformed_and_mismatched_frames_are_dropped_and_counted(tmp_path):
     challenge = wire.encode_auth_challenge(other, b"p" * 16, b"c" * 16, b"")
     response = wire.encode_auth_response(other, False, b"n" * 16, b"", b"c" * 16)
     for frame in (challenge, response):
-        sim._handle_frame(d, "C", frame, 999, neighbors)
+        sim.receive(d, "C", frame)
     assert sim.malformed_frames == 4
     assert d.handshakes.initiators["C"] is engine and engine.peer_commitments == b""
     assert engine.outcome is None and sim.in_flight == []
@@ -704,18 +711,17 @@ def test_a_result_ends_a_responders_handshake_only_from_its_peer_in_turn(tmp_pat
     handshake or draws from the RNG."""
     sim = _chain_sim(tmp_path / "chain")
     sim.run()
-    _, neighbors = sim._adjacency()
     c, d = sim.nodes["C"], sim.nodes["D"]
     commit = c.handshakes.open("D", d.spec.user_id, c.pseudonyms.current.value, sim.now)
-    sim._handle_frame(d, "C", commit, 999, neighbors)
+    sim.receive(d, "C", commit)
     session_id = c.handshakes.initiators["D"].session_id
     assert d.handshakes.responders[session_id].peer == "C"
     responders, rng_state = dict(d.handshakes.responders), sim.rng.getstate()
     malformed = sim.malformed_frames
     result = wire.encode_auth_result(session_id, True)
-    sim._handle_frame(d, "R", result, 999, neighbors)
+    sim.receive(d, "R", result)
     assert sim.malformed_frames == malformed
-    sim._handle_frame(d, "C", result, 999, neighbors)
+    sim.receive(d, "C", result)
     assert sim.malformed_frames == malformed + 1
     assert d.handshakes.responders == responders and sim.rng.getstate() == rng_state
 
@@ -728,15 +734,15 @@ def test_garbage_frames_during_a_run_change_no_outcome(tmp_path):
     sim = _chain_sim(tmp_path / "noisy")
     garbage = (b"\x00\x00", wire.encode_frame(wire.AUTH_COMMIT, b"\x00" * 5),
                wire.encode_frame(wire.AUTH_RESULT, b"\x01"))
-    node_step = sim._node_step
+    step = sim.step
 
-    def noisy_node_step(t, positions, neighbors):
-        node_step(t, positions, neighbors)
-        if "D" in neighbors["C"]:
+    def noisy_step(t):
+        step(t)
+        if "D" in sim.neighbors["C"]:
             for frame in garbage:
                 sim.radio.unicast(sim.nodes["C"], "D", frame, t)
 
-    sim._node_step = noisy_node_step
+    sim.step = noisy_step
     stats = sim.run()
     assert sim.malformed_frames > 0 and clean.malformed_frames == 0
     assert sim.trace == clean.trace and sim.trace
@@ -755,7 +761,8 @@ def test_corroboration_request_from_outside_the_roster_is_dropped(tmp_path):
                             signed.signature[:-1] + bytes([signed.signature[-1] ^ 1]))
     c = sim.nodes["C"]
     inbox = dict(c.corroboration_inbox)
-    sim._handle_corroboration_request(c, "D", wire.encode_signed_observation(bad), 120)
+    sim.receive(c, "D", _sealed(c, "D", wire.CORROBORATION_REQUEST,
+                                wire.encode_signed_observation(bad)))
     assert "mallory" not in c.revocations.records
     assert c.corroboration_inbox == inbox
 
@@ -769,7 +776,6 @@ def test_sealed_observation_with_unencodable_number_is_dropped(tmp_path, tag, fi
     fit a signed 64-bit integer, is dropped and counted, leaving no state."""
     sim = _chain_sim(tmp_path / "chain")
     sim.run()
-    _, neighbors = sim._adjacency()
     c, d = sim.nodes["C"], sim.nodes["D"]
     assert "D" in c.sessions
     obs = CongestionObservation("main1", FORWARD, GeoCoordinate(280.0, 0.0), 100.0, b"d" * 16)
@@ -782,11 +788,9 @@ def test_sealed_observation_with_unencodable_number_is_dropped(tmp_path, tag, fi
     # The observation leads both payloads: road text, direction, x, y, time.
     offset = 2 + len(obs.road_id) + 1 + {"x": 0, "y": 8, "detected_at": 16}[field]
     payload = payload[:offset] + struct.pack(">d", value) + payload[offset + 8:]
-    blob = crypto.seal(c.sessions["D"].key.key, payload, bytes(16))
-    frame = wire.encode_frame(tag, blob)
     sim.audit = AuditLog()
     pending, trace = dict(c.pending), list(sim.trace)
-    sim._handle_frame(c, "D", frame, 121, neighbors)
+    sim.receive(c, "D", _sealed(c, "D", tag, payload))
     assert sim.malformed_frames == 1
     assert sim.audit.payloads == [] and c.pending == pending and sim.trace == trace
     with pytest.raises(wire.WireError):
@@ -805,7 +809,6 @@ def test_a_rejected_aggregate_blames_its_sender_not_its_first_signer(tmp_path):
     its own tampered one; only D's user is reported."""
     sim = _chain_sim(tmp_path / "chain")
     sim.run()
-    _, neighbors = sim._adjacency()
     c, d, r = sim.nodes["C"], sim.nodes["D"], sim.nodes["R"]
     assert "D" in c.sessions
     rejected = sim.events_rejected
@@ -819,9 +822,7 @@ def test_a_rejected_aggregate_blames_its_sender_not_its_first_signer(tmp_path):
         event = aggregation.AggregatedEvent(obs, (honest, forged), b"d" * 16, obs.detected_at,
                                             None, 2)
         assert aggregation.verify_aggregate(event, c.revocations) == (False, "bad-signature")
-        blob = crypto.seal(c.sessions["D"].key.key, wire.encode_aggregate(event), bytes(16))
-        sim._handle_frame(c, "D", wire.encode_frame(wire.AGGREGATED_EVENT, blob), 121,
-                          neighbors)
+        sim.receive(c, "D", _sealed(c, "D", wire.AGGREGATED_EVENT, wire.encode_aggregate(event)))
     assert sim.events_rejected == rejected + 3
     assert "ur" not in c.revocations.records
     assert c.revocations.records["ud"].misbehavior_count == 3
@@ -834,7 +835,8 @@ def test_a_bad_corroboration_request_blames_its_sender_not_the_named_signer(tmp_
     obs = CongestionObservation("main1", FORWARD, GeoCoordinate(280.0, 0.0), 600.0, b"r" * 16)
     bad = _flip_last_byte(sign_observation(obs, r.user.keys.private_key,
                                            r.user.self_certificate, b"r" * 16))
-    sim._handle_corroboration_request(c, "D", wire.encode_signed_observation(bad), 121)
+    sim.receive(c, "D", _sealed(c, "D", wire.CORROBORATION_REQUEST,
+                                wire.encode_signed_observation(bad)))
     assert "ur" not in c.revocations.records
     assert c.revocations.records["ud"].misbehavior_count == 1
 
@@ -842,13 +844,11 @@ def test_a_bad_corroboration_request_blames_its_sender_not_the_named_signer(tmp_
 def test_an_advert_with_a_bad_certificate_blames_its_sender_not_the_named_subject(tmp_path):
     sim = _chain_sim(tmp_path / "chain")
     sim.run()
-    _, neighbors = sim._adjacency()
     c, r = sim.nodes["C"], sim.nodes["R"]
     cert = r.user.self_certificate
     cert = dataclasses.replace(cert, signature=cert.signature[:-1] + bytes([cert.signature[-1] ^ 1]))
     advert = AdvertEvent("ur-shop", "sale", GeoCoordinate(280.0, 0.0), 500.0, 1e6, "logo", cert)
-    blob = crypto.seal(c.sessions["D"].key.key, wire.encode_advert(advert), bytes(16))
-    sim._handle_frame(c, "D", wire.encode_frame(wire.ADVERT, blob), 121, neighbors)
+    sim.receive(c, "D", _sealed(c, "D", wire.ADVERT, wire.encode_advert(advert)))
     assert "ur" not in c.revocations.records
     assert c.revocations.records["ud"].misbehavior_count == 1
 
@@ -869,15 +869,13 @@ def test_a_rotation_reaches_the_peer_session(tmp_path):
 def test_change_notices_need_a_session_and_an_intact_seal(tmp_path):
     sim = _chain_sim(tmp_path / "chain")
     sim.run()
-    _, neighbors = sim._adjacency()
     c = sim.nodes["C"]
     before, malformed = c.sessions["D"].key, sim.malformed_frames
     change = wire.encode_pseudonym_change(b"o" * 16, b"n" * 16)
     sealed = crypto.seal(before.key, change, bytes(16))
 
     def notice(blob):
-        sim._handle_frame(c, "D", wire.encode_frame(wire.CHANGE_NOTICE, blob), 121,
-                          neighbors)
+        sim.receive(c, "D", wire.encode_frame(wire.CHANGE_NOTICE, blob))
 
     notice(crypto.seal(crypto.sha256(b"another session"), change, bytes(16)))
     notice(sealed[:-1] + bytes([sealed[-1] ^ 1]))
@@ -899,7 +897,6 @@ def test_sealed_frames_dropped_unopened_are_counted_by_reason(tmp_path):
     with their own count, outside `malformed_frames`, and change nothing."""
     sim = _chain_sim(tmp_path / "chain")
     sim.run()
-    _, neighbors = sim._adjacency()
     c = sim.nodes["C"]
     assert "D" in c.sessions and sim.sealed_drops == {
         DROP_NO_SESSION: 0, DROP_WRONG_KEY: 0, DROP_INTEGRITY: 0}
@@ -913,9 +910,81 @@ def test_sealed_frames_dropped_unopened_are_counted_by_reason(tmp_path):
     orphan = crypto.seal(c.sessions.pop(gone).key.key, payload, bytes(16))
     records, trace = dict(c.revocations.records), list(sim.trace)
     for sender, blob in (("D", stale), ("D", tampered), ("D", stale), (gone, orphan)):
-        sim._handle_frame(c, sender, wire.encode_frame(wire.REVOCATION_SYNC, blob), 121,
-                          neighbors)
+        sim.receive(c, sender, wire.encode_frame(wire.REVOCATION_SYNC, blob))
     assert sim.sealed_drops == {DROP_NO_SESSION: 1, DROP_WRONG_KEY: 2, DROP_INTEGRITY: 1}
     assert sim.malformed_frames == 0
     assert c.revocations.records == records and sim.trace == trace
     assert "D" in c.sessions and c.sessions["D"].key.key == key
+
+
+def test_a_sealed_payload_under_an_unknown_tag_is_counted_malformed(tmp_path):
+    """A frame from a session peer that opens, but under a tag no payload
+    has, is dropped and counted like any other malformed frame."""
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    c = sim.nodes["C"]
+    records, trace = dict(c.revocations.records), list(sim.trace)
+    sim.receive(c, "D", _sealed(c, "D", 0xDD, wire.encode_revocations([("ud", 1, True)])))
+    assert sim.malformed_frames == 1 and sim.sealed_drops[DROP_INTEGRITY] == 0
+    assert c.revocations.records == records and sim.trace == trace
+
+
+@pytest.fixture(scope="module")
+def finished_chain(tmp_path_factory):
+    """A finished congestion-chain run, and each unicast frame it handed to
+    `receive`, as (receiver id, sender id, frame)."""
+    sim = _chain_sim(tmp_path_factory.mktemp("chain"))
+    delivered = []
+    receive = sim.receive
+
+    def recorded(node, sender, frame):
+        delivered.append((node.id, sender, frame))
+        receive(node, sender, frame)
+
+    sim.receive = recorded
+    sim.run()
+    del sim.receive
+    return sim, delivered
+
+
+@st.composite
+def _received_frames(draw, sim, delivered):
+    """(receiver id, sender id, frame): random bytes, a random body under a
+    valid header, or a delivered frame with one byte flipped or cut short."""
+    receivers = sorted({receiver for receiver, _, _ in delivered})
+    kind = draw(st.sampled_from(["bytes", "body", "flip", "cut"]))
+    if kind in ("bytes", "body"):
+        receiver = draw(st.sampled_from(receivers))
+        sender = draw(st.sampled_from(sorted(set(sim.nodes) - {receiver})))
+        if kind == "bytes":
+            return receiver, sender, draw(st.binary(max_size=80))
+        tag = draw(st.integers(0, 0xFF))
+        return receiver, sender, wire.encode_frame(tag, draw(st.binary(max_size=600)))
+    receiver, sender, frame = draw(st.sampled_from(delivered))
+    i = draw(st.integers(0, len(frame) - 1))
+    if kind == "cut":
+        return receiver, sender, frame[:i]
+    flipped = frame[i] ^ draw(st.integers(1, 0xFF))
+    return receiver, sender, frame[:i] + bytes([flipped]) + frame[i + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_receive_is_total_and_counts_every_undecodable_frame(finished_chain, data):
+    """`receive` takes any byte string from a radio neighbour without
+    raising; a frame `wire.decode_frame` refuses adds exactly one to
+    `malformed_frames`, and packet conservation still holds."""
+    sim, delivered = finished_chain
+    receiver, sender, frame = data.draw(_received_frames(sim, delivered))
+    try:
+        wire.decode_frame(frame)
+        refused = False
+    except wire.WireError:
+        refused = True
+    malformed = sim.malformed_frames
+    sim.receive(sim.nodes[receiver], sender, frame)
+    if refused:
+        assert sim.malformed_frames == malformed + 1
+    else:
+        assert sim.malformed_frames in (malformed, malformed + 1)
+    collect_metrics(sim)
