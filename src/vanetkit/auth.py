@@ -59,17 +59,16 @@ A side's commitments, and its responses, are one `bytes` block of 32-byte
 fields in slot order, as on the wire: the engines send and receive
 blocks, and `match_keys` reads the peer's at 32-byte offsets.  One block
 costs a single object where a list of fields costs one per field, and
-most handshakes are held open only to end in rejection.  Padding fields
-come from one `rng.randbytes(32 * n)` draw cut in slot order, which
-yields the same bytes as `n` draws of 32.  `AuthTranscript` alone splits
-the blocks into tuples of fields.
+most handshakes are held open only to end in rejection.  Each padding
+field is one `rng.randbytes(32)` draw, taken in slot order after the
+slot map's `rng.shuffle`.  `AuthTranscript` alone splits the blocks into
+tuples of fields.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import struct
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
@@ -188,44 +187,6 @@ def _response(key: bytes, message: bytes) -> bytes:
     return hashlib.sha256(key.translate(_OUTER_PAD) + inner).digest()
 
 
-def _padding(slots: bytes, rng: random.Random):
-    """Iterator over a random field per padding slot, in slot order, cut
-    from one draw: the same bytes as one `randbytes(32)` per slot."""
-    pad = rng.randbytes(FIELD_LEN * slots.count(PAD_SLOT))
-    return iter([pad[i:i + FIELD_LEN] for i in range(0, len(pad), FIELD_LEN)])
-
-
-# the 32-bit words behind the shuffle of a slot map of `PAD_COMMITMENTS` slots
-_SHUFFLE_WORDS = struct.Struct(f"<{PAD_COMMITMENTS - 1}I")
-# position i of a slot map takes the top (i + 1).bit_length() bits of a word
-_SHUFFLE_SHIFTS = tuple(32 - (i + 1).bit_length() for i in range(PAD_SLOT + 1))
-
-
-def _shuffle(slots: bytearray, rng: random.Random) -> None:
-    """`rng.shuffle(slots)`: the same permutation from the same draws.
-
-    CPython's shuffle is Fisher-Yates; for position `i` it draws
-    `getrandbits(k)` with `k = (i + 1).bit_length()`, which is the top `k`
-    bits of one 32-bit word, and draws again while that is above `i`.
-    Here the words come from one `getrandbits(32 * (n - 1))` draw, which
-    yields them low word first, and a rejection past the last of them
-    draws one more word, so the generator ends in the same state."""
-    count = max(len(slots) - 1, 0)
-    words = _SHUFFLE_WORDS if count == PAD_COMMITMENTS - 1 else struct.Struct(f"<{count}I")
-    draws = iter(words.unpack(rng.getrandbits(32 * count).to_bytes(4 * count, "little")))
-    for i in range(count, 0, -1):
-        shift = _SHUFFLE_SHIFTS[i]
-        for j in draws:
-            j >>= shift
-            if j <= i:
-                break
-        else:                     # every word of the one draw is used
-            j = rng.getrandbits(32) >> shift
-            while j > i:
-                j = rng.getrandbits(32) >> shift
-        slots[i], slots[j] = slots[j], slots[i]
-
-
 def build_commitments(keys: Sequence[bytes], nonce: bytes,
                       rng: random.Random) -> tuple[bytes, bytes]:
     """Commitment block padded and shuffled to hide which slots are real.
@@ -240,13 +201,12 @@ def build_commitments(keys: Sequence[bytes], nonce: bytes,
         raise wire.WireError(f"{len(keys)} candidate keys exceed a block's "
                              f"{wire.MAX_FIELDS} fields")
     slots = bytearray(range(len(keys))) + bytes([PAD_SLOT]) * (PAD_COMMITMENTS - len(keys))
-    _shuffle(slots, rng)
+    rng.shuffle(slots)
     prefix = _commitment_prefix(nonce)
-    pads = _padding(slots, rng)
     commitments = []
     for i in slots:
         if i == PAD_SLOT:
-            commitments.append(next(pads))
+            commitments.append(rng.randbytes(FIELD_LEN))
         else:
             h = prefix.copy()
             h.update(keys[i])
@@ -258,8 +218,7 @@ def build_responses(keys: Sequence[bytes], slots: bytes, challenge: bytes, nonce
                     rng: random.Random) -> bytes:
     """Response block for the slot map of `build_commitments(keys, ...)`."""
     message = _RESPONSE_LABEL + challenge + nonce
-    pads = _padding(slots, rng)
-    return b"".join([_response(keys[i], message) if i != PAD_SLOT else next(pads)
+    return b"".join([_response(keys[i], message) if i != PAD_SLOT else rng.randbytes(FIELD_LEN)
                      for i in slots])
 
 

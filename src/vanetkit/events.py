@@ -47,10 +47,13 @@ class DetectionConfig:
     parking_ttl: float = PARKING_TTL
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.speed_fraction < 1.0):
-            raise ValueError("speed_fraction must be in (0, 1)")
-        if self.sustain_window <= 0:
-            raise ValueError("sustain_window must be positive")
+        problems = []
+        if not 0.0 < self.speed_fraction < 1.0:
+            problems.append("speed_fraction must be in (0, 1)")
+        if not self.sustain_window > 0:
+            problems.append("sustain_window must be positive")
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,13 @@ An advert package file carries the advertisement and its certificate:
     advert <company> <x> <y> <radius> <expiry> <message...>
     logo <ref>                       # optional
     cert <subject> <signer> <hex signature>
+
+The parser reports only what needs a line number: unknown statements and
+options, numbers that do not parse, a detection value out of its range,
+and the `dir=`, `battery=` and zone-direction words.  Every other rule a
+run needs is `SimConfig.validate(network, roster)`'s, which `load_bundle`
+runs with each document that loaded and `Simulation` runs again when it is
+built.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from dataclasses import dataclass, field
 from typing import get_type_hints
 
 from .events import AdvertEvent, DetectionConfig, advert_certificate_verifies
-from .geomodel import (BATTERY_LEVELS, FORWARD, REVERSE, DirectiveError, DocumentError,
-                       GeoCoordinate, RoadNetwork, document_statements, load_network)
+from .geomodel import (BATTERY_LEVELS, FORWARD, REVERSE, DocumentError, GeoCoordinate,
+                       RoadNetwork, document_statements, load_network)
 from .simnet import (CongestionZone, FindDirective, ParkDirective, SimConfig,
                      Simulation, VehicleSpec)
 from .trust import Certificate, Roster, load_roster
@@ -125,7 +132,6 @@ def _parse_vehicle(fields: list[str], lineno: int, problems: list[str]) -> Vehic
 
 def parse_scenario(text: str, problems: list[str]) -> tuple[SimConfig, str, str, list[tuple[str, str]]]:
     config = SimConfig()
-    detection = dataclasses.asdict(DetectionConfig())
     road_path = ""
     roster_path = ""
     advert_paths: list[tuple[str, str]] = []
@@ -141,7 +147,11 @@ def parse_scenario(text: str, problems: list[str]) -> tuple[SimConfig, str, str,
             elif key == "battery_threshold":
                 config.battery_threshold = fields[1]
             elif key in _DETECTION_FLOAT:
-                detection[key] = float(fields[1])
+                value = float(fields[1])
+                try:
+                    config.detection = dataclasses.replace(config.detection, **{key: value})
+                except ValueError as err:
+                    problems.append(f"line {lineno}: {err}")
             elif key == "road":
                 road_path = fields[1]
             elif key == "roster":
@@ -169,7 +179,6 @@ def parse_scenario(text: str, problems: list[str]) -> tuple[SimConfig, str, str,
                 problems.append(f"line {lineno}: unknown scenario statement {key!r}")
         except (IndexError, ValueError):
             problems.append(f"line {lineno}: malformed {key!r} statement")
-    config.detection = DetectionConfig(**detection)
     if not road_path:
         problems.append("scenario names no road document")
     if not roster_path:
@@ -214,10 +223,12 @@ def load_advert(text: str, roster: Roster, problems: list[str]) -> AdvertEvent |
 
 
 def load_bundle(directory: str) -> tuple[ScenarioBundle | None, list[str]]:
-    """Parse and cross-validate a bundle; returns (bundle, problems).
+    """Parse a bundle and validate its config; returns (bundle, problems).
 
-    Every problem is collected, not just the first; the bundle is only
-    returned when everything parses and validates.
+    The config is checked by `SimConfig.validate` against the road and the
+    roster, each when it loaded.  Every problem is collected, not just the
+    first; the bundle is only returned when everything parses and
+    validates.
     """
     problems: list[str] = []
     scenario_path = os.path.join(directory, "scenario.txt")
@@ -268,66 +279,9 @@ def load_bundle(directory: str) -> tuple[ScenarioBundle | None, list[str]]:
                     config.adverts.append((vehicle_id, advert))
                     advert_paths.append((vehicle_id, path))
 
-    problems.extend(_cross_validate(config, network, roster))
+    problems.extend(config.validate(network, roster))
     if problems:
         return None, problems
     return ScenarioBundle(directory, config, road_path, roster_path, advert_paths,
                           network, roster), []
 
-
-def _cross_validate(config: SimConfig, network: RoadNetwork | None,
-                    roster: Roster | None) -> list[str]:
-    """Reference checks; road and roster checks degrade gracefully when
-    the corresponding document itself failed to load."""
-    problems = config.validate()
-    users = set(roster.users) if roster is not None else None
-    vehicle_ids = set()
-    for spec in config.vehicles:
-        if spec.vehicle_id in vehicle_ids:
-            problems.append(f"duplicate vehicle id {spec.vehicle_id!r}")
-        vehicle_ids.add(spec.vehicle_id)
-        if users is not None and spec.user_id not in users:
-            problems.append(f"vehicle {spec.vehicle_id!r} references unknown user {spec.user_id!r}")
-        if network is None:
-            continue
-        if spec.segment not in network.segments:
-            problems.append(f"vehicle {spec.vehicle_id!r} starts on unknown segment {spec.segment!r}")
-            continue
-        seg = network.segments[spec.segment]
-        if spec.segment not in network.exits[seg.entry_junction(spec.direction)]:
-            problems.append(f"vehicle {spec.vehicle_id!r} starts the wrong way "
-                            f"on one-way segment {spec.segment!r}")
-        here = seg.exit_junction(spec.direction)
-        for seg_id in spec.route:
-            if seg_id not in network.segments:
-                problems.append(f"vehicle {spec.vehicle_id!r} route names unknown segment {seg_id!r}")
-                break
-            try:
-                _, here = network.enter(here, seg_id)
-            except DirectiveError as err:
-                problems.append(f"vehicle {spec.vehicle_id!r} route breaks: {err}")
-                break
-    if users is not None and config.vehicle_count > 0 \
-            and len(users) < config.total_vehicles():
-        problems.append("roster must provide one user per vehicle")
-    if network is not None:
-        origins = set()
-        for spec in config.vehicles:
-            seg = network.segments.get(spec.segment)
-            if seg is not None:
-                origins.update((seg.junction_a, seg.junction_b))
-        if origins and not network.connected(origins):
-            problems.append("vehicle origins span disconnected road components")
-    for zone in config.zones:
-        if network is not None and zone.segment not in network.segments:
-            problems.append(f"congestion zone names unknown segment {zone.segment!r}")
-    for park in config.parks:
-        if park.vehicle_id not in vehicle_ids:
-            problems.append(f"park directive names unknown vehicle {park.vehicle_id!r}")
-    for find in config.finds:
-        if find.vehicle_id not in vehicle_ids:
-            problems.append(f"find directive names unknown vehicle {find.vehicle_id!r}")
-    for vehicle_id, _ in config.adverts:
-        if vehicle_id not in vehicle_ids:
-            problems.append(f"advertise names unknown vehicle {vehicle_id!r}")
-    return problems

@@ -36,7 +36,7 @@ from .aggregation import (JourneyContactLog, PendingObservation,
 from .events import (AdvertEvent, CongestionDetector, DetectionConfig, EventStore,
                      ParkingEvent, ParkingMonitor, deliver_advert, location_cell,
                      walking_route)
-from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, GeoCoordinate,
+from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, DirectiveError, GeoCoordinate,
                        MobilityDirective, RoadNetwork, VehicleState,
                        advance_vehicle)
 from .radio import Radio
@@ -121,6 +121,37 @@ class FindDirective:
     y: float
 
 
+def _fleet_id(index: int) -> str:
+    """The vehicle id of background vehicle `index`."""
+    return f"bg{index:05d}"
+
+
+def _is_fleet_id(vehicle_id: str, count: int) -> bool:
+    """True when one of `count` background vehicles has this id."""
+    digits = vehicle_id[2:]
+    return (digits.isdecimal() and len(digits) < 10 and int(digits) < count
+            and _fleet_id(int(digits)) == vehicle_id)
+
+
+def _route_problems(spec: VehicleSpec, seg, network: RoadNetwork) -> list[str]:
+    """A scripted vehicle's start and route against the road's entry rule."""
+    problems = []
+    if spec.segment not in network.exits[seg.entry_junction(spec.direction)]:
+        problems.append(f"vehicle {spec.vehicle_id!r} starts the wrong way "
+                        f"on one-way segment {spec.segment!r}")
+    here = seg.exit_junction(spec.direction)
+    for seg_id in spec.route:
+        if seg_id not in network.segments:
+            problems.append(f"vehicle {spec.vehicle_id!r} route names unknown segment {seg_id!r}")
+            break
+        try:
+            _, here = network.enter(here, seg_id)
+        except DirectiveError as err:
+            problems.append(f"vehicle {spec.vehicle_id!r} route breaks: {err}")
+            break
+    return problems
+
+
 @dataclass
 class SimConfig:
     seed: int = 42
@@ -141,30 +172,79 @@ class SimConfig:
     finds: list[FindDirective] = field(default_factory=list)
     adverts: list[tuple[str, AdvertEvent]] = field(default_factory=list)
 
-    def validate(self) -> list[str]:
-        """Hard errors; ranges outside the calibrated envelope only warn."""
+    def validate(self, network: RoadNetwork | None = None,
+                 roster: Roster | None = None) -> list[str]:
+        """Every problem that would stop a run of this config or bend how it
+        reads a value; ranges outside the calibrated envelope only warn.
+
+        The rules that read the road or the roster apply when that document
+        is given.  The work grows with the scripted vehicles, zones and
+        directives, never with the background fleet.
+        """
         problems = []
         if self.duration <= 0:
             problems.append("duration must be positive")
-        if self.tick <= 0:
-            problems.append("tick must be positive")
+        if not 0 < self.tick < math.inf:
+            problems.append("tick must be finite and positive")
+        if self.vehicle_count < 0:
+            problems.append("vehicle_count must be at least 0")
         if not self.radio_range > 0:
             problems.append("radio_range must be positive")
         if not 0.0 <= self.obu_fraction <= 1.0:
             problems.append("obu_fraction must be within [0, 1]")
         if self.battery_threshold not in BATTERY_LEVELS:
             problems.append(f"unknown battery threshold {self.battery_threshold!r}")
+        vehicle_ids, origins = set(), set()
         for spec in self.vehicles:
-            if spec.direction not in (FORWARD, REVERSE):
-                problems.append(f"vehicle {spec.vehicle_id!r} direction {spec.direction!r} "
-                                f"is not {FORWARD!r} or {REVERSE!r}")
+            name = spec.vehicle_id
+            if name in vehicle_ids or _is_fleet_id(name, self.vehicle_count):
+                problems.append(f"duplicate vehicle id {name!r}")
+            vehicle_ids.add(name)
             if spec.battery not in BATTERY_LEVELS:
-                problems.append(f"vehicle {spec.vehicle_id!r} has unknown battery level "
-                                f"{spec.battery!r}")
+                problems.append(f"vehicle {name!r} has unknown battery level {spec.battery!r}")
+            for what, value in (("offset", spec.offset), ("speed", spec.speed),
+                                ("start", spec.start)):
+                if not 0 <= value < math.inf:
+                    problems.append(f"vehicle {name!r} {what} must be finite and at least 0")
+            if roster is not None and spec.user_id not in roster.users:
+                problems.append(f"vehicle {name!r} references unknown user {spec.user_id!r}")
+            if spec.direction not in (FORWARD, REVERSE):
+                problems.append(f"vehicle {name!r} direction {spec.direction!r} "
+                                f"is not {FORWARD!r} or {REVERSE!r}")
+            if network is None:
+                continue
+            seg = network.segments.get(spec.segment)
+            if seg is None:
+                problems.append(f"vehicle {name!r} starts on unknown segment {spec.segment!r}")
+                continue
+            origins.update((seg.junction_a, seg.junction_b))
+            if spec.direction in (FORWARD, REVERSE):
+                problems.extend(_route_problems(spec, seg, network))
+        if roster is not None and self.vehicle_count > 0 \
+                and len(roster.users) < self.total_vehicles():
+            problems.append("roster must provide one user per vehicle")
+        if network is not None and not network.connected(origins):
+            problems.append("vehicle origins span disconnected road components")
         for zone in self.zones:
             if zone.direction not in (FORWARD, REVERSE):
                 problems.append(f"congestion zone on {zone.segment!r} direction "
                                 f"{zone.direction!r} is not {FORWARD!r} or {REVERSE!r}")
+            if network is not None and zone.segment not in network.segments:
+                problems.append(f"congestion zone names unknown segment {zone.segment!r}")
+            if not all(0 <= v < math.inf for v in (zone.t_start, zone.t_end, zone.speed)):
+                problems.append(f"congestion zone on {zone.segment!r} needs finite times "
+                                f"and speed of at least 0")
+        directives = ([("park directive", p.vehicle_id, (p.t_off, p.t_on)) for p in self.parks]
+                      + [("find directive", f.vehicle_id, (f.t,)) for f in self.finds]
+                      + [("advertise", vehicle_id, ()) for vehicle_id, _ in self.adverts])
+        for what, vehicle_id, times in directives:
+            if vehicle_id not in vehicle_ids:
+                problems.append(f"{what} names unknown vehicle {vehicle_id!r}")
+            if not all(0 <= t < math.inf for t in times):
+                problems.append(f"{what} for {vehicle_id!r} needs finite times of at least 0")
+        for find in self.finds:
+            if not (math.isfinite(find.x) and math.isfinite(find.y)):
+                problems.append(f"find directive for {find.vehicle_id!r} needs a finite point")
         total = self.total_vehicles()
         if not 600 <= total <= 15000:
             warnings.warn(f"vehicle count {total} outside the calibrated 600-15000 range",
@@ -343,7 +423,7 @@ class Simulation:
     """One scenario run; owns all node state, the clock and the RNG."""
 
     def __init__(self, config: SimConfig, network: RoadNetwork, roster: Roster):
-        problems = config.validate()
+        problems = config.validate(network, roster)
         if problems:
             raise ValueError("; ".join(problems))
         self.config = config
@@ -377,8 +457,6 @@ class Simulation:
         specs += self._background_specs(config.vehicle_count, len(specs))
         self.nodes: dict[str, _Node] = {}
         for spec in specs:
-            if spec.vehicle_id in self.nodes:
-                raise ValueError(f"duplicate vehicle id {spec.vehicle_id!r}")
             self.nodes[spec.vehicle_id] = _Node(spec, self)
         # Node ids never change, so the per-tick phases walk this one order.
         self._in_id_order = tuple(self.nodes[nid] for nid in sorted(self.nodes))
@@ -416,8 +494,6 @@ class Simulation:
         if count == 0:
             return []
         users = sorted(self.roster.users)
-        if len(users) < count + offset:
-            raise ValueError("roster must provide one user per vehicle")
         seg_ids = sorted(self.network.segments)
         specs = []
         for i in range(count):
@@ -427,7 +503,7 @@ class Simulation:
             speed = self.rng.uniform(0.5, 1.0) * seg.speed_limit
             route = self._random_walk(seg, direction)
             specs.append(VehicleSpec(
-                vehicle_id=f"bg{i:05d}", user_id=users[offset + i],
+                vehicle_id=_fleet_id(i), user_id=users[offset + i],
                 segment=seg.segment_id, offset=offset_m, direction=direction,
                 speed=speed, route=route))
         return specs
@@ -711,11 +787,8 @@ class Simulation:
         for event_id, event in node.parking_queue:
             if not event.visible(self.now):
                 continue
-            payload = wire.encode_parking(event, event_id)
-            for peer in reachable:
-                if cooperation_gate(node.coop_record(peer)) == "serve":
-                    node.coop_record(peer).hand_over(event_id, self.now + FORWARD_WINDOW)
-                    self._seal_and_send(node, peer, wire.PARKING_EVENT, payload)
+            self._serve(node, reachable, wire.PARKING_EVENT,
+                        wire.encode_parking(event, event_id), event_id)
             self._trace(node.id, "announce", f"parking event={event_id.hex()[:8]}")
         node.parking_queue = ()
 
@@ -960,13 +1033,19 @@ class Simulation:
     def _forward_event(self, node: _Node, tag: int, payload: bytes, event_id: bytes) -> None:
         """Relay an event the node has just come to hold, sealed per
         serving-eligible session in radio range."""
-        if node.spec.freeride:
-            return
-        for peer in node.session_neighbors(self.neighbors[node.id]):
-            if cooperation_gate(node.coop_record(peer)) != "serve":
-                continue
-            node.coop_record(peer).hand_over(event_id, self.now + FORWARD_WINDOW)
-            self._seal_and_send(node, peer, tag, payload)
+        if not node.spec.freeride:
+            self._serve(node, node.session_neighbors(self.neighbors[node.id]), tag, payload,
+                        event_id)
+
+    def _serve(self, node: _Node, peers: list[str], tag: int, payload: bytes,
+               event_id: bytes) -> None:
+        """Seal the event to each of `peers` that the cooperation gate lets
+        the node serve, in order, and start the watchdog on its relaying."""
+        for peer in peers:
+            record = node.coop_record(peer)
+            if cooperation_gate(record) == "serve":
+                record.hand_over(event_id, self.now + FORWARD_WINDOW)
+                self._seal_and_send(node, peer, tag, payload)
 
     def _seal_and_send(self, node: _Node, peer: str, tag: int, payload: bytes) -> None:
         if self.radio.closed:

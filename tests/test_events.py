@@ -29,6 +29,13 @@ def run_detector(speeds, limit_doc=STRAIGHT, config=None, ignition=None):
     return out
 
 
+def test_a_detection_config_built_directly_refuses_every_bad_value_at_once():
+    with pytest.raises(ValueError) as refused:
+        DetectionConfig(speed_fraction=2.0, sustain_window=float("nan"))
+    assert str(refused.value) == ("speed_fraction must be in (0, 1); "
+                                  "sustain_window must be positive")
+
+
 def test_sustained_low_speed_fires():
     hits = run_detector([30.0] * 70)
     assert len(hits) == 1

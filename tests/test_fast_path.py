@@ -299,17 +299,6 @@ def test_precomputed_hmac_equals_hmac_digest_for_every_key_length(message):
         assert auth._response(key, message) == hmac.digest(key, message, "sha256")
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 5, 16, 17, 40])
-def test_slot_shuffle_equals_random_shuffle_and_its_draws(length):
-    for seed in range(400):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        slots, ref_slots = bytearray(range(length)), bytearray(range(length))
-        auth._shuffle(slots, rng)
-        ref_rng.shuffle(ref_slots)
-        assert slots == ref_slots
-        assert rng.getrandbits(32) == ref_rng.getrandbits(32)
-
-
 def _ref_build_commitments(keys, nonce, rng):
     slots = list(keys) + [None] * max(0, auth.PAD_COMMITMENTS - len(keys))
     rng.shuffle(slots)
@@ -344,8 +333,8 @@ def test_commitments_responses_and_matches_equal_the_reference(keys, nonce, chal
 @pytest.mark.parametrize("n_keys", range(27))
 def test_padding_from_one_draw_equals_a_draw_per_field(n_keys):
     """From no real key to more than `PAD_COMMITMENTS` (no padding at all),
-    the one padding draw per block gives the bytes and RNG state of one
-    `randbytes(32)` per padding slot."""
+    both builders give the bytes and RNG state of the per-slot reference:
+    the slot list shuffled, then one `randbytes(32)` per padding slot."""
     keys = [random.Random(i).randbytes(32) for i in range(n_keys)]
     rng, ref_rng = random.Random(n_keys), random.Random(n_keys)
     commitments, slots = auth.build_commitments(keys, b"n" * 16, rng)

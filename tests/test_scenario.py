@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from vanetkit import kits, scenario
+from vanetkit import cli, kits, scenario
 from vanetkit.events import DetectionConfig
 from vanetkit.simnet import SimConfig
 
@@ -215,3 +215,35 @@ def test_the_scenario_statements_are_the_config_fields_and_the_directives():
         config = scenario.parse_scenario(f"{key} 0.25\n", [])[0]
         value = getattr(config.detection if key in detection_fields else config, key)
         assert type(value) is float and value == 0.25
+
+
+# Values that `validate` once passed and the run then stopped on or misread.
+_REFUSED = {("tick", "nan"), ("tick", "inf"), ("vehicle_count", "-1"),
+            ("speed_fraction", "nan"), ("sustain_window", "-1")}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "many"])
+@pytest.mark.parametrize("key", sorted(_INT_STATEMENTS | _FLOAT_STATEMENTS))
+def test_a_bundle_that_validates_runs(tmp_path, capsys, key, value):
+    """Every numeric statement, set to a value at or past the edge of its
+    range, is refused with exit 2 or runs to exit 0: validation never
+    raises, and never passes a value the run then stops on."""
+    directory = str(tmp_path / "kit")
+    kits.generate_kit("congestion-chain", directory)
+    with open(os.path.join(directory, "scenario.txt"), "a") as fh:
+        fh.write(f"{key} {value}\n")
+    status = cli.main(["validate", directory])
+    assert status in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    if (key, value) in _REFUSED:
+        assert status == cli.EXIT_VALIDATION
+    if status == cli.EXIT_OK:
+        assert cli.main(["run", directory, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    else:
+        assert "error: " in capsys.readouterr().err
+
+
+def test_out_of_range_detection_values_are_reported_per_statement(tmp_path):
+    text = GOOD_SCENARIO + "speed_fraction 2\nsustain_window -5\nspeed_fraction 0.3\n"
+    _, problems = scenario.load_bundle(write_bundle(tmp_path, text, GOOD_ROAD, GOOD_ROSTER))
+    assert problems == ["line 8: speed_fraction must be in (0, 1)",
+                        "line 9: sustain_window must be positive"]

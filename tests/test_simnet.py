@@ -8,6 +8,7 @@ import struct
 import tracemalloc
 import types
 import warnings
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,9 @@ from vanetkit.events import AdvertEvent, CongestionObservation, ParkingEvent
 from vanetkit.geomodel import FORWARD, REVERSE, GeoCoordinate, load_network
 from vanetkit.radio import ConservationError, neighbors_in_range
 from vanetkit.simnet import (DROP_INTEGRITY, DROP_NO_SESSION, DROP_WRONG_KEY, AuditLog,
-                             CongestionZone, ParkDirective, SimConfig, Simulation,
-                             VehicleSpec, assign_obus, collect_metrics, run_simulation,
-                             should_launch)
+                             CongestionZone, FindDirective, ParkDirective, SimConfig,
+                             Simulation, VehicleSpec, assign_obus, collect_metrics,
+                             run_simulation, should_launch)
 from vanetkit.trust import Roster, UnknownUserError, register_user
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
@@ -498,6 +499,79 @@ def test_validate_names_a_vehicle_and_a_zone_with_an_unknown_direction():
         Simulation(config, net, roster)
 
 
+def _set(obj, **values):
+    for name, value in values.items():
+        setattr(obj, name, value)
+
+
+def _take_a_fleet_id(config):
+    config.vehicles[1].vehicle_id = "bg00000"
+    config.vehicle_count = 1
+
+
+@pytest.mark.parametrize("way, change, problem", [
+    ("twoway", lambda c: c.finds.append(FindDirective("ghost", 1.0, 0.0, 0.0)),
+     "find directive names unknown vehicle 'ghost'"),
+    ("twoway", lambda c: c.parks.append(ParkDirective("ghost", 1.0, 2.0)),
+     "park directive names unknown vehicle 'ghost'"),
+    ("twoway", lambda c: c.zones.append(CongestionZone("nowhere", FORWARD, 0.0, 5.0, 1.0)),
+     "congestion zone names unknown segment 'nowhere'"),
+    ("twoway", lambda c: _set(c.vehicles[0], route=["main", "nowhere"]),
+     "vehicle 'n1' route names unknown segment 'nowhere'"),
+    ("twoway", lambda c: _set(c.vehicles[0], segment="nowhere"),
+     "vehicle 'n1' starts on unknown segment 'nowhere'"),
+    ("oneway", lambda c: _set(c.vehicles[0], direction=REVERSE),
+     "vehicle 'n1' starts the wrong way on one-way segment 'main'"),
+    ("twoway", lambda c: _set(c.vehicles[0], user_id="ghost"),
+     "vehicle 'n1' references unknown user 'ghost'"),
+    ("twoway", lambda c: _set(c.vehicles[1], vehicle_id="n1"), "duplicate vehicle id 'n1'"),
+    ("twoway", _take_a_fleet_id, "duplicate vehicle id 'bg00000'"),
+    ("twoway", lambda c: _set(c, vehicle_count=2), "roster must provide one user per vehicle"),
+    ("twoway", lambda c: _set(c.vehicles[0], start=float("nan")),
+     "vehicle 'n1' start must be finite and at least 0"),
+    ("twoway", lambda c: _set(c.vehicles[0], speed=-1.0),
+     "vehicle 'n1' speed must be finite and at least 0"),
+    ("twoway", lambda c: c.zones.append(CongestionZone("main", FORWARD, 0.0, 5.0, float("nan"))),
+     "congestion zone on 'main' needs finite times and speed of at least 0"),
+    ("twoway", lambda c: c.parks.append(ParkDirective("n1", 1.0, float("inf"))),
+     "park directive for 'n1' needs finite times of at least 0"),
+    ("twoway", lambda c: c.finds.append(FindDirective("n1", 1.0, float("nan"), 0.0)),
+     "find directive for 'n1' needs a finite point"),
+], ids=["find", "park", "zone", "route", "segment", "wrong-way", "user", "duplicate",
+        "fleet-id", "roster-size", "start", "speed", "zone-speed", "park-time", "find-point"])
+def test_a_simulation_built_directly_refuses_what_validate_refuses(way, change, problem):
+    """A `Simulation` runs `SimConfig.validate` with its road and roster, so
+    a config that `vanetkit validate` would refuse is refused when it is
+    built, with the same words, and never met halfway through a run."""
+    config, _, roster = two_node_setup(duration=5)
+    net = load_network(STRAIGHT_ROAD.replace("twoway", way))
+    change(config)
+    assert config.validate(net, roster) == [problem]
+    with pytest.raises(ValueError) as refused:
+        Simulation(config, net, roster)
+    assert str(refused.value) == problem
+
+
+def test_a_finished_simulation_is_freed_without_the_cycle_collector(tmp_path):
+    """A simulation holds no reference cycle, so dropping the last reference
+    frees it at once; a benchmark that builds the next run before the
+    collector runs would otherwise hold two at its peak."""
+    directory = str(tmp_path / "kit")
+    kits.generate_kit("congestion-chain", directory)
+    bundle, problems = scenario.load_bundle(directory)
+    assert problems == []
+    gc.collect()
+    gc.disable()
+    try:
+        sim = bundle.build()
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_corroboration_request_retries_until_peer_authenticates():
     """A detector with nobody to ask keeps the observation pending and
     asks the corroborator that shows up later."""
@@ -527,7 +601,8 @@ def test_corroboration_request_retries_until_peer_authenticates():
 def test_overlapping_zones_first_in_config_order_applies():
     """Each tick, a vehicle crawls at the speed of the first zone, in config
     order, that is active on its segment and direction at the tick's clock."""
-    config, net, roster = two_node_setup()
+    config, _, roster = two_node_setup()
+    net = load_network(STRAIGHT_ROAD + "junction c 1000 500\nsegment other b c 50 twoway\n")
     config.tick = 0.5
     config.vehicles[1].direction = REVERSE
     config.zones = [CongestionZone("main", REVERSE, 0.0, 100.0, 1.0),
