@@ -31,8 +31,8 @@ from .aggregation import (AggregatedEvent, JourneyContactLog, SignedObservation,
                           required_signatures, sign_observation, verify_aggregate)
 from .relay import (CooperationRecord, RelayDecision, RoutePlan, cooperation_gate,
                     decide_relay, plan_route, recompute_route, route_affected)
-from .radio import neighbors_in_range
-from .simnet import (AuditLog, NetworkStats, NodeStats, SimConfig, Simulation,
-                     assign_obus, collect_metrics, run_simulation, should_launch)
+from .config import SimConfig
+from .simnet import (AuditLog, NetworkStats, NodeStats, Simulation, assign_obus,
+                     collect_metrics, should_launch)
 
 __version__ = "0.1.0"

@@ -140,9 +140,14 @@ def rotate_pseudonym(state: PseudonymState, now: float, rng: random.Random,
     notices: list[tuple[str, bytes]] = []
     payload = wire.encode_pseudonym_change(old.value, state.current.value)
     for peer in sorted(sessions):
-        blob = crypto.seal(sessions[peer].key, payload, rng.randbytes(16))
-        notices.append((peer, wire.encode_frame(wire.CHANGE_NOTICE, blob)))
+        notices.append((peer, seal_frame(sessions[peer].key, wire.CHANGE_NOTICE, payload, rng)))
     return state.current, notices
+
+
+def seal_frame(key: bytes, tag: int, payload: bytes, rng: random.Random) -> bytes:
+    """The frame of `tag` that carries `payload` sealed under the session
+    key `key`, with a fresh 16-byte nonce drawn from `rng`."""
+    return wire.encode_frame(tag, crypto.seal(key, payload, rng.randbytes(16)))
 
 
 def emit_beacon(state: PseudonymState, tick: int) -> bytes:

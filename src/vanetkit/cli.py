@@ -96,7 +96,11 @@ def _parse_sweep_param(raw: str) -> tuple[str, list[float]]:
     name, values = raw.split("=", 1)
     if name not in ("obu_fraction", "vehicle_count"):
         raise ValueError(f"sweep supports obu_fraction and vehicle_count, not {name!r}")
-    return name, [float(v) for v in values.split(",") if v]
+    parsed = [float(v) for v in values.split(",") if v]
+    fractional = [v for v in parsed if not v.is_integer()]
+    if name == "vehicle_count" and fractional:
+        raise ValueError(f"vehicle_count takes whole numbers, not {fractional[0]:g}")
+    return name, parsed
 
 
 def cmd_sweep(args) -> int:

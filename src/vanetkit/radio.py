@@ -27,15 +27,6 @@ def in_radio_range(dx: float, dy: float, radio_range: float) -> bool:
     return dx * dx + dy * dy <= radio_range * radio_range
 
 
-def neighbors_in_range(positions: dict[str, tuple[float, float]], node_id: str,
-                       radio_range: float, active: set[str] | None = None) -> set[str]:
-    """Active nodes within the radio range (inclusive), excluding self."""
-    x0, y0 = positions[node_id]
-    return {nid for nid, (x, y) in positions.items()
-            if nid != node_id and (active is None or nid in active)
-            and in_radio_range(x - x0, y - y0, radio_range)}
-
-
 @dataclass(slots=True)
 class Transmission:
     """One frame in flight.  A unicast frame's one receiver handles it on

@@ -29,9 +29,10 @@ An advert package file carries the advertisement and its certificate:
 The parser reports only what needs a line number: unknown statements and
 options, numbers that do not parse, a detection value out of its range,
 and the `dir=`, `battery=` and zone-direction words.  Every other rule a
-run needs is `SimConfig.validate(network, roster)`'s, which `load_bundle`
-runs with each document that loaded and `Simulation` runs again when it is
-built.
+run needs is `config.SimConfig.validate(network, roster)`'s, which
+`load_bundle` runs with each document that loaded and `Simulation` runs
+again when it is built.  Parsing and validating need no simulator: only
+`ScenarioBundle.build` imports `simnet`.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ import os
 from dataclasses import dataclass, field
 from typing import get_type_hints
 
+from .config import CongestionZone, FindDirective, ParkDirective, SimConfig, VehicleSpec
 from .events import AdvertEvent, DetectionConfig, advert_certificate_verifies
 from .geomodel import (BATTERY_LEVELS, FORWARD, REVERSE, DocumentError, GeoCoordinate,
                        RoadNetwork, document_statements, load_network)
-from .simnet import (CongestionZone, FindDirective, ParkDirective, SimConfig,
-                     Simulation, VehicleSpec)
 from .trust import Certificate, Roster, load_roster
 
 
@@ -63,10 +63,11 @@ class ScenarioBundle:
     network: RoadNetwork | None = None
     roster: Roster | None = None
 
-    def build(self) -> Simulation:
+    def build(self) -> simnet.Simulation:
+        from . import simnet     # the one use of the simulator; parsing needs none
         if self.network is None or self.roster is None:
             raise BundleNotLoadedError(f"bundle {self.directory} has no network or roster")
-        return Simulation(self.config, self.network, self.roster)
+        return simnet.Simulation(self.config, self.network, self.roster)
 
 
 _DIRECTIONS = (FORWARD, REVERSE)
@@ -78,56 +79,48 @@ _DETECTION_FLOAT = {name for name, hint in get_type_hints(DetectionConfig).items
                     if hint is float}
 
 
+# A vehicle flag sets a VehicleSpec field to a fixed value; an option
+# `<key>=<value>` sets a field to its value, read as given.
+_VEHICLE_FLAGS = {"freeride": ("freeride", True), "searcher": ("searcher", True),
+                  "nogps": ("has_gps", False)}
+_VEHICLE_OPTIONS = {"user": ("user_id", str), "segment": ("segment", str),
+                    "offset": ("offset", float), "dir": ("direction", str),
+                    "speed": ("speed", float), "battery": ("battery", str),
+                    "start": ("start", float),
+                    "route": ("route", lambda value: [s for s in value.split(",") if s])}
+
+
 def _parse_vehicle(fields: list[str], lineno: int, problems: list[str]) -> VehicleSpec | None:
     if len(fields) < 2:
         problems.append(f"line {lineno}: vehicle needs an id")
         return None
     spec = {"vehicle_id": fields[1]}
-    flags = {"freeride": False, "searcher": False}
-    has_gps = True
     for token in fields[2:]:
-        if token == "freeride":
-            flags["freeride"] = True
-        elif token == "searcher":
-            flags["searcher"] = True
-        elif token == "nogps":
-            has_gps = False
-        elif "=" in token:
-            key, value = token.split("=", 1)
-            if key == "user":
-                spec["user_id"] = value
-            elif key == "segment":
-                spec["segment"] = value
-            elif key == "offset":
-                spec["offset"] = float(value)
-            elif key == "dir":
-                if value not in _DIRECTIONS:
-                    problems.append(f"line {lineno}: vehicle direction {value!r} is not "
-                                    f"{FORWARD!r} or {REVERSE!r}")
-                    return None
-                spec["direction"] = value
-            elif key == "speed":
-                spec["speed"] = float(value)
-            elif key == "route":
-                spec["route"] = [s for s in value.split(",") if s]
-            elif key == "battery":
-                if value not in BATTERY_LEVELS:
-                    problems.append(f"line {lineno}: unknown battery level {value!r}")
-                    return None
-                spec["battery"] = value
-            elif key == "start":
-                spec["start"] = float(value)
-            else:
-                problems.append(f"line {lineno}: unknown vehicle option {key!r}")
-                return None
-        else:
+        key, eq, value = token.partition("=")
+        if token in _VEHICLE_FLAGS:
+            name, value = _VEHICLE_FLAGS[token]
+        elif not eq:
             problems.append(f"line {lineno}: unparseable vehicle token {token!r}")
             return None
+        elif key not in _VEHICLE_OPTIONS:
+            problems.append(f"line {lineno}: unknown vehicle option {key!r}")
+            return None
+        elif key == "dir" and value not in _DIRECTIONS:
+            problems.append(f"line {lineno}: vehicle direction {value!r} is not "
+                            f"{FORWARD!r} or {REVERSE!r}")
+            return None
+        elif key == "battery" and value not in BATTERY_LEVELS:
+            problems.append(f"line {lineno}: unknown battery level {value!r}")
+            return None
+        else:
+            name, read = _VEHICLE_OPTIONS[key]
+            value = read(value)
+        spec[name] = value
     missing = {"user_id", "segment", "offset"} - set(spec)
     if missing:
         problems.append(f"line {lineno}: vehicle missing {sorted(missing)}")
         return None
-    return VehicleSpec(**spec, **flags, has_gps=has_gps)
+    return VehicleSpec(**spec)
 
 
 def parse_scenario(text: str, problems: list[str]) -> tuple[SimConfig, str, str, list[tuple[str, str]]]:
@@ -222,6 +215,22 @@ def load_advert(text: str, roster: Roster, problems: list[str]) -> AdvertEvent |
     return advert
 
 
+def _load_document(path: str, what: str, label: str, load, problems: list[str]):
+    """The document at `path` read by `load`, or None when no path is named,
+    the file is missing or it has problems, which are added to `problems`."""
+    if not path:
+        return None
+    if not os.path.exists(path):
+        problems.append(f"missing {what} {path}")
+        return None
+    try:
+        with open(path) as fh:
+            return load(fh.read())
+    except DocumentError as err:
+        problems.extend(f"{label}: {p}" for p in err.problems)
+        return None
+
+
 def load_bundle(directory: str) -> tuple[ScenarioBundle | None, list[str]]:
     """Parse a bundle and validate its config; returns (bundle, problems).
 
@@ -237,27 +246,10 @@ def load_bundle(directory: str) -> tuple[ScenarioBundle | None, list[str]]:
     with open(scenario_path) as fh:
         config, road_rel, roster_rel, advert_rels = parse_scenario(fh.read(), problems)
 
-    network = roster = None
     road_path = os.path.join(directory, road_rel) if road_rel else ""
     roster_path = os.path.join(directory, roster_rel) if roster_rel else ""
-    if road_rel:
-        if not os.path.exists(road_path):
-            problems.append(f"missing road document {road_path}")
-        else:
-            try:
-                with open(road_path) as fh:
-                    network = load_network(fh.read())
-            except DocumentError as err:
-                problems.extend(f"road: {p}" for p in err.problems)
-    if roster_rel:
-        if not os.path.exists(roster_path):
-            problems.append(f"missing roster {roster_path}")
-        else:
-            try:
-                with open(roster_path) as fh:
-                    roster = load_roster(fh.read())
-            except DocumentError as err:
-                problems.extend(f"roster: {p}" for p in err.problems)
+    network = _load_document(road_path, "road document", "road", load_network, problems)
+    roster = _load_document(roster_path, "roster", "roster", load_roster, problems)
 
     advert_paths = []
     if roster is not None:

@@ -1,11 +1,16 @@
 """Deterministic discrete-event simulation of the protocol stack.
 
+`Simulation` is the world: the clock, the script, mobility, radio
+adjacency and delivery, the trace and the world's counters.  `_Node` is
+one vehicle's protocol; its methods take the simulation as an argument
+and keep no reference to it.  `SimConfig` is `vanetkit.config`'s.
+
 `Simulation.step(t)` runs tick `t` as five phases in a fixed order: the
 script (ignition, parking and the battery gate that decides which
 equipped vehicles launch the stack), vehicle mobility, radio adjacency,
 delivery of the frames sent on earlier ticks, and each active node's
 protocol step.  It keeps the tick state, `tick`, `now`, `positions` and
-`neighbors`, on the simulation, where every handler reads it.  The radio
+`neighbors`, on the simulation, where every node reads it.  The radio
 hands each unicast frame that arrives to `Simulation.receive(node,
 sender, frame)`, the one receive path, which takes any byte string
 without raising.  The transport is `radio`'s: it decides who hears whom,
@@ -25,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 import struct
-import warnings
 from collections.abc import Mapping, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
@@ -33,12 +37,11 @@ from types import MappingProxyType
 from . import aggregation, auth, crypto, wire
 from .aggregation import (JourneyContactLog, PendingObservation,
                           avg_users_per_minute, event_id_for, sign_observation)
-from .events import (AdvertEvent, CongestionDetector, DetectionConfig, EventStore,
-                     ParkingEvent, ParkingMonitor, deliver_advert, location_cell,
-                     walking_route)
-from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, DirectiveError, GeoCoordinate,
-                       MobilityDirective, RoadNetwork, VehicleState,
-                       advance_vehicle)
+from .config import CongestionZone, FindDirective, SimConfig, VehicleSpec, fleet_id
+from .events import (AdvertEvent, CongestionDetector, EventStore, ParkingEvent,
+                     ParkingMonitor, deliver_advert, location_cell, walking_route)
+from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, GeoCoordinate, MobilityDirective,
+                       RoadNetwork, VehicleState, advance_vehicle)
 from .radio import Radio
 from .relay import (ACTION_CORROBORATE, ACTION_DROP, ACTION_REROUTE_FORWARD,
                     CooperationRecord, RoutePlan, cooperation_gate,
@@ -79,183 +82,6 @@ def assign_obus(vehicle_ids, obu_fraction: float, seed: int) -> set[str]:
     rng.shuffle(ids)
     n = math.floor(obu_fraction * len(ids) + 0.5)
     return set(ids[:n])
-
-
-@dataclass(slots=True)
-class VehicleSpec:
-    vehicle_id: str
-    user_id: str
-    segment: str
-    offset: float
-    direction: str = FORWARD
-    speed: float = 50.0               # cruise speed, km/h
-    route: list[str] = field(default_factory=list)
-    battery: str = "very_high"
-    start: float = 0.0                # journey start time
-    freeride: bool = False            # never forwards received events
-    searcher: bool = False            # looking for empty parking spaces
-    has_gps: bool = True
-
-
-@dataclass
-class CongestionZone:
-    segment: str
-    direction: str
-    t_start: float
-    t_end: float
-    speed: float                      # forced crawl speed inside the zone, km/h
-
-
-@dataclass
-class ParkDirective:
-    vehicle_id: str
-    t_off: float
-    t_on: float
-
-
-@dataclass
-class FindDirective:
-    vehicle_id: str
-    t: float
-    x: float
-    y: float
-
-
-def _fleet_id(index: int) -> str:
-    """The vehicle id of background vehicle `index`."""
-    return f"bg{index:05d}"
-
-
-def _is_fleet_id(vehicle_id: str, count: int) -> bool:
-    """True when one of `count` background vehicles has this id."""
-    digits = vehicle_id[2:]
-    return (digits.isdecimal() and len(digits) < 10 and int(digits) < count
-            and _fleet_id(int(digits)) == vehicle_id)
-
-
-def _route_problems(spec: VehicleSpec, seg, network: RoadNetwork) -> list[str]:
-    """A scripted vehicle's start and route against the road's entry rule."""
-    problems = []
-    if spec.segment not in network.exits[seg.entry_junction(spec.direction)]:
-        problems.append(f"vehicle {spec.vehicle_id!r} starts the wrong way "
-                        f"on one-way segment {spec.segment!r}")
-    here = seg.exit_junction(spec.direction)
-    for seg_id in spec.route:
-        if seg_id not in network.segments:
-            problems.append(f"vehicle {spec.vehicle_id!r} route names unknown segment {seg_id!r}")
-            break
-        try:
-            _, here = network.enter(here, seg_id)
-        except DirectiveError as err:
-            problems.append(f"vehicle {spec.vehicle_id!r} route breaks: {err}")
-            break
-    return problems
-
-
-@dataclass
-class SimConfig:
-    seed: int = 42
-    duration: int = 100               # seconds
-    tick: float = 1.0
-    vehicle_count: int = 0            # background fleet; 0 = scripted only
-    obu_fraction: float = 1.0
-    radio_range: float = 75.0
-    auth_period: float = auth.DEFAULT_AUTH_PERIOD
-    battery_threshold: str = "low"
-    detection: DetectionConfig = field(default_factory=DetectionConfig)
-    min_pseudonym_lifetime: float = auth.DEFAULT_MIN_LIFETIME
-    max_pseudonym_lifetime: float = auth.DEFAULT_MAX_LIFETIME
-    name: str = "scenario"
-    vehicles: list[VehicleSpec] = field(default_factory=list)
-    zones: list[CongestionZone] = field(default_factory=list)
-    parks: list[ParkDirective] = field(default_factory=list)
-    finds: list[FindDirective] = field(default_factory=list)
-    adverts: list[tuple[str, AdvertEvent]] = field(default_factory=list)
-
-    def validate(self, network: RoadNetwork | None = None,
-                 roster: Roster | None = None) -> list[str]:
-        """Every problem that would stop a run of this config or bend how it
-        reads a value; ranges outside the calibrated envelope only warn.
-
-        The rules that read the road or the roster apply when that document
-        is given.  The work grows with the scripted vehicles, zones and
-        directives, never with the background fleet.
-        """
-        problems = []
-        if self.duration <= 0:
-            problems.append("duration must be positive")
-        if not 0 < self.tick < math.inf:
-            problems.append("tick must be finite and positive")
-        if self.vehicle_count < 0:
-            problems.append("vehicle_count must be at least 0")
-        if not self.radio_range > 0:
-            problems.append("radio_range must be positive")
-        if not 0.0 <= self.obu_fraction <= 1.0:
-            problems.append("obu_fraction must be within [0, 1]")
-        if self.battery_threshold not in BATTERY_LEVELS:
-            problems.append(f"unknown battery threshold {self.battery_threshold!r}")
-        vehicle_ids, origins = set(), set()
-        for spec in self.vehicles:
-            name = spec.vehicle_id
-            if name in vehicle_ids or _is_fleet_id(name, self.vehicle_count):
-                problems.append(f"duplicate vehicle id {name!r}")
-            vehicle_ids.add(name)
-            if spec.battery not in BATTERY_LEVELS:
-                problems.append(f"vehicle {name!r} has unknown battery level {spec.battery!r}")
-            for what, value in (("offset", spec.offset), ("speed", spec.speed),
-                                ("start", spec.start)):
-                if not 0 <= value < math.inf:
-                    problems.append(f"vehicle {name!r} {what} must be finite and at least 0")
-            if roster is not None and spec.user_id not in roster.users:
-                problems.append(f"vehicle {name!r} references unknown user {spec.user_id!r}")
-            if spec.direction not in (FORWARD, REVERSE):
-                problems.append(f"vehicle {name!r} direction {spec.direction!r} "
-                                f"is not {FORWARD!r} or {REVERSE!r}")
-            if network is None:
-                continue
-            seg = network.segments.get(spec.segment)
-            if seg is None:
-                problems.append(f"vehicle {name!r} starts on unknown segment {spec.segment!r}")
-                continue
-            origins.update((seg.junction_a, seg.junction_b))
-            if spec.direction in (FORWARD, REVERSE):
-                problems.extend(_route_problems(spec, seg, network))
-        if roster is not None and self.vehicle_count > 0 \
-                and len(roster.users) < self.total_vehicles():
-            problems.append("roster must provide one user per vehicle")
-        if network is not None and not network.connected(origins):
-            problems.append("vehicle origins span disconnected road components")
-        for zone in self.zones:
-            if zone.direction not in (FORWARD, REVERSE):
-                problems.append(f"congestion zone on {zone.segment!r} direction "
-                                f"{zone.direction!r} is not {FORWARD!r} or {REVERSE!r}")
-            if network is not None and zone.segment not in network.segments:
-                problems.append(f"congestion zone names unknown segment {zone.segment!r}")
-            if not all(0 <= v < math.inf for v in (zone.t_start, zone.t_end, zone.speed)):
-                problems.append(f"congestion zone on {zone.segment!r} needs finite times "
-                                f"and speed of at least 0")
-        directives = ([("park directive", p.vehicle_id, (p.t_off, p.t_on)) for p in self.parks]
-                      + [("find directive", f.vehicle_id, (f.t,)) for f in self.finds]
-                      + [("advertise", vehicle_id, ()) for vehicle_id, _ in self.adverts])
-        for what, vehicle_id, times in directives:
-            if vehicle_id not in vehicle_ids:
-                problems.append(f"{what} names unknown vehicle {vehicle_id!r}")
-            if not all(0 <= t < math.inf for t in times):
-                problems.append(f"{what} for {vehicle_id!r} needs finite times of at least 0")
-        for find in self.finds:
-            if not (math.isfinite(find.x) and math.isfinite(find.y)):
-                problems.append(f"find directive for {find.vehicle_id!r} needs a finite point")
-        total = self.total_vehicles()
-        if not 600 <= total <= 15000:
-            warnings.warn(f"vehicle count {total} outside the calibrated 600-15000 range",
-                          stacklevel=2)
-        if not 0.01 <= self.obu_fraction <= 1.0:
-            warnings.warn(f"obu_fraction {self.obu_fraction} outside the calibrated 1%-100% range",
-                          stacklevel=2)
-        return problems
-
-    def total_vehicles(self) -> int:
-        return len(self.vehicles) + self.vehicle_count
 
 
 @dataclass(slots=True)
@@ -313,17 +139,16 @@ class AuditLog:
     payloads: list[tuple[int, str, int, bytes]] = field(default_factory=list)
 
 
+@dataclass(slots=True)
 class _Session:
-    __slots__ = ("key", "peer_user", "last_seen")
-
-    def __init__(self, key: auth.SessionKey, peer_user: str, now: float):
-        self.key = key
-        self.peer_user = peer_user
-        self.last_seen = now
+    key: auth.SessionKey
+    peer_user: str
+    last_seen: float
 
 
 class _Node:
-    """Runtime state of one vehicle's protocol stack inside the simulator.
+    """One vehicle's protocol stack: its state, its protocol step (`step`)
+    and its handling of a frame that arrives (`receive`).
 
     Most vehicles never fill most of their containers, so each of
     `sessions`, `pending`, `pending_announced`, `corroboration_inbox`,
@@ -338,12 +163,11 @@ class _Node:
                  "corroboration_inbox", "parking_queue", "coop", "plan", "stats", "shown",
                  "last_advert_sent")
 
-    def __init__(self, spec: VehicleSpec, sim: "Simulation"):
+    def __init__(self, spec: VehicleSpec, sim: Simulation):
         self.spec = spec
         self.id = spec.vehicle_id
         self.user = sim.roster.user(spec.user_id)
-        net = sim.network
-        seg = net.segments[spec.segment]
+        seg = sim.network.segments[spec.segment]
         self.state = VehicleState(self.id, spec.segment, spec.direction,
                                   min(spec.offset, seg.length), 0.0,
                                   ignition=False, battery=spec.battery)
@@ -418,9 +242,395 @@ class _Node:
             self.shown = set()
         self.shown.add(item_id)
 
+    # -- the protocol step -------------------------------------------------------
+
+    def step(self, sim: Simulation, near: list[str]) -> None:
+        """This active node's protocol actions on the current tick; `near`
+        is its active radio neighbours in id order."""
+        self._rotate_if_due(sim)
+        self._beacon(sim, near)
+        self._schedule_auth(sim, near)
+        self._gc_sessions(sim, near)
+        self._detect(sim)
+        self._corroboration_inbox_sweep(sim)
+        self._corroboration_requests(sim, near)
+        self._assembly(sim)
+        self._parking_announcements(sim, near)
+        self._advert_broadcast(sim, near)
+        for record in self.coop.values():
+            record.close_expired(sim.now)
+        self._expire_stores(sim)
+        self._searcher_show(sim)
+
+    def _rotate_if_due(self, sim: Simulation) -> None:
+        if not self.pseudonyms.due(sim.now):
+            return
+        old = self.pseudonyms.current.value
+        sessions = {peer: self.sessions[peer].key for peer in sorted(self.sessions)}
+        new, notices = auth.rotate_pseudonym(self.pseudonyms, sim.now, sim.rng, sessions)
+        if sim.audit is not None:
+            sim.audit.rotations.append((sim.tick, self.id, old, new.value))
+            sim.audit.notices.extend((self.id, peer, frame) for peer, frame in notices)
+        for peer, frame in notices:
+            sim.radio.unicast(self, peer, frame, sim.tick)
+
+    def _beacon(self, sim: Simulation, targets: list[str]) -> None:
+        frame = auth.emit_beacon(self.pseudonyms, sim.tick)
+        if sim.audit is not None:
+            sim.audit.beacons.append(frame)
+        sim.radio.broadcast(self, frame, targets, sim.tick)
+
+    def _schedule_auth(self, sim: Simulation, neighbor_ids: list[str]) -> None:
+        """`neighbor_ids` is in id order, as `Simulation._adjacency` returns it."""
+        self.handshakes.expire(sim.now)
+        for peer in self.handshakes.due(neighbor_ids, self.sessions, sim.now):
+            self.stats.auth_attempts += 1
+            frame = self.handshakes.open(peer, sim.nodes[peer].spec.user_id,
+                                         self.pseudonyms.current.value, sim.now)
+            sim.radio.unicast(self, peer, frame, sim.tick)
+
+    def _gc_sessions(self, sim: Simulation, neighbor_ids: list[str]) -> None:
+        if not self.sessions:
+            return
+        stale = []
+        for peer, session in self.sessions.items():
+            # Staleness wins over presence so a node waking from a long
+            # park drops the session its peer already gave up on.
+            if sim.now - session.last_seen > SESSION_TIMEOUT:
+                stale.append(peer)
+            elif peer in neighbor_ids:
+                session.last_seen = sim.now
+        for peer in stale:
+            del self.sessions[peer]
+
+    def _detect(self, sim: Simulation) -> None:
+        self.detector.push(sim.now, self.state, sim.network)
+        obs = self.detector.detect(sim.now, sim.network, self.pseudonyms.current.value)
+        if obs is None:
+            return
+        event_id = event_id_for(obs)
+        if event_id in self.pending or self.store.holds(event_id):
+            return
+        own = sign_observation(obs, self.user.keys.private_key,
+                               self.user.self_certificate,
+                               self.pseudonyms.current.value)
+        self.add_pending(event_id, PendingObservation(
+            obs, own, sim.now, sim.now + sim.config.detection.cooldown))
+        sim._trace(self.id, "detect", f"congestion road={obs.road_id} dir={obs.direction}")
+
+    def _corroboration_requests(self, sim: Simulation, neighbor_ids: list[str]) -> None:
+        if not self.pending:
+            return
+        reachable = self.session_neighbors(neighbor_ids)
+        for event_id in sorted(self.pending):
+            pending = self.pending[event_id]
+            payload = None   # our own signed observation, encoded for the first send
+            for peer in reachable:
+                if peer in pending.requested_peers:
+                    continue
+                pending.requested_peers.add(peer)
+                if payload is None:
+                    payload = wire.encode_signed_observation(pending.signatures[0])
+                self._seal_and_send(sim, peer, wire.CORROBORATION_REQUEST, payload)
+            if pending.requested_peers and event_id not in self.pending_announced:
+                self.mark_announced(event_id)
+                sim._trace(self.id, "announce", f"congestion event={event_id.hex()[:8]}")
+
+    def _assembly(self, sim: Simulation) -> None:
+        rate = avg_users_per_minute(self.journey, sim.now)
+        for event_id in sorted(self.pending):
+            pending = self.pending[event_id]
+            if self.store.holds(event_id) or sim.now > pending.expires_at:
+                del self.pending[event_id]   # someone aggregated this cell already, or expired
+                continue
+            event = aggregation.assemble_aggregate(
+                pending.observation, pending.signatures, rate,
+                self.pseudonyms.current.value, sim.now)
+            if event is None:
+                continue
+            del self.pending[event_id]
+            self.store.add_congestion(event_id, event, sim.now)
+            sim._trace(self.id, "aggregate",
+                       f"event={event_id.hex()[:8]} sigs={len(event.signatures)} "
+                       f"threshold={event.threshold}")
+            self._forward_event(sim, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
+                                event_id)
+
+    def _parking_announcements(self, sim: Simulation, neighbor_ids: list[str]) -> None:
+        if not self.parking_queue:
+            return
+        reachable = self.session_neighbors(neighbor_ids)
+        if not reachable:
+            return  # retained locally, retried next tick
+        for event_id, event in self.parking_queue:
+            if not event.visible(sim.now):
+                continue
+            self._serve(sim, reachable, wire.PARKING_EVENT,
+                        wire.encode_parking(event, event_id), event_id)
+            sim._trace(self.id, "announce", f"parking event={event_id.hex()[:8]}")
+        self.parking_queue = ()
+
+    def _advert_broadcast(self, sim: Simulation, neighbor_ids: list[str]) -> None:
+        adverts = sim._advert_carriers.get(self.id)
+        if not adverts or sim.now - self.last_advert_sent < ADVERT_PERIOD:
+            return
+        reachable = self.session_neighbors(neighbor_ids)
+        if not reachable:
+            return
+        self.last_advert_sent = sim.now
+        for advert in adverts:
+            if sim.now >= advert.expiration:
+                continue
+            payload = wire.encode_advert(advert)
+            for peer in reachable:
+                self._seal_and_send(sim, peer, wire.ADVERT, payload)
+
+    def _expire_stores(self, sim: Simulation) -> None:
+        for kind, event_id in self.store.expire(sim.now):
+            sim._trace(self.id, "expire", f"{kind} event={event_id.hex()[:8]}")
+
+    def _searcher_show(self, sim: Simulation) -> None:
+        if not self.spec.searcher:
+            return
+        for event_id, event in self.store.visible_parking(sim.now):
+            if event_id not in self.shown:
+                self.mark_shown(event_id)
+                sim._trace(self.id, "show",
+                           f"parking event={event_id.hex()[:8]} "
+                           f"x={event.location.x:.3f} y={event.location.y:.3f}")
+
+    # -- frame handling --------------------------------------------------------
+
+    def receive(self, sim: Simulation, sender: str, frame: bytes) -> None:
+        """Handle `frame` from `sender`; a frame to drop raises WireError or
+        SessionMismatchError before any state changes."""
+        tag, body = wire.decode_frame(frame)
+        if tag == wire.BEACON:
+            return
+        if tag in auth.HANDSHAKE_TAGS:
+            reply, finished = self.handshakes.receive(
+                tag, body, sender, sim.nodes[sender].spec.user_id,
+                self.pseudonyms.current.value, sim.now)
+            if reply is not None:
+                sim.radio.unicast(self, sender, reply, sim.tick)
+            self._handshake_done(sim, sender, finished)
+            return
+        # Sealed payloads, the pseudonym change notice and every event,
+        # require an established session with the sender.
+        session = self.sessions.get(sender)
+        if session is None:
+            sim.sealed_drops[DROP_NO_SESSION] += 1
+            return
+        try:
+            payload = crypto.open_sealed(session.key.key, body)
+        except crypto.WrongKeyError:
+            sim.sealed_drops[DROP_WRONG_KEY] += 1
+            return
+        except crypto.IntegrityError:
+            sim.sealed_drops[DROP_INTEGRITY] += 1
+            return
+        self._handle_payload(sim, sender, tag, payload)
+
+    def _handshake_done(self, sim: Simulation, peer: str, engine) -> None:
+        """Open the session a finished handshake accepted, if one did, and
+        send the peer our revocation records; the initiator's side counts
+        the connection."""
+        if engine is None or engine.outcome != auth.OUTCOME_ACCEPTED:
+            return
+        peer_user = sim.nodes[peer].spec.user_id
+        self.open_session(peer, _Session(engine.session_key, peer_user, sim.now))
+        self.stats.auth_accepted += 1
+        self.journey.record(peer_user, sim.now)
+        if isinstance(engine, auth.AuthInitiator):
+            sim.connections += 1
+        records = sorted((r.subject, r.misbehavior_count, r.revoked)
+                         for r in self.revocations.records.values())
+        self._seal_and_send(sim, peer, wire.REVOCATION_SYNC, wire.encode_revocations(records))
+
+    def _handle_payload(self, sim: Simulation, sender: str, tag: int, payload: bytes) -> None:
+        if tag == wire.CHANGE_NOTICE:
+            _, new_pseudonym = wire.decode_pseudonym_change(payload)
+            session = self.sessions[sender]
+            session.key = replace(session.key, peer_pseudonym=new_pseudonym)
+            return
+        if tag == wire.REVOCATION_SYNC:
+            for subject, count, revoked in wire.decode_revocations(payload):
+                self.revocations.merge_record(subject, count, revoked)
+            return
+        if tag == wire.CORROBORATION_REQUEST:
+            self._handle_corroboration_request(sim, sender, payload)
+            return
+        if tag == wire.SIGNED_OBSERVATION:
+            signed = wire.decode_signed_observation(payload)
+            self._audit_payload(sim, tag, b"")
+            pending = self.pending.get(event_id_for(signed.observation))
+            if pending is not None:
+                pending.add_signature(signed)
+            return
+        if tag == wire.AGGREGATED_EVENT:
+            event = wire.decode_aggregate(payload)
+            self._audit_payload(sim, tag, event.event_id)
+            self._handle_aggregate(sim, sender, event)
+            return
+        if tag == wire.PARKING_EVENT:
+            event_id, event = wire.decode_parking(payload)
+            self._audit_payload(sim, tag, event_id)
+            self._handle_parking(sim, sender, event_id, event)
+            return
+        if tag == wire.ADVERT:
+            advert = wire.decode_advert(payload)
+            advert_id = crypto.sha256(b"vk-advert", payload)[:16]
+            self._audit_payload(sim, tag, advert_id)
+            self._handle_advert(sim, sender, advert_id, advert)
+            return
+        raise wire.WireError(f"no payload has tag {tag:#04x}")
+
+    def _handle_corroboration_request(self, sim: Simulation, sender: str,
+                                      payload: bytes) -> None:
+        signed = wire.decode_signed_observation(payload)
+        self._audit_payload(sim, wire.CORROBORATION_REQUEST, b"")
+        if not signed.verify():
+            self._report_sender(sender)
+            return
+        if self.revocations.is_revoked(signed.signer_certificate.subject):
+            return
+        if not self._answer_corroboration(sim, sender, signed):
+            # Not stuck (yet): keep the request while the jam could still
+            # reach us, bounded by the promoter's pending window.
+            self.hold_request(event_id_for(signed.observation),
+                              (sender, signed, sim.now + sim.config.detection.cooldown))
+
+    def _answer_corroboration(self, sim: Simulation, sender: str, signed) -> bool:
+        own_obs = None
+        if self.detector.firing():
+            own_obs = self.detector.detect_candidate(sim.now, sim.network,
+                                                     self.pseudonyms.current.value)
+        answer = aggregation.corroborate(signed.observation, own_obs,
+                                         self.user.keys.private_key,
+                                         self.user.self_certificate,
+                                         self.pseudonyms.current.value)
+        if answer is None:
+            return False
+        if sim.radio.closed or sender not in self.sessions:
+            return True   # would have answered; do not requeue
+        sim._trace(self.id, "corroborate", f"event={event_id_for(signed.observation).hex()[:8]}")
+        self._seal_and_send(sim, sender, wire.SIGNED_OBSERVATION,
+                            wire.encode_signed_observation(answer))
+        return True
+
+    def _corroboration_inbox_sweep(self, sim: Simulation) -> None:
+        for event_id in sorted(self.corroboration_inbox):
+            sender, signed, expires = self.corroboration_inbox[event_id]
+            if sim.now > expires or self._answer_corroboration(sim, sender, signed):
+                del self.corroboration_inbox[event_id]
+
+    def _handle_aggregate(self, sim: Simulation, sender: str, event) -> None:
+        event_id = event.event_id
+        if self.store.holds(event_id):
+            self.coop_record(sender).observed_forward(event_id)
+            return
+        accepted, reason = aggregation.verify_aggregate(event, self.revocations)
+        if not accepted:
+            sim.events_rejected += 1
+            if reason in ("bad-signature", "bad-certificate"):
+                self._report_sender(sender)
+            return
+        decision = decide_relay(
+            event, True, seen=False,
+            own_firing=self.detector.firing() and self._same_cell(sim.network, event),
+            plan=self.plan)
+        sim.events_accepted += 1
+        self.store.add_congestion(event_id, event, sim.now)
+        sim._trace(self.id, "receive",
+                   f"congestion event={event_id.hex()[:8]} sigs={len(event.signatures)}")
+        detail = f"congestion event={event_id.hex()[:8]}"
+        if decision.action == ACTION_CORROBORATE:
+            sim._trace(self.id, "corroborate", f"event={event_id.hex()[:8]} aggregate")
+        elif decision.action == ACTION_REROUTE_FORWARD and self.plan is not None:
+            congested = {(event.observation.road_id, event.observation.direction)}
+            new_plan, changed, _ = recompute_route(self.plan, sim.network, congested)
+            if changed:
+                self.plan = new_plan
+                self.turns = list(new_plan.segment_sequence[new_plan.position_index + 1:])
+            detail += " on-route rerouted" if changed else " on-route"
+        sim._trace(self.id, "show", detail)
+        if decision.action != ACTION_DROP:
+            self._forward_event(sim, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
+                                event_id)
+
+    def _same_cell(self, network: RoadNetwork, event) -> bool:
+        obs = event.observation
+        return (self.state.segment_id == obs.road_id
+                and self.state.direction == obs.direction
+                and location_cell(self.state.position(network)) == location_cell(obs.location))
+
+    def _handle_parking(self, sim: Simulation, sender: str, event_id: bytes, event) -> None:
+        if self.store.holds(event_id):
+            self.coop_record(sender).observed_forward(event_id)
+            return
+        if not event.visible(sim.now):
+            return
+        self.store.add_parking(event_id, event)
+        sim._trace(self.id, "receive", f"parking event={event_id.hex()[:8]}")
+        self._forward_event(sim, wire.PARKING_EVENT, wire.encode_parking(event, event_id),
+                            event_id)
+
+    def _handle_advert(self, sim: Simulation, sender: str, advert_id: bytes, advert) -> None:
+        if advert_id in self.shown:
+            return
+        users = sim.roster.users
+        try:
+            shown = deliver_advert(advert, self.state.position(sim.network), sim.now,
+                                   filters=None,
+                                   signer_key=lambda uid: (
+                                       users[uid].keys.public_key if uid in users else None))
+        except ValueError:
+            self._report_sender(sender)
+            return
+        self.store.add_advert(advert_id, advert)
+        if shown:
+            self.mark_shown(advert_id)
+            sim._trace(self.id, "show", f"advert company={advert.company_name}")
+
+    def _forward_event(self, sim: Simulation, tag: int, payload: bytes,
+                       event_id: bytes) -> None:
+        """Relay an event the node has just come to hold, sealed per
+        serving-eligible session in radio range."""
+        if not self.spec.freeride:
+            self._serve(sim, self.session_neighbors(sim.neighbors[self.id]), tag, payload,
+                        event_id)
+
+    def _serve(self, sim: Simulation, peers: list[str], tag: int, payload: bytes,
+               event_id: bytes) -> None:
+        """Seal the event to each of `peers` that the cooperation gate lets
+        the node serve, in order, and start the watchdog on its relaying."""
+        for peer in peers:
+            record = self.coop_record(peer)
+            if cooperation_gate(record) == "serve":
+                record.hand_over(event_id, sim.now + FORWARD_WINDOW)
+                self._seal_and_send(sim, peer, tag, payload)
+
+    def _seal_and_send(self, sim: Simulation, peer: str, tag: int, payload: bytes) -> None:
+        if sim.radio.closed:
+            return    # nothing more goes out, so nothing is sealed
+        frame = auth.seal_frame(self.sessions[peer].key.key, tag, payload, sim.rng)
+        sim.radio.unicast(self, peer, frame, sim.tick)
+
+    def _report_sender(self, sender: str) -> None:
+        """Count misbehaviour against the user of the authenticated session
+        a bad payload came over.  Only the session key binds a sender; a
+        certificate inside the payload names whoever the sender chose, so
+        an aggregate led by an honest user's valid signature cannot frame
+        that user."""
+        report_misbehavior(self.revocations, self.sessions[sender].peer_user)
+
+    def _audit_payload(self, sim: Simulation, tag: int, event_id: bytes) -> None:
+        if sim.audit is not None:
+            sim.audit.payloads.append((sim.tick, self.id, tag, event_id))
+
 
 class Simulation:
-    """One scenario run; owns all node state, the clock and the RNG."""
+    """One scenario run: the world that each node's protocol runs in."""
 
     def __init__(self, config: SimConfig, network: RoadNetwork, roster: Roster):
         problems = config.validate(network, roster)
@@ -453,11 +663,8 @@ class Simulation:
         for zone in config.zones:
             self._zones.setdefault((zone.segment, zone.direction), []).append(zone)
 
-        specs = list(config.vehicles)
-        specs += self._background_specs(config.vehicle_count, len(specs))
-        self.nodes: dict[str, _Node] = {}
-        for spec in specs:
-            self.nodes[spec.vehicle_id] = _Node(spec, self)
+        self.nodes = {spec.vehicle_id: _Node(spec, self)
+                      for spec in [*config.vehicles, *self._background_specs()]}
         # Node ids never change, so the per-tick phases walk this one order.
         self._in_id_order = tuple(self.nodes[nid] for nid in sorted(self.nodes))
 
@@ -473,9 +680,7 @@ class Simulation:
             return int(round(seconds / config.tick))
 
         self._tick_of = tick_of
-        self._park_index: dict[tuple[int, str], ParkDirective] = {}
-        for park in config.parks:
-            self._park_index[(tick_of(park.t_off), park.vehicle_id)] = park
+        self._park_index = {(tick_of(p.t_off), p.vehicle_id): p for p in config.parks}
         self._unpark_index = {(tick_of(p.t_on), p.vehicle_id): p for p in config.parks}
 
     @property
@@ -485,27 +690,23 @@ class Simulation:
 
     # -- scenario construction -------------------------------------------
 
-    def _background_specs(self, count: int, offset: int) -> list[VehicleSpec]:
+    def _background_specs(self) -> list[VehicleSpec]:
         """Seeded placement and random-walk routes for the background fleet.
 
         All randomness is consumed here, before any protocol draw, so
         mobility is identical across OBU fractions at the same seed.
         """
-        if count == 0:
-            return []
-        users = sorted(self.roster.users)
         seg_ids = sorted(self.network.segments)
         specs = []
-        for i in range(count):
+        for i, user in enumerate(self.config.fleet_users(self.roster)):
             seg = self.network.segments[seg_ids[self.rng.randrange(len(seg_ids))]]
             direction = FORWARD if seg.oneway or self.rng.random() < 0.5 else REVERSE
             offset_m = self.rng.uniform(0.0, seg.length)
             speed = self.rng.uniform(0.5, 1.0) * seg.speed_limit
             route = self._random_walk(seg, direction)
             specs.append(VehicleSpec(
-                vehicle_id=_fleet_id(i), user_id=users[offset + i],
-                segment=seg.segment_id, offset=offset_m, direction=direction,
-                speed=speed, route=route))
+                vehicle_id=fleet_id(i), user_id=user, segment=seg.segment_id,
+                offset=offset_m, direction=direction, speed=speed, route=route))
         return specs
 
     def _random_walk(self, seg, direction: str) -> list[str]:
@@ -566,7 +767,7 @@ class Simulation:
                 self._ignition_on(node, announce=False)
         for find in self.config.finds:
             if self._tick_of(find.t) == t:
-                self._handle_find(find)
+                self._show_find_route(find)
 
     def _ignition_off(self, node: _Node) -> None:
         node.state.ignition = False
@@ -606,15 +807,12 @@ class Simulation:
                          (state.segment_id, *node.spec.route), (state.direction, *directions),
                          (entry, *junctions), cost, position_index=0)
 
-    def _handle_find(self, find: FindDirective) -> None:
+    def _show_find_route(self, find: FindDirective) -> None:
         node = self.nodes[find.vehicle_id]
         result = walking_route(GeoCoordinate(find.x, find.y), node.parking.parked,
                                self.network)
-        if result is None:
-            self._trace(node.id, "show", "find-route unavailable")
-        else:
-            _, length = result
-            self._trace(node.id, "show", f"find-route length={length:.3f}")
+        detail = "unavailable" if result is None else f"length={result[1]:.3f}"
+        self._trace(node.id, "show", f"find-route {detail}")
 
     # -- phase 2: mobility ---------------------------------------------------
 
@@ -657,174 +855,6 @@ class Simulation:
         """Deliver every frame sent before tick `t`; `receive` takes each unicast."""
         self.radio.deliver(t, self.nodes, self.positions, self.receive)
 
-    # -- phase 5: per-node protocol actions -------------------------------------
-
-    def _node_step(self) -> None:
-        for node in self._in_id_order:
-            if not node.active:
-                continue
-            near = self.neighbors[node.id]
-            self._rotate_if_due(node)
-            self._beacon(node, near)
-            self._schedule_auth(node, near)
-            self._gc_sessions(node, near)
-            self._detect(node)
-            self._corroboration_inbox_sweep(node)
-            self._corroboration_requests(node, near)
-            self._assembly(node)
-            self._parking_announcements(node, near)
-            self._advert_broadcast(node, near)
-            for record in node.coop.values():
-                record.close_expired(self.now)
-            self._expire_stores(node)
-            self._searcher_show(node)
-
-    def _rotate_if_due(self, node: _Node) -> None:
-        if not node.pseudonyms.due(self.now):
-            return
-        old = node.pseudonyms.current.value
-        sessions = {peer: node.sessions[peer].key for peer in sorted(node.sessions)}
-        new, notices = auth.rotate_pseudonym(node.pseudonyms, self.now, self.rng, sessions)
-        if self.audit is not None:
-            self.audit.rotations.append((self.tick, node.id, old, new.value))
-            self.audit.notices.extend((node.id, peer, frame) for peer, frame in notices)
-        for peer, frame in notices:
-            self.radio.unicast(node, peer, frame, self.tick)
-
-    def _beacon(self, node: _Node, targets: list[str]) -> None:
-        frame = auth.emit_beacon(node.pseudonyms, self.tick)
-        if self.audit is not None:
-            self.audit.beacons.append(frame)
-        self.radio.broadcast(node, frame, targets, self.tick)
-
-    def _schedule_auth(self, node: _Node, neighbor_ids: list[str]) -> None:
-        """`neighbor_ids` is in id order, as `_adjacency` returns it."""
-        node.handshakes.expire(self.now)
-        for peer in node.handshakes.due(neighbor_ids, node.sessions, self.now):
-            node.stats.auth_attempts += 1
-            frame = node.handshakes.open(peer, self.nodes[peer].spec.user_id,
-                                         node.pseudonyms.current.value, self.now)
-            self.radio.unicast(node, peer, frame, self.tick)
-
-    def _gc_sessions(self, node: _Node, neighbor_ids: list[str]) -> None:
-        if not node.sessions:
-            return
-        stale = []
-        for peer, session in node.sessions.items():
-            # Staleness wins over presence so a node waking from a long
-            # park drops the session its peer already gave up on.
-            if self.now - session.last_seen > SESSION_TIMEOUT:
-                stale.append(peer)
-            elif peer in neighbor_ids:
-                session.last_seen = self.now
-        for peer in stale:
-            del node.sessions[peer]
-
-    def _detect(self, node: _Node) -> None:
-        node.detector.push(self.now, node.state, self.network)
-        obs = node.detector.detect(self.now, self.network, node.pseudonyms.current.value)
-        if obs is None:
-            return
-        event_id = event_id_for(obs)
-        if event_id in node.pending or node.store.holds(event_id):
-            return
-        own = sign_observation(obs, node.user.keys.private_key,
-                               node.user.self_certificate,
-                               node.pseudonyms.current.value)
-        node.add_pending(event_id, PendingObservation(
-            obs, own, self.now, self.now + self.config.detection.cooldown))
-        self._trace(node.id, "detect",
-                    f"congestion road={obs.road_id} dir={obs.direction}")
-
-    def _corroboration_requests(self, node: _Node, neighbor_ids: list[str]) -> None:
-        if not node.pending:
-            return
-        reachable = node.session_neighbors(neighbor_ids)
-        for event_id in sorted(node.pending):
-            pending = node.pending[event_id]
-            payload = None   # our own signed observation, encoded for the first send
-            for peer in reachable:
-                if peer in pending.requested_peers:
-                    continue
-                pending.requested_peers.add(peer)
-                if payload is None:
-                    payload = wire.encode_signed_observation(pending.signatures[0])
-                self._seal_and_send(node, peer, wire.CORROBORATION_REQUEST, payload)
-            if pending.requested_peers and event_id not in node.pending_announced:
-                node.mark_announced(event_id)
-                self._trace(node.id, "announce", f"congestion event={event_id.hex()[:8]}")
-
-    def _assembly(self, node: _Node) -> None:
-        rate = avg_users_per_minute(node.journey, self.now)
-        for event_id in sorted(node.pending):
-            pending = node.pending[event_id]
-            if node.store.holds(event_id):
-                # Someone already aggregated this congestion cell.
-                del node.pending[event_id]
-                continue
-            if self.now > pending.expires_at:
-                del node.pending[event_id]
-                continue
-            event = aggregation.assemble_aggregate(
-                pending.observation, pending.signatures, rate,
-                node.pseudonyms.current.value, self.now)
-            if event is None:
-                continue
-            del node.pending[event_id]
-            node.store.add_congestion(event_id, event, self.now)
-            self._trace(node.id, "aggregate",
-                        f"event={event_id.hex()[:8]} sigs={len(event.signatures)} "
-                        f"threshold={event.threshold}")
-            self._forward_event(node, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
-                                event_id)
-
-    def _parking_announcements(self, node: _Node, neighbor_ids: list[str]) -> None:
-        if not node.parking_queue:
-            return
-        reachable = node.session_neighbors(neighbor_ids)
-        if not reachable:
-            return  # retained locally, retried next tick
-        for event_id, event in node.parking_queue:
-            if not event.visible(self.now):
-                continue
-            self._serve(node, reachable, wire.PARKING_EVENT,
-                        wire.encode_parking(event, event_id), event_id)
-            self._trace(node.id, "announce", f"parking event={event_id.hex()[:8]}")
-        node.parking_queue = ()
-
-    def _advert_broadcast(self, node: _Node, neighbor_ids: list[str]) -> None:
-        adverts = self._advert_carriers.get(node.id)
-        if not adverts:
-            return
-        if self.now - node.last_advert_sent < ADVERT_PERIOD:
-            return
-        reachable = node.session_neighbors(neighbor_ids)
-        if not reachable:
-            return
-        node.last_advert_sent = self.now
-        for advert in adverts:
-            if self.now >= advert.expiration:
-                continue
-            payload = wire.encode_advert(advert)
-            for peer in reachable:
-                self._seal_and_send(node, peer, wire.ADVERT, payload)
-
-    def _expire_stores(self, node: _Node) -> None:
-        for kind, event_id in node.store.expire(self.now):
-            self._trace(node.id, "expire", f"{kind} event={event_id.hex()[:8]}")
-
-    def _searcher_show(self, node: _Node) -> None:
-        if not node.spec.searcher:
-            return
-        for event_id, event in node.store.visible_parking(self.now):
-            if event_id not in node.shown:
-                node.mark_shown(event_id)
-                self._trace(node.id, "show",
-                            f"parking event={event_id.hex()[:8]} "
-                            f"x={event.location.x:.3f} y={event.location.y:.3f}")
-
-    # -- frame handling -----------------------------------------------------
-
     def receive(self, node: _Node, sender: str, frame: bytes) -> None:
         """The one receive path: `node`, a value of `nodes`, handles `frame`
         from the node `sender` on the current tick.  Any byte string is
@@ -833,240 +863,16 @@ class Simulation:
         dropped and counted in `malformed_frames`.  Every handler decodes
         before it changes any state, so a dropped frame leaves none behind."""
         try:
-            self._dispatch_frame(node, sender, frame)
+            node.receive(self, sender, frame)
         except (wire.WireError, auth.SessionMismatchError):
             self.malformed_frames += 1
 
-    def _dispatch_frame(self, node: _Node, sender: str, frame: bytes) -> None:
-        tag, body = wire.decode_frame(frame)
-        if tag == wire.BEACON:
-            return
-        if tag in auth.HANDSHAKE_TAGS:
-            reply, finished = node.handshakes.receive(
-                tag, body, sender, self.nodes[sender].spec.user_id,
-                node.pseudonyms.current.value, self.now)
-            if reply is not None:
-                self.radio.unicast(node, sender, reply, self.tick)
-            self._handshake_done(node, sender, finished)
-            return
-        # Sealed payloads, the pseudonym change notice and every event,
-        # require an established session with the sender.
-        session = node.sessions.get(sender)
-        if session is None:
-            self.sealed_drops[DROP_NO_SESSION] += 1
-            return
-        try:
-            payload = crypto.open_sealed(session.key.key, body)
-        except crypto.WrongKeyError:
-            self.sealed_drops[DROP_WRONG_KEY] += 1
-            return
-        except crypto.IntegrityError:
-            self.sealed_drops[DROP_INTEGRITY] += 1
-            return
-        self._handle_payload(node, sender, tag, payload)
+    # -- phase 5: each active node's protocol step ----------------------------
 
-    def _handshake_done(self, node: _Node, peer: str, engine) -> None:
-        """Open the session a finished handshake accepted, if one did, and
-        send the peer our revocation records; the initiator's side counts
-        the connection."""
-        if engine is None or engine.outcome != auth.OUTCOME_ACCEPTED:
-            return
-        peer_user = self.nodes[peer].spec.user_id
-        node.open_session(peer, _Session(engine.session_key, peer_user, self.now))
-        node.stats.auth_accepted += 1
-        node.journey.record(peer_user, self.now)
-        if isinstance(engine, auth.AuthInitiator):
-            self.connections += 1
-        records = sorted((r.subject, r.misbehavior_count, r.revoked)
-                         for r in node.revocations.records.values())
-        self._seal_and_send(node, peer, wire.REVOCATION_SYNC, wire.encode_revocations(records))
-
-    def _handle_payload(self, node: _Node, sender: str, tag: int, payload: bytes) -> None:
-        if tag == wire.CHANGE_NOTICE:
-            _, new_pseudonym = wire.decode_pseudonym_change(payload)
-            session = node.sessions[sender]
-            session.key = replace(session.key, peer_pseudonym=new_pseudonym)
-            return
-        if tag == wire.REVOCATION_SYNC:
-            for subject, count, revoked in wire.decode_revocations(payload):
-                node.revocations.merge_record(subject, count, revoked)
-            return
-        if tag == wire.CORROBORATION_REQUEST:
-            self._handle_corroboration_request(node, sender, payload)
-            return
-        if tag == wire.SIGNED_OBSERVATION:
-            signed = wire.decode_signed_observation(payload)
-            self._audit_payload(node, tag, b"")
-            event_id = event_id_for(signed.observation)
-            pending = node.pending.get(event_id)
-            if pending is not None:
-                pending.add_signature(signed)
-            return
-        if tag == wire.AGGREGATED_EVENT:
-            event = wire.decode_aggregate(payload)
-            self._audit_payload(node, tag, event.event_id)
-            self._handle_aggregate(node, sender, event)
-            return
-        if tag == wire.PARKING_EVENT:
-            event_id, event = wire.decode_parking(payload)
-            self._audit_payload(node, tag, event_id)
-            self._handle_parking(node, sender, event_id, event)
-            return
-        if tag == wire.ADVERT:
-            advert = wire.decode_advert(payload)
-            advert_id = crypto.sha256(b"vk-advert", payload)[:16]
-            self._audit_payload(node, tag, advert_id)
-            self._handle_advert(node, sender, advert_id, advert)
-            return
-        raise wire.WireError(f"no payload has tag {tag:#04x}")
-
-    def _handle_corroboration_request(self, node: _Node, sender: str, payload: bytes) -> None:
-        signed = wire.decode_signed_observation(payload)
-        self._audit_payload(node, wire.CORROBORATION_REQUEST, b"")
-        if not signed.verify():
-            self._report_sender(node, sender)
-            return
-        if node.revocations.is_revoked(signed.signer_certificate.subject):
-            return
-        if not self._answer_corroboration(node, sender, signed):
-            # Not stuck (yet): keep the request while the jam could still
-            # reach us, bounded by the promoter's pending window.
-            node.hold_request(event_id_for(signed.observation),
-                              (sender, signed, self.now + self.config.detection.cooldown))
-
-    def _answer_corroboration(self, node: _Node, sender: str, signed) -> bool:
-        own_obs = None
-        if node.detector.firing():
-            own_obs = node.detector.detect_candidate(self.now, self.network,
-                                                     node.pseudonyms.current.value)
-        answer = aggregation.corroborate(signed.observation, own_obs,
-                                         node.user.keys.private_key,
-                                         node.user.self_certificate,
-                                         node.pseudonyms.current.value)
-        if answer is None:
-            return False
-        if self.radio.closed or sender not in node.sessions:
-            return True   # would have answered; do not requeue
-        self._trace(node.id, "corroborate",
-                    f"event={event_id_for(signed.observation).hex()[:8]}")
-        self._seal_and_send(node, sender, wire.SIGNED_OBSERVATION,
-                            wire.encode_signed_observation(answer))
-        return True
-
-    def _corroboration_inbox_sweep(self, node: _Node) -> None:
-        for event_id in sorted(node.corroboration_inbox):
-            sender, signed, expires = node.corroboration_inbox[event_id]
-            if self.now > expires:
-                del node.corroboration_inbox[event_id]
-            elif self._answer_corroboration(node, sender, signed):
-                del node.corroboration_inbox[event_id]
-
-    def _handle_aggregate(self, node: _Node, sender: str, event) -> None:
-        event_id = event.event_id
-        if node.store.holds(event_id):
-            node.coop_record(sender).observed_forward(event_id)
-            return
-        accepted, reason = aggregation.verify_aggregate(event, node.revocations)
-        if not accepted:
-            self.events_rejected += 1
-            if reason in ("bad-signature", "bad-certificate"):
-                self._report_sender(node, sender)
-            return
-        decision = decide_relay(
-            event, True, seen=False,
-            own_firing=node.detector.firing() and self._same_cell(node, event),
-            plan=node.plan)
-        self.events_accepted += 1
-        node.store.add_congestion(event_id, event, self.now)
-        self._trace(node.id, "receive",
-                    f"congestion event={event_id.hex()[:8]} sigs={len(event.signatures)}")
-        detail = f"congestion event={event_id.hex()[:8]}"
-        if decision.action == ACTION_CORROBORATE:
-            self._trace(node.id, "corroborate", f"event={event_id.hex()[:8]} aggregate")
-        elif decision.action == ACTION_REROUTE_FORWARD and node.plan is not None:
-            congested = {(event.observation.road_id, event.observation.direction)}
-            new_plan, changed, _ = recompute_route(node.plan, self.network, congested)
-            if changed:
-                node.plan = new_plan
-                node.turns = list(new_plan.segment_sequence[new_plan.position_index + 1:])
-            detail += " on-route rerouted" if changed else " on-route"
-        self._trace(node.id, "show", detail)
-        if decision.action != ACTION_DROP:
-            self._forward_event(node, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
-                                event_id)
-
-    def _same_cell(self, node: _Node, event) -> bool:
-        obs = event.observation
-        return (node.state.segment_id == obs.road_id
-                and node.state.direction == obs.direction
-                and location_cell(node.state.position(self.network))
-                == location_cell(obs.location))
-
-    def _handle_parking(self, node: _Node, sender: str, event_id: bytes, event) -> None:
-        if node.store.holds(event_id):
-            node.coop_record(sender).observed_forward(event_id)
-            return
-        if not event.visible(self.now):
-            return
-        node.store.add_parking(event_id, event)
-        self._trace(node.id, "receive", f"parking event={event_id.hex()[:8]}")
-        self._forward_event(node, wire.PARKING_EVENT, wire.encode_parking(event, event_id),
-                            event_id)
-
-    def _handle_advert(self, node: _Node, sender: str, advert_id: bytes, advert) -> None:
-        if advert_id in node.shown:
-            return
-        try:
-            shown = deliver_advert(advert, node.state.position(self.network), self.now,
-                                   filters=None,
-                                   signer_key=lambda uid: (
-                                       self.roster.users[uid].keys.public_key
-                                       if uid in self.roster.users else None))
-        except ValueError:
-            self._report_sender(node, sender)
-            return
-        node.store.add_advert(advert_id, advert)
-        if shown:
-            node.mark_shown(advert_id)
-            self._trace(node.id, "show", f"advert company={advert.company_name}")
-
-    def _forward_event(self, node: _Node, tag: int, payload: bytes, event_id: bytes) -> None:
-        """Relay an event the node has just come to hold, sealed per
-        serving-eligible session in radio range."""
-        if not node.spec.freeride:
-            self._serve(node, node.session_neighbors(self.neighbors[node.id]), tag, payload,
-                        event_id)
-
-    def _serve(self, node: _Node, peers: list[str], tag: int, payload: bytes,
-               event_id: bytes) -> None:
-        """Seal the event to each of `peers` that the cooperation gate lets
-        the node serve, in order, and start the watchdog on its relaying."""
-        for peer in peers:
-            record = node.coop_record(peer)
-            if cooperation_gate(record) == "serve":
-                record.hand_over(event_id, self.now + FORWARD_WINDOW)
-                self._seal_and_send(node, peer, tag, payload)
-
-    def _seal_and_send(self, node: _Node, peer: str, tag: int, payload: bytes) -> None:
-        if self.radio.closed:
-            return    # nothing more goes out, so nothing is sealed
-        session = node.sessions[peer]
-        blob = crypto.seal(session.key.key, payload, self.rng.randbytes(16))
-        self.radio.unicast(node, peer, wire.encode_frame(tag, blob), self.tick)
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _report_sender(self, node: _Node, sender: str) -> None:
-        """Count misbehaviour against the user of the authenticated session
-        a bad payload came over.  Only the session key binds a sender; a
-        certificate inside the payload names whoever the sender chose, so
-        an aggregate led by an honest user's valid signature cannot frame
-        that user."""
-        report_misbehavior(node.revocations, node.sessions[sender].peer_user)
-
-    def _audit_payload(self, node: _Node, tag: int, event_id: bytes) -> None:
-        if self.audit is not None:
-            self.audit.payloads.append((self.tick, node.id, tag, event_id))
+    def _node_step(self) -> None:
+        for node in self._in_id_order:
+            if node.active:
+                node.step(self, self.neighbors[node.id])
 
     def _trace(self, node_id: str, kind: str, detail: str) -> None:
         self.trace.append(f"{self.now:g} {node_id} {kind} {detail}")
@@ -1086,10 +892,3 @@ def collect_metrics(sim: Simulation) -> NetworkStats:
                          events_rejected=sim.events_rejected)
     stats.in_flight = sim.radio.check_conservation(stats.totals())
     return stats
-
-
-def run_simulation(config: SimConfig, network: RoadNetwork,
-                   roster: Roster) -> tuple[NetworkStats, list[str]]:
-    sim = Simulation(config, network, roster)
-    stats = sim.run()
-    return stats, sim.trace

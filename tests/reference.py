@@ -1,12 +1,13 @@
 """Test-side references and tools that the library does not need: the
-slice-per-field record reader and beacon decoder, a mobility trace check
-and a certificate dump."""
+slice-per-field record reader and beacon decoder, a mobility trace check,
+the all-pairs radio neighbourhood and a certificate dump."""
 
 import struct
 from dataclasses import dataclass, field
 
 from vanetkit import wire
 from vanetkit.geomodel import RoadNetwork, VehicleState, distance
+from vanetkit.radio import in_radio_range
 from vanetkit.trust import Roster
 
 
@@ -82,6 +83,16 @@ def validate_trace(trace: MobilityTrace, network: RoadNetwork, slack: float = 0.
                     problems.append(f"jump of {moved:.2f} m at t={t} exceeds speed budget")
         prev_t, prev_state = t, state
     return problems
+
+
+def neighbors_in_range(positions: dict[str, tuple[float, float]], node_id: str,
+                       radio_range: float, active: set[str] | None = None) -> set[str]:
+    """Active nodes within the radio range (inclusive), excluding self: every
+    other node tested, the reference for the radio's cell list."""
+    x0, y0 = positions[node_id]
+    return {nid for nid, (x, y) in positions.items()
+            if nid != node_id and (active is None or nid in active)
+            and in_radio_range(x - x0, y - y0, radio_range)}
 
 
 def dump_certificates(roster: Roster) -> str:

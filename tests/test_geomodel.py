@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vanetkit import geomodel, kits
+from vanetkit.config import SimConfig
 from vanetkit.geomodel import (FORWARD, REVERSE, DocumentError, GeoCoordinate,
                                MobilityDirective, VehicleState, advance_vehicle,
                                distance, grid_document, load_network)
-from vanetkit.simnet import SimConfig, Simulation
+from vanetkit.simnet import Simulation
 from vanetkit.trust import Roster
 
 from reference import MobilityTrace, validate_trace

@@ -6,7 +6,8 @@ import pytest
 
 from vanetkit import kits, scenario, wire
 from scenario_builders import freerider_setup
-from vanetkit.simnet import AuditLog, Simulation, VehicleSpec
+from vanetkit.config import VehicleSpec
+from vanetkit.simnet import AuditLog, Simulation
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
 
@@ -102,7 +103,7 @@ def test_advert_kit_expired_is_suppressed(tmp_path):
 def test_aggregate_propagates_hop_by_hop_without_amplification():
     """A relay line: each hop forwards a verified event exactly once."""
     from vanetkit.geomodel import FORWARD, load_network
-    from vanetkit.simnet import CongestionZone, SimConfig
+    from vanetkit.config import CongestionZone, SimConfig
     from vanetkit.trust import Roster, register_user
 
     road = """

@@ -1,10 +1,12 @@
 """No vanetkit module reads another one's underscore names: what a module
 keeps private stays free to change without breaking its neighbours.  The
 tests drive a `Simulation` through `step` and `receive`, not through its
-underscore methods.  Only `wire` and `auth` know the handshake: no other
-module names a handshake tag or codec of `wire` or builds an engine of
-`auth`.  And only `geomodel` knows which way a segment may be entered: no
-other module compares a segment's endpoint junctions."""
+underscore methods or its nodes'.  Only `wire` and `auth` know the
+handshake: no other module names a handshake tag or codec of `wire` or
+builds an engine of `auth`.  Only `geomodel` knows which way a segment may
+be entered: no other module compares a segment's endpoint junctions.  And
+a config is parsed and validated without the simulator: `config` reaches
+neither `simnet` nor `radio`, and `scenario` names `simnet` only to build."""
 
 import ast
 import pathlib
@@ -12,6 +14,7 @@ import pathlib
 import pytest
 
 import vanetkit
+from vanetkit import simnet
 from vanetkit.simnet import Simulation
 
 SRC = pathlib.Path(vanetkit.__file__).parent
@@ -83,18 +86,28 @@ SIMULATION_PRIVATES_READ = {
     "_random_walk": "set-up, before the first tick, so no step or receive reaches it; "
                     "test_geomodel pins it draw for draw against the walk it replaced",
 }
-# The receive path's old name: a test that patched it on an instance
-# would now patch nothing.
-RETIRED_SIMULATION_NAMES = {"_handle_frame"}
+# Names the simulation's methods once had: a test that patched one on an
+# instance would now patch nothing.  The receive path's old names, then the
+# protocol that moved onto `_Node` and the find directive's old name.
+RETIRED_SIMULATION_NAMES = {
+    "_handle_frame", "_dispatch_frame", "_handshake_done", "_handle_payload",
+    "_handle_corroboration_request", "_answer_corroboration", "_corroboration_inbox_sweep",
+    "_handle_aggregate", "_same_cell", "_handle_parking", "_handle_advert", "_forward_event",
+    "_serve", "_seal_and_send", "_report_sender", "_audit_payload", "_rotate_if_due",
+    "_beacon", "_schedule_auth", "_gc_sessions", "_detect", "_corroboration_requests",
+    "_assembly", "_parking_announcements", "_advert_broadcast", "_expire_stores",
+    "_searcher_show", "_handle_find",
+}
 
 
 def _simulation_privates() -> set[str]:
-    return {name for name in vars(Simulation) if _private(name)} | RETIRED_SIMULATION_NAMES
+    return ({name for cls in (Simulation, simnet._Node) for name in vars(cls) if _private(name)}
+            | RETIRED_SIMULATION_NAMES)
 
 
 def simulation_private_reads(source: str) -> list[str]:
     """Each place where `source` reads an attribute named like an
-    underscore method of `Simulation` that is not in
+    underscore method of `Simulation` or of its nodes that is not in
     SIMULATION_PRIVATES_READ."""
     names = _simulation_privates() - set(SIMULATION_PRIVATES_READ)
     return [f"line {node.lineno}: reads .{node.attr}" for node in ast.walk(ast.parse(source))
@@ -119,6 +132,8 @@ def test_tests_drive_a_simulation_through_step_and_receive():
     "sim._handle_frame = counted\n",
     "sim._dispatch_frame(node, 'C', frame)\n",
     "sim._zone_speed(node)\n",
+    "sim.nodes['n1']._handle_payload(sim, 'n2', tag, payload)\n",
+    "sim._handle_aggregate(node, 'C', event)\n",
 ])
 def test_a_simulation_private_read_is_found(source):
     assert simulation_private_reads(source) != []
@@ -272,3 +287,68 @@ def test_an_endpoint_comparison_is_found(source):
 ])
 def test_reading_endpoints_without_comparing_passes(source):
     assert endpoint_comparisons(source) == []
+
+
+def _source(module: str) -> str:
+    return (SRC / f"{module.rpartition('.')[2]}.py").read_text()
+
+
+def imported_modules(source: str) -> set[str]:
+    """The vanetkit modules other than the package that `source` imports."""
+    tree = ast.parse(source)
+    found = {f"{owner}.{name}" if owner == "vanetkit" else owner
+             for _, owner, name in _module_names(tree)[1]}
+    found |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+              for alias in node.names}
+    return found & (MODULES - {"vanetkit"})
+
+
+def test_config_reaches_no_simulator_module():
+    """The parser and the validator need no simulator: `config`'s imports,
+    followed through the package's modules, never reach it."""
+    reached, todo = set(), ["vanetkit.config"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(imported_modules(_source(module)))
+    assert reached & {"vanetkit.simnet", "vanetkit.radio"} == set()
+    assert "vanetkit.simnet" in imported_modules(_source("vanetkit.scenario"))
+    assert imported_modules("import vanetkit.radio\nfrom .simnet import Simulation\n") == {
+        "vanetkit.radio", "vanetkit.simnet"}
+
+
+def simnet_outside_build(source: str) -> list[str]:
+    """Each place where `source` names `simnet` outside the body of
+    `ScenarioBundle.build`."""
+    tree = ast.parse(source)
+    build = [f for c in ast.walk(tree)
+             if isinstance(c, ast.ClassDef) and c.name == "ScenarioBundle"
+             for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "build"]
+    inside = {id(node) for f in build for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, ast.alias):
+            names = set(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names = set((node.module or "").split("."))
+        if "simnet" in names and id(node) not in inside:
+            found.append(f"line {node.lineno}: names simnet")
+    return found
+
+
+def test_scenario_names_simnet_only_to_build():
+    assert simnet_outside_build(_source("vanetkit.scenario")) == []
+
+
+@pytest.mark.parametrize("source, outside", [
+    ("from .simnet import Simulation\n", True),
+    ("from . import simnet\n", True),
+    ("import vanetkit.simnet\n", True),
+    ("class ScenarioBundle:\n    def run(self):\n        return simnet.Simulation\n", True),
+    ("class ScenarioBundle:\n    def build(self):\n        from . import simnet\n"
+     "        return simnet.Simulation(self.config)\n", False),
+])
+def test_a_simnet_name_outside_build_is_found(source, outside):
+    assert (simnet_outside_build(source) != []) == outside

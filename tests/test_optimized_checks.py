@@ -31,7 +31,7 @@ _CASES = {
     """,
     "BundleNotLoadedError": """
         from vanetkit.scenario import ScenarioBundle
-        from vanetkit.simnet import SimConfig
+        from vanetkit.config import SimConfig
         ScenarioBundle("bundle", SimConfig(), "roads.txt", "roster.txt").build()
     """,
     "RouteCostError": """

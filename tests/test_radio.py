@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vanetkit.geomodel import FORWARD, GeoCoordinate, load_network
-from vanetkit.radio import Radio, in_radio_range, neighbors_in_range
-from vanetkit.simnet import (NodeStats, ParkDirective, SimConfig, Simulation, VehicleSpec,
-                             collect_metrics)
+from vanetkit.config import ParkDirective, SimConfig, VehicleSpec
+from vanetkit.radio import Radio, in_radio_range
+from vanetkit.simnet import NodeStats, Simulation, collect_metrics
 from vanetkit.trust import Roster, register_user
+from reference import neighbors_in_range
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
 

@@ -1,11 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vanetkit import cli, kits, scenario
+from vanetkit.config import SimConfig
 from vanetkit.events import DetectionConfig
-from vanetkit.simnet import SimConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
 
@@ -240,6 +246,71 @@ def test_a_bundle_that_validates_runs(tmp_path, capsys, key, value):
         assert cli.main(["run", directory, "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     else:
         assert "error: " in capsys.readouterr().err
+
+
+_SMALL_ROAD = GOOD_ROAD + "junction c 500 300\nsegment side b c 30 twoway\n"
+_SMALL_ROSTER = GOOD_ROSTER + "user u3 3\nuser u4 4\nfriend u2 u3\n"
+_SMALL_HEAD = ["name small", "seed 3", "duration 20", "vehicle_count 1"]
+_SMALL_BODY = ["vehicle v1 user=u1 segment=main offset=10 dir=fwd speed=20 route=side",
+               "vehicle v2 user=u2 segment=main offset=40 dir=fwd speed=20 searcher",
+               "congestion_zone main fwd 0 10 5", "park v1 5 12", "find v1 15 100 0"]
+# Unknown and known words, options, ids that clash, and huge numbers.
+_TOKENS = ["ghost", "v1", "v2", "bg00000", "u1", "u3", "main", "side", "nowhere", "fwd",
+           "rev", "sideways", "freeride", "searcher", "nogps", "user=u2", "user=ghost",
+           "segment=nowhere", "route=side,main", "route=nowhere", "battery=low",
+           "battery=zap", "start=3", "wat=1", "=", "1e308", "-1e308", "1e400", "9" * 30,
+           "1e-320"]
+_MUTATION = st.tuples(st.sampled_from(["replace", "replace-value", "drop", "duplicate",
+                                       "re-id"]),
+                      st.integers(0, 99), st.integers(1, 99), st.sampled_from(_TOKENS))
+
+
+def _mutated_body(mutations) -> list[str]:
+    """The small bundle's vehicle, zone and directive statements, each
+    mutation applied to one field after the statement's keyword."""
+    body = [line.split() for line in _SMALL_BODY]
+    for op, line, position, token in mutations:
+        fields = body[line % len(body)]
+        j = 1 + position % (len(fields) - 1) if len(fields) > 1 else 1
+        if op == "duplicate":
+            body.append(list(fields))
+        elif op == "re-id":
+            body.append([fields[0], token, *fields[2:]])
+        elif j == len(fields):
+            fields.append(token)
+        elif op == "drop":
+            del fields[j]
+        elif op == "replace-value" and "=" in fields[j]:
+            fields[j] = fields[j].split("=")[0] + "=" + token
+        else:
+            fields[j] = token
+    return [" ".join(fields) for fields in body]
+
+
+def _validate_and_run(body: list[str]) -> int:
+    """`vanetkit validate` on the small bundle with `body` for its vehicle,
+    zone and directive statements; a bundle it passes must run to exit 0."""
+    text = "\n".join(_SMALL_HEAD + body + ["road road.txt", "roster roster.txt"]) + "\n"
+    with tempfile.TemporaryDirectory() as directory, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        write_bundle(pathlib.Path(directory), text, _SMALL_ROAD, _SMALL_ROSTER)
+        status = cli.main(["validate", directory])
+        if status == cli.EXIT_OK:
+            assert cli.main(["run", directory, "--out", directory]) == cli.EXIT_OK
+    return status
+
+
+def test_the_small_bundle_validates_and_runs():
+    assert _validate_and_run(_SMALL_BODY) == cli.EXIT_OK
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_MUTATION, min_size=1, max_size=3))
+def test_a_mutated_bundle_is_refused_or_runs(mutations):
+    """Vehicle options, zones and directives mutated with unknown words,
+    huge numbers, and missing or duplicate ids: `vanetkit validate` exits 0
+    or 2 and never raises, and a bundle it passes runs to exit 0."""
+    assert _validate_and_run(_mutated_body(mutations)) in (cli.EXIT_OK, cli.EXIT_VALIDATION)
 
 
 def test_out_of_range_detection_values_are_reported_per_statement(tmp_path):

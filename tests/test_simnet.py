@@ -20,12 +20,12 @@ from vanetkit.aggregation import (PendingObservation, SignedObservation, event_i
                                   sign_observation)
 from vanetkit.events import AdvertEvent, CongestionObservation, ParkingEvent
 from vanetkit.geomodel import FORWARD, REVERSE, GeoCoordinate, load_network
-from vanetkit.radio import ConservationError, neighbors_in_range
+from vanetkit.config import CongestionZone, FindDirective, ParkDirective, SimConfig, VehicleSpec
+from vanetkit.radio import ConservationError
 from vanetkit.simnet import (DROP_INTEGRITY, DROP_NO_SESSION, DROP_WRONG_KEY, AuditLog,
-                             CongestionZone, FindDirective, ParkDirective, SimConfig,
-                             Simulation, VehicleSpec, assign_obus, collect_metrics,
-                             run_simulation, should_launch)
+                             Simulation, assign_obus, collect_metrics, should_launch)
 from vanetkit.trust import Roster, UnknownUserError, register_user
+from reference import neighbors_in_range
 
 pytestmark = pytest.mark.filterwarnings("ignore:vehicle count")
 
@@ -351,7 +351,7 @@ def test_subsecond_tick_keeps_protocol_clocks_in_seconds():
 
 def test_no_common_friend_means_no_connection():
     config, net, roster = two_node_setup(shared_friend=False)
-    stats, _ = run_simulation(config, net, roster)
+    stats = Simulation(config, net, roster).run()
     assert stats.connections == 0
     assert stats.per_node["n1"].auth_attempts >= 1
 
@@ -406,7 +406,7 @@ def test_replayed_handshake_messages_change_no_draw():
 
 def test_out_of_range_nodes_never_connect():
     config, net, roster = two_node_setup(gap=80.0)
-    stats, _ = run_simulation(config, net, roster)
+    stats = Simulation(config, net, roster).run()
     assert stats.connections == 0
     assert stats.totals().received == 0
 
@@ -416,7 +416,7 @@ def test_obu_fraction_zero_means_zero_packets():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         config.obu_fraction = 0.0
-        stats, _ = run_simulation(config, net, roster)
+        stats = Simulation(config, net, roster).run()
     totals = stats.totals()
     assert totals.generated == totals.sent == totals.broadcasted == 0
     assert totals.received == totals.lost == 0
@@ -425,7 +425,7 @@ def test_obu_fraction_zero_means_zero_packets():
 def test_battery_gated_node_is_silent():
     config, net, roster = two_node_setup()
     config.vehicles[1].battery = "low"    # at the default threshold: gated
-    stats, _ = run_simulation(config, net, roster)
+    stats = Simulation(config, net, roster).run()
     assert stats.per_node["n2"].generated == 0
     assert stats.per_node["n2"].received == 0
     assert stats.connections == 0
@@ -433,17 +433,18 @@ def test_battery_gated_node_is_silent():
 
 def test_determinism_bit_exact():
     config, net, roster = two_node_setup()
-    stats_a, trace_a = run_simulation(config, net, roster)
-    config2, net2, roster2 = two_node_setup()
-    stats_b, trace_b = run_simulation(config2, net2, roster2)
-    assert trace_a == trace_b
+    sim_a = Simulation(config, net, roster)
+    stats_a = sim_a.run()
+    sim_b = Simulation(*two_node_setup())
+    stats_b = sim_b.run()
+    assert sim_a.trace == sim_b.trace
     assert stats_a.csv() == stats_b.csv()
 
 
 def test_different_seed_changes_nothing_structural():
     config, net, roster = two_node_setup()
     config.seed = 8
-    stats, _ = run_simulation(config, net, roster)
+    stats = Simulation(config, net, roster).run()
     assert stats.connections == 1
 
 
@@ -461,7 +462,7 @@ def test_lost_packets_on_range_departure():
             VehicleSpec("n1", "ua", "main", 0.0, FORWARD, speed=0.0),
             VehicleSpec("n2", "ub", "main", 60.0, FORWARD, speed=50.0),
         ])
-    stats, _ = run_simulation(config, net, roster)
+    stats = Simulation(config, net, roster).run()
     totals = stats.totals()
     assert totals.lost > 0
     assert totals.generated == totals.received + totals.lost + stats.in_flight
@@ -525,20 +526,31 @@ def _take_a_fleet_id(config):
     ("twoway", lambda c: _set(c.vehicles[0], user_id="ghost"),
      "vehicle 'n1' references unknown user 'ghost'"),
     ("twoway", lambda c: _set(c.vehicles[1], vehicle_id="n1"), "duplicate vehicle id 'n1'"),
-    ("twoway", _take_a_fleet_id, "duplicate vehicle id 'bg00000'"),
-    ("twoway", lambda c: _set(c, vehicle_count=2), "roster must provide one user per vehicle"),
+    # Users sort F < ua < ub, so background vehicle 0 is given ub, which the
+    # second scripted vehicle drives: a second problem in these two cases.
+    ("twoway", _take_a_fleet_id,
+     ["duplicate vehicle id 'bg00000'",
+      "background vehicle 'bg00000' would drive user 'ub', which vehicle 'bg00000' drives"]),
+    ("twoway", lambda c: _set(c, vehicle_count=2),
+     ["roster must provide one user per vehicle",
+      "background vehicle 'bg00000' would drive user 'ub', which vehicle 'n2' drives"]),
+    ("twoway", lambda c: _set(c, vehicle_count=1),
+     "background vehicle 'bg00000' would drive user 'ub', which vehicle 'n2' drives"),
     ("twoway", lambda c: _set(c.vehicles[0], start=float("nan")),
      "vehicle 'n1' start must be finite and at least 0"),
     ("twoway", lambda c: _set(c.vehicles[0], speed=-1.0),
      "vehicle 'n1' speed must be finite and at least 0"),
     ("twoway", lambda c: c.zones.append(CongestionZone("main", FORWARD, 0.0, 5.0, float("nan"))),
      "congestion zone on 'main' needs finite times and speed of at least 0"),
+    ("twoway", lambda c: c.zones.append(CongestionZone("main", FORWARD, 4.0, 1.0, 2.0)),
+     "congestion zone on 'main' must end after it starts"),
     ("twoway", lambda c: c.parks.append(ParkDirective("n1", 1.0, float("inf"))),
      "park directive for 'n1' needs finite times of at least 0"),
     ("twoway", lambda c: c.finds.append(FindDirective("n1", 1.0, float("nan"), 0.0)),
      "find directive for 'n1' needs a finite point"),
 ], ids=["find", "park", "zone", "route", "segment", "wrong-way", "user", "duplicate",
-        "fleet-id", "roster-size", "start", "speed", "zone-speed", "park-time", "find-point"])
+        "fleet-id", "roster-size", "fleet-user", "start", "speed", "zone-speed", "zone-order",
+        "park-time", "find-point"])
 def test_a_simulation_built_directly_refuses_what_validate_refuses(way, change, problem):
     """A `Simulation` runs `SimConfig.validate` with its road and roster, so
     a config that `vanetkit validate` would refuse is refused when it is
@@ -546,10 +558,11 @@ def test_a_simulation_built_directly_refuses_what_validate_refuses(way, change, 
     config, _, roster = two_node_setup(duration=5)
     net = load_network(STRAIGHT_ROAD.replace("twoway", way))
     change(config)
-    assert config.validate(net, roster) == [problem]
+    problems = [problem] if isinstance(problem, str) else problem
+    assert config.validate(net, roster) == problems
     with pytest.raises(ValueError) as refused:
         Simulation(config, net, roster)
-    assert str(refused.value) == problem
+    assert str(refused.value) == "; ".join(problems)
 
 
 def test_a_finished_simulation_is_freed_without_the_cycle_collector(tmp_path):
