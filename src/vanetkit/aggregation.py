@@ -9,9 +9,11 @@ fewer than one authenticated contact per minute two signatures suffice,
 between one and four contacts per minute four are needed, above four
 contacts per minute five.
 
-Signer distinctness is judged by the underlying certificate, never the
-pseudonym, so an attacker rotating pseudonyms on a single key pair can
-never self-corroborate past the minimum threshold of two.
+The pool, the assembler and the verifier count a signer by one rule: a
+valid signer (`_signer_problem`) whose key and pseudonym no signer counted
+before it has (`_distinct_signer`).  So an attacker rotating pseudonyms on
+one key pair never self-corroborates past the minimum threshold of two,
+and one pseudonym never speaks for two keys.
 """
 
 from __future__ import annotations
@@ -118,11 +120,29 @@ class SignedObservation:
     signature: bytes
 
     def verify(self) -> bool:
-        cert = self.signer_certificate
-        if cert.signer != cert.subject or not cert.verify(cert.subject_public_key):
-            return False
-        return crypto.verify(cert.subject_public_key,
-                             canonical_observation(self.observation), self.signature)
+        return _signer_problem(self, observation_cell(self.observation)) is None
+
+
+def _signer_problem(signed: SignedObservation, cell: tuple) -> str | None:
+    """Why `signed` cannot count toward an aggregate over `cell`, or None:
+    the first failing check of cell, self-certificate and signature."""
+    if observation_cell(signed.observation) != cell:
+        return "cell-mismatch"
+    cert = signed.signer_certificate
+    if cert.signer != cert.subject or not cert.verify(cert.subject_public_key):
+        return "bad-certificate"
+    if not crypto.verify(cert.subject_public_key,
+                         canonical_observation(signed.observation), signed.signature):
+        return "bad-signature"
+    return None
+
+
+def _distinct_signer(signed: SignedObservation, counted: list[SignedObservation]) -> bool:
+    """True when no signature in `counted` shares `signed`'s certificate
+    key or its pseudonym."""
+    key = signed.signer_certificate.subject_public_key
+    return not any(other.signer_certificate.subject_public_key == key
+                   or other.signer_pseudonym == signed.signer_pseudonym for other in counted)
 
 
 def sign_observation(obs: CongestionObservation, private_key: bytes,
@@ -166,8 +186,8 @@ def assemble_aggregate(observation: CongestionObservation,
                        now: float) -> AggregatedEvent | None:
     """Bundle the signatures once the adaptive threshold is met.
 
-    Signatures over non-matching cells or failing verification are
-    ignored; the count is over distinct signer certificates.  The usable
+    Signatures that `_signer_problem` or `_distinct_signer` refuses are
+    ignored, so the count is over distinct signers.  The usable
     signatures are a subset of `signatures`, so a list shorter than the
     threshold returns None before any signature is verified.
     """
@@ -176,19 +196,9 @@ def assemble_aggregate(observation: CongestionObservation,
         return None
     cell = observation_cell(observation)
     usable: list[SignedObservation] = []
-    seen_keys: set[bytes] = set()
-    seen_pseudonyms: set[bytes] = set()
     for signed in signatures:
-        if observation_cell(signed.observation) != cell:
-            continue
-        if not signed.verify():
-            continue
-        key = signed.signer_certificate.subject_public_key
-        if key in seen_keys or signed.signer_pseudonym in seen_pseudonyms:
-            continue
-        seen_keys.add(key)
-        seen_pseudonyms.add(signed.signer_pseudonym)
-        usable.append(signed)
+        if _signer_problem(signed, cell) is None and _distinct_signer(signed, usable):
+            usable.append(signed)
     if len(usable) < needed:
         return None
     return AggregatedEvent(observation, tuple(usable), promoter_pseudonym, now, rate, needed)
@@ -205,25 +215,18 @@ def verify_aggregate(event: AggregatedEvent, revocations: RevocationStore) -> tu
     if not event.signatures:
         return False, "insufficient-signatures"
     cell = observation_cell(event.observation)
-    keys: set[bytes] = set()
-    pseudonyms: set[bytes] = set()
+    counted: list[SignedObservation] = []
     for signed in event.signatures:
-        if observation_cell(signed.observation) != cell:
-            return False, "cell-mismatch"
-        cert = signed.signer_certificate
-        if cert.signer != cert.subject or not cert.verify(cert.subject_public_key):
-            return False, "bad-certificate"
-        if not crypto.verify(cert.subject_public_key,
-                             canonical_observation(signed.observation), signed.signature):
-            return False, "bad-signature"
-        if cert.subject_public_key in keys or signed.signer_pseudonym in pseudonyms:
+        problem = _signer_problem(signed, cell)
+        if problem is not None:
+            return False, problem
+        if not _distinct_signer(signed, counted):
             return False, "duplicate-signer"
-        if revocations.is_revoked(cert.subject):
+        if revocations.is_revoked(signed.signer_certificate.subject):
             return False, "revoked-signer"
-        keys.add(cert.subject_public_key)
-        pseudonyms.add(signed.signer_pseudonym)
+        counted.append(signed)
     needed = max(MIN_REQUIRED_SIGNATURES, event.threshold)
-    if len(keys) < needed:
+    if len(counted) < needed:
         return False, "insufficient-signatures"
     return True, "ok"
 
@@ -240,12 +243,9 @@ class PendingObservation:
         self.requested_peers: set[str] = set()
 
     def add_signature(self, signed: SignedObservation) -> bool:
-        if observation_cell(signed.observation) != observation_cell(self.observation):
-            return False
-        if not signed.verify():
-            return False
-        if any(s.signer_certificate.subject_public_key == signed.signer_certificate.subject_public_key
-               for s in self.signatures):
+        """Pool `signed` if it could count toward the aggregate."""
+        if (_signer_problem(signed, observation_cell(self.observation)) is not None
+                or not _distinct_signer(signed, self.signatures)):
             return False
         self.signatures.append(signed)
         return True

@@ -46,14 +46,13 @@ schedule and routes each handshake message to its engine.  The
 simulator and `zk_mutual_authenticate` both drive the five messages
 through it, so every handshake test runs the routing a run uses.
 
-Hashing is the cost of a handshake, so it is done with byte-equal
-results but less work than the generic helpers.  A commitment is
-`crypto.sha256(b"vk-commit", nonce, key)`: each key is fed to a copy of
-one sha256 state over the label and nonce.  A response is HMAC-SHA256 of
-the key over label, challenge and nonce (RFC 2104), from two sha256
-calls over pads that each call builds from the key with a translation
-table.  No hashing state outlives its call, so nothing is kept per key
-between handshakes or between simulations.
+Hashing is the cost of a handshake.  A commitment is
+`crypto.sha256(b"vk-commit", nonce, key)`, made with less work than the
+generic helper: each key is fed to a copy of one sha256 state over the
+label and nonce.  A response is `crypto.hmac_sha256` of the key over
+label, challenge and nonce, the one HMAC of the package.  No hashing
+state outlives its call, so nothing is kept per key between handshakes
+or between simulations.
 
 A side's commitments, and its responses, are one `bytes` block of 32-byte
 fields in slot order, as on the wire: the engines send and receive
@@ -166,7 +165,6 @@ def emit_beacon(state: PseudonymState, tick: int) -> bytes:
 
 _COMMIT_LABEL = b"vk-commit"
 _RESPONSE_LABEL = b"vk-resp"
-_HMAC_BLOCK = 64   # sha256 block size
 # A slot map's entry for a padding slot.  No key index reaches it, since a
 # block holds at most `wire.MAX_FIELDS` fields.
 PAD_SLOT = wire.MAX_FIELDS
@@ -176,20 +174,6 @@ def _commitment_prefix(nonce: bytes):
     """sha256 state over the commitment label and nonce; `.copy()` it and
     feed a key to get `crypto.sha256(b"vk-commit", nonce, key)`."""
     return hashlib.sha256(_COMMIT_LABEL + nonce)
-
-
-# the byte-wise XOR with each RFC 2104 pad, as `bytes.translate` tables
-_INNER_PAD = bytes(b ^ 0x36 for b in range(256))
-_OUTER_PAD = bytes(b ^ 0x5C for b in range(256))
-
-
-def _response(key: bytes, message: bytes) -> bytes:
-    """`crypto.hmac_sha256(key, message)`, in about two thirds of its time."""
-    if len(key) > _HMAC_BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_HMAC_BLOCK, b"\0")
-    inner = hashlib.sha256(key.translate(_INNER_PAD) + message).digest()
-    return hashlib.sha256(key.translate(_OUTER_PAD) + inner).digest()
 
 
 def build_commitments(keys: Sequence[bytes], nonce: bytes,
@@ -223,8 +207,8 @@ def build_responses(keys: Sequence[bytes], slots: bytes, challenge: bytes, nonce
                     rng: random.Random) -> bytes:
     """Response block for the slot map of `build_commitments(keys, ...)`."""
     message = _RESPONSE_LABEL + challenge + nonce
-    return b"".join([_response(keys[i], message) if i != PAD_SLOT else rng.randbytes(FIELD_LEN)
-                     for i in slots])
+    return b"".join([crypto.hmac_sha256(keys[i], message) if i != PAD_SLOT
+                     else rng.randbytes(FIELD_LEN) for i in slots])
 
 
 def match_keys(own_keys: Sequence[bytes], commitments: bytes, nonce: bytes,
@@ -244,7 +228,7 @@ def match_keys(own_keys: Sequence[bytes], commitments: bytes, nonce: bytes,
         at = commitments.find(digest)
         while at > 0 and at % FIELD_LEN:
             at = commitments.find(digest, at + 1)
-        if at >= 0 and responses.startswith(_response(key, message), at):
+        if at >= 0 and responses.startswith(crypto.hmac_sha256(key, message), at):
             matched.append(key)
     return matched
 

@@ -111,11 +111,7 @@ def cmd_sweep(args) -> int:
         return EXIT_VALIDATION
     if (bundle := _load(args.bundle)) is None:
         return EXIT_VALIDATION
-    out_dir = args.out or args.bundle
-    os.makedirs(out_dir, exist_ok=True)
-    sweep_path = os.path.join(out_dir, f"{bundle.config.name}_sweep_{param}.csv")
-    rows = [f"{param},generated,sent,broadcasted,received,lost,connections"]
-    status = EXIT_OK
+    configs, refused = [], False      # every value is checked before the first run
     for value in values:
         config = dataclasses.replace(bundle.config)
         if param == "obu_fraction":
@@ -124,10 +120,22 @@ def cmd_sweep(args) -> int:
             config.vehicle_count = int(value)
         if args.seed is not None:
             config.seed = args.seed
+        for problem in config.validate(bundle.network, bundle.roster):
+            print(f"error: {param}={value:g}: {problem}", file=sys.stderr)
+            refused = True
+        configs.append(config)
+    if refused:
+        return EXIT_VALIDATION
+    out_dir = args.out or args.bundle
+    os.makedirs(out_dir, exist_ok=True)
+    sweep_path = os.path.join(out_dir, f"{bundle.config.name}_sweep_{param}.csv")
+    rows = [f"{param},generated,sent,broadcasted,received,lost,connections"]
+    status = EXIT_OK
+    for value, config in zip(values, configs):
         try:
             stats = dataclasses.replace(bundle, config=config).build().run()
         except Exception as err:
-            print(f"error: run at {param}={value} failed: {err}", file=sys.stderr)
+            print(f"error: run at {param}={value:g} failed: {err}", file=sys.stderr)
             status = EXIT_RUNTIME
             break
         totals = stats.totals()

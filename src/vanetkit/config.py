@@ -128,11 +128,18 @@ class SimConfig:
             problems.append("vehicle_count must be at least 0")
         if not self.radio_range > 0:
             problems.append("radio_range must be positive")
+        elif self.radio_range == math.inf:
+            problems.append("radio_range must be finite")
+        if not 0 < self.auth_period < math.inf:
+            problems.append("auth_period must be finite and positive")
+        if not 0 < self.min_pseudonym_lifetime <= self.max_pseudonym_lifetime < math.inf:
+            problems.append("pseudonym lifetimes must be finite and positive, "
+                            "the minimum at most the maximum")
         if not 0.0 <= self.obu_fraction <= 1.0:
             problems.append("obu_fraction must be within [0, 1]")
         if self.battery_threshold not in BATTERY_LEVELS:
             problems.append(f"unknown battery threshold {self.battery_threshold!r}")
-        vehicle_ids, origins = set(), set()
+        vehicle_ids, origins, drivers = set(), set(), {}
         for spec in self.vehicles:
             name = spec.vehicle_id
             if name in vehicle_ids or _is_fleet_id(name, self.vehicle_count):
@@ -146,6 +153,11 @@ class SimConfig:
                     problems.append(f"vehicle {name!r} {what} must be finite and at least 0")
             if roster is not None and spec.user_id not in roster.users:
                 problems.append(f"vehicle {name!r} references unknown user {spec.user_id!r}")
+            if spec.user_id in drivers:
+                problems.append(f"vehicle {name!r} would drive user {spec.user_id!r}, "
+                                f"which vehicle {drivers[spec.user_id]!r} drives")
+            else:
+                drivers[spec.user_id] = name
             if spec.direction not in (FORWARD, REVERSE):
                 problems.append(f"vehicle {name!r} direction {spec.direction!r} "
                                 f"is not {FORWARD!r} or {REVERSE!r}")
@@ -161,7 +173,6 @@ class SimConfig:
         if roster is not None and self.vehicle_count > 0:
             if len(roster.users) < self.total_vehicles():
                 problems.append("roster must provide one user per vehicle")
-            drivers = {spec.user_id: spec.vehicle_id for spec in self.vehicles}
             for i, user in enumerate(self.fleet_users(roster)):
                 if user in drivers:
                     problems.append(f"background vehicle {fleet_id(i)!r} would drive user "

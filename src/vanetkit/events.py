@@ -52,6 +52,9 @@ class DetectionConfig:
             problems.append("speed_fraction must be in (0, 1)")
         if not self.sustain_window > 0:
             problems.append("sustain_window must be positive")
+        for name in ("min_limit", "cooldown", "parking_ttl"):
+            if not 0 <= getattr(self, name) < math.inf:
+                problems.append(f"{name} must be finite and at least 0")
         if problems:
             raise ValueError("; ".join(problems))
 

@@ -6,30 +6,26 @@ edges form the trust graph that authentication later intersects.
 Misbehavior reports devaluate a user and revoke after a threshold;
 revocation knowledge merges after every successful authentication.
 
-A simulated run reads a user's self-certificate and the candidate keys,
-never a friend's certificate, so a roster issues each certificate only
-when something first reads it.  `register_user` issues the
-self-certificate.  `Roster.befriend(a, b)` adds one friendship entry to
-both users' repositories; it stands for the two certificates a mutual
-signing issues, `a` certifying `b` and then `b` certifying `a`, and
-holds both users' identities.  The candidate ids and keys are read off
-it.  The first read that needs one of its certificates (`get`
-of one of its two pairs, or `certificates()`) issues both with
-`make_certificate` and keeps them on the entry, so the two repositories
-share the two objects.
+A simulated run reads few certificates and never a friend's: it reads
+the candidate keys, and a user's self-certificate only when it signs an
+observation.  So a roster issues a certificate only when something first
+reads it, through one entry type, `_Signing(a, b)`: `a` certifies `b`,
+then, unless `a is b`, `b` certifies `a`.  `register_user` adds the
+self-signing `_Signing(identity, identity)` to the user's repository, and
+`Roster.befriend(a, b)` adds one `_Signing(a, b)` to both users'
+repositories, in the order a mutual signing has always issued its two
+certificates.  An entry holds the identities, so the candidate ids and
+keys are read off it.  The first read that needs one of its certificates
+(`get` of one of its pairs, or `certificates()`) issues all of them with
+`make_certificate`, which signs at once, and keeps them on the entry, so
+two repositories share the objects.  A certificate is a plain signed
+value and never holds a private key.
 
-A certificate is signed the first time its `signature` is read:
-`make_certificate` keeps the signer's private key in the certificate's
-private `_unsigned` slot, and the first read makes the Schnorr signature
-with `crypto.sign`, stores it and drops the key.  Signing is
-deterministic, so every reader gets the bytes an eager signature would
-have had, and a certificate shared by two repositories is signed once.
-
-A repository keeps its certificates and friendships in one list, in the
+A repository keeps its certificates and entries in one list, in the
 order they were added, and holds the last one added for each (subject,
-signer), a friendship counting as its two pairs: the first read after an
-`add` drops every entry a later one replaced, and a friendship that a
-later certificate replaced only in part is issued and leaves its other
+signer), an entry counting as each of its pairs: the first read after an
+`add` drops every entry a later one replaced, and an entry that a later
+certificate replaced only in part is issued and leaves its other
 certificate in its place.  The simulator serializes all mutations, so no
 locking is needed anywhere in this module.
 """
@@ -70,44 +66,8 @@ def _cert_message(subject: str, subject_public_key: bytes) -> bytes:
     return crypto.sha256(b"vk-cert", subject.encode(), subject_public_key)
 
 
-class _SignOnRead:
-    """`Certificate.signature`: its slot, signed on the first read.
-
-    A certificate from `make_certificate` leaves the slot empty and keeps
-    the signer's private key in `_unsigned`.  The first read signs, fills
-    the slot and drops the key; every later read returns the slot.
-    Setting passes through to the slot, since the frozen `__init__`
-    writes every field with `object.__setattr__`."""
-
-    __slots__ = ("slot",)
-
-    def __init__(self, slot):
-        self.slot = slot
-
-    def __get__(self, cert, owner=None):
-        if cert is None:
-            return self
-        try:
-            return self.slot.__get__(cert, owner)
-        except AttributeError:
-            pass
-        signature = crypto.sign(cert._unsigned, _cert_message(cert.subject, cert.subject_public_key))
-        self.slot.__set__(cert, signature)
-        object.__delattr__(cert, "_unsigned")
-        return signature
-
-    def __set__(self, cert, value):
-        self.slot.__set__(cert, value)
-
-
-class _Pending:
-    """The signer's private key of a certificate not yet signed, in a slot
-    of a base class because `slots=True` makes slots for the fields only."""
-    __slots__ = ("_unsigned",)
-
-
 @dataclass(frozen=True, slots=True)
-class Certificate(_Pending):
+class Certificate:
     """A signer's attestation binding `subject` to `subject_public_key`."""
     subject: str
     subject_public_key: bytes
@@ -120,64 +80,54 @@ class Certificate(_Pending):
                              self.signature)
 
 
-# Installed after the decorator, which makes the slot.  Equality, hashing,
-# repr and dataclasses.replace read the field as an attribute, so they
-# sign a pending certificate first and never see its key.
-Certificate.signature = _SignOnRead(Certificate.signature)
-_write = object.__setattr__
-
-
 def make_certificate(subject: str, subject_public_key: bytes, signer: str,
                      signer_private_key: bytes) -> Certificate:
-    """Issue a certificate that is signed the first time its `signature` is read.
-
-    Writes the slots the way the frozen `__init__` does, but leaves the
-    signature's empty instead of filling and then emptying it."""
-    cert = object.__new__(Certificate)
-    _write(cert, "subject", subject)
-    _write(cert, "subject_public_key", subject_public_key)
-    _write(cert, "signer", signer)
-    _write(cert, "trust_weight", 0)
-    _write(cert, "_unsigned", signer_private_key)
-    return cert
+    """Issue a certificate, signed by `signer_private_key`."""
+    return Certificate(subject, subject_public_key, signer,
+                       crypto.sign(signer_private_key, _cert_message(subject, subject_public_key)))
 
 
 _SUBJECT_SIGNER = attrgetter("subject", "signer")
 
 
-class _Friendship:
-    """The two certificates of a mutual signing, issued on first read.
+class _Signing:
+    """The certificates of one signing, issued on first read.
 
-    `a` certifies `b` (subject `b`, signer `a`), then `b` certifies `a`,
-    in the order `Roster.befriend(a, b)` has always issued them.  Both
-    users' repositories hold this one entry."""
+    `a` certifies `b` (subject `b`, signer `a`), then, unless `a is b`,
+    `b` certifies `a`: a user's self-certificate, or the two of a mutual
+    signing in the order `Roster.befriend(a, b)` has always issued them.
+    Every repository that holds a certificate of it holds this one entry."""
 
-    __slots__ = ("a", "b", "_pair")
+    __slots__ = ("a", "b", "_issued")
 
     def __init__(self, a: UserIdentity, b: UserIdentity):
         self.a, self.b = a, b
-        self._pair: tuple[Certificate, Certificate] | None = None
+        self._issued: tuple[Certificate, ...] | None = None
 
-    def pairs(self) -> tuple[tuple[str, str], tuple[str, str]]:
+    def signings(self) -> tuple[tuple[UserIdentity, UserIdentity], ...]:
+        """(signer, subject) of each certificate, in order."""
+        a, b = self.a, self.b
+        return ((a, b),) if a is b else ((a, b), (b, a))
+
+    def pairs(self) -> tuple[tuple[str, str], ...]:
         """The (subject, signer) of each certificate, in order."""
-        a, b = self.a.user_id, self.b.user_id
-        return (b, a), (a, b)
+        return tuple((subject.user_id, signer.user_id) for signer, subject in self.signings())
 
-    def issue(self) -> tuple[Certificate, Certificate]:
-        """Both certificates, issued by the first call and kept."""
-        if self._pair is None:
-            a, b = self.a, self.b
-            self._pair = (
-                make_certificate(b.user_id, b.keys.public_key, a.user_id, a.keys.private_key),
-                make_certificate(a.user_id, a.keys.public_key, b.user_id, b.keys.private_key))
-        return self._pair
+    def issue(self) -> tuple[Certificate, ...]:
+        """Every certificate, issued by the first call and kept."""
+        if self._issued is None:
+            self._issued = tuple(
+                make_certificate(subject.user_id, subject.keys.public_key,
+                                 signer.user_id, signer.keys.private_key)
+                for signer, subject in self.signings())
+        return self._issued
 
 
 class CertificateRepository:
     """One user's certificate store: the self-certificate plus friends'.
 
-    Certificates and friendships sit in one list in the order they were
-    added, and the repository holds one certificate per (subject,
+    Certificates and `_Signing` entries sit in one list in the order they
+    were added, and the repository holds one certificate per (subject,
     signer): the last one added.  `add` only appends; the first read
     after it drops every entry that later ones replaced."""
 
@@ -185,24 +135,24 @@ class CertificateRepository:
 
     def __init__(self, owner: str):
         self.owner = owner
-        self._entries: list[Certificate | _Friendship] = []
+        self._entries: list[Certificate | _Signing] = []
         self._replaced = False        # the list may hold a replaced entry
         self._candidate_keys: tuple[bytes, ...] | None = None
 
-    def add(self, entry: Certificate | _Friendship) -> None:
+    def add(self, entry: Certificate | _Signing) -> None:
         self._entries.append(entry)
         self._replaced = True
         self._candidate_keys = None
 
-    def _held(self) -> list[Certificate | _Friendship]:
-        """The list, once every replaced entry is dropped from it.  A
-        friendship replaced in one pair only gives way to its other
+    def _held(self) -> list[Certificate | _Signing]:
+        """The list, once every replaced entry is dropped from it.  An
+        entry replaced in one pair only gives way to its other
         certificate."""
         if self._replaced:
             seen: set[tuple[str, str]] = set()
             kept = []
             for entry in reversed(self._entries):
-                if type(entry) is _Friendship:
+                if type(entry) is _Signing:
                     pairs = entry.pairs()
                     live = [pair not in seen for pair in pairs]
                     seen.update(pairs)
@@ -221,20 +171,19 @@ class CertificateRepository:
 
     def _facts(self) -> Iterator[tuple[str, str, bytes]]:
         """(subject, signer, subject's public key) of every held
-        certificate, read off a friendship without issuing it."""
+        certificate, read off an entry without issuing it."""
         for entry in self._held():
-            if type(entry) is _Friendship:
-                a, b = entry.a, entry.b
-                yield b.user_id, a.user_id, b.keys.public_key
-                yield a.user_id, b.user_id, a.keys.public_key
+            if type(entry) is _Signing:
+                for signer, subject in entry.signings():
+                    yield subject.user_id, signer.user_id, subject.keys.public_key
             else:
                 yield entry.subject, entry.signer, entry.subject_public_key
 
     def get(self, subject: str, signer: str) -> Certificate | None:
         """The certificate `signer` issued for `subject`, or None.  Issues
-        only the friendship that holds it."""
+        only the entry that holds it."""
         for entry in self._held():
-            if type(entry) is _Friendship:
+            if type(entry) is _Signing:
                 pairs = entry.pairs()
                 if (subject, signer) in pairs:
                     return entry.issue()[pairs.index((subject, signer))]
@@ -244,10 +193,10 @@ class CertificateRepository:
 
     def certificates(self) -> list[Certificate]:
         """Every held certificate, in (subject, signer) order; issues every
-        friendship."""
+        entry."""
         out: list[Certificate] = []
         for entry in self._held():
-            if type(entry) is _Friendship:
+            if type(entry) is _Signing:
                 out.extend(entry.issue())
             else:
                 out.append(entry)
@@ -306,13 +255,13 @@ class Roster:
 
     def befriend(self, a: str, b: str) -> None:
         """Mutual signing: both users gain both certificates, as one
-        friendship entry that issues them when first read."""
+        `_Signing` entry that issues them when first read."""
         first, second = self.users[a], self.users[b]
         if first.user_id == second.user_id:
             raise ValueError("self-certificates are created at registration")
-        friendship = _Friendship(first, second)
-        first.repository.add(friendship)
-        second.repository.add(friendship)
+        signing = _Signing(first, second)
+        first.repository.add(signing)
+        second.repository.add(signing)
 
     def user(self, user_id: str) -> UserIdentity:
         try:
@@ -322,7 +271,8 @@ class Roster:
 
 
 def register_user(roster: Roster, user_id: str, seed: int | str | bytes) -> UserIdentity:
-    """Create deterministic keys from (user id, seed) plus the self-certificate."""
+    """Create deterministic keys from (user id, seed) plus the self-signing
+    entry that issues the self-certificate when first read."""
     if user_id in roster.users:
         raise DuplicateUserError(user_id)
     if isinstance(seed, int):
@@ -331,9 +281,8 @@ def register_user(roster: Roster, user_id: str, seed: int | str | bytes) -> User
         seed = seed.encode()
     private = crypto.derive_private_key(user_id.encode() + b"\x00" + seed)
     keys = KeyPair(crypto.public_key(private), private)
-    repo = CertificateRepository(user_id)
-    repo.add(make_certificate(user_id, keys.public_key, user_id, private))
-    identity = UserIdentity(user_id, keys, repo)
+    identity = UserIdentity(user_id, keys, CertificateRepository(user_id))
+    identity.repository.add(_Signing(identity, identity))
     roster.users[user_id] = identity
     return identity
 

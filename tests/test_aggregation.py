@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from vanetkit import crypto, trust
 from vanetkit.aggregation import (AggregatedEvent, JourneyContactLog,
-                                  SignedObservation, assemble_aggregate,
+                                  PendingObservation, SignedObservation, assemble_aggregate,
                                   avg_users_per_minute, canonical_observation,
                                   corroborate, event_id_for, observation_cell,
                                   required_signatures, sign_observation,
@@ -139,6 +139,22 @@ def test_duplicate_certificate_counted_once():
     obs = observation(pseudonym=b"p" * 16)
     sigs = [sign_as(promoter, obs, b"p" * 16), sign_as(promoter, obs, b"q" * 16)]
     assert assemble_aggregate(obs, sigs, rate=0.5, promoter_pseudonym=b"p" * 16, now=0.0) is None
+
+
+def test_the_pool_refuses_a_second_signature_under_a_held_pseudonym():
+    """The promoter's pool counts signers as the assembler and the verifier
+    do: a pseudonym it holds cannot bring in a second key, and a key it
+    holds cannot come back under a new pseudonym."""
+    roster = Roster()
+    promoter, helper, other = (signer(roster, uid, seed)
+                               for uid, seed in (("p", 1), ("h", 2), ("o", 3)))
+    obs = observation(pseudonym=b"p" * 16)
+    pending = PendingObservation(obs, sign_as(promoter, obs, b"p" * 16), 500.0, 800.0)
+    assert pending.add_signature(sign_as(helper, obs, b"h" * 16))
+    assert not pending.add_signature(sign_as(other, obs, b"h" * 16))
+    assert not pending.add_signature(sign_as(helper, obs, b"x" * 16))
+    assert pending.add_signature(sign_as(other, obs, b"o" * 16))
+    assert [s.signer_pseudonym for s in pending.signatures] == [b"p" * 16, b"h" * 16, b"o" * 16]
 
 
 def accepted_event(rate=0.5):

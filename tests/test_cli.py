@@ -123,6 +123,26 @@ def test_sweep_refuses_a_fractional_vehicle_count(tmp_path, capsys, values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("param, values, refusals", [
+    ("vehicle_count", "1,-1", ["vehicle_count=1: roster must provide one user per vehicle",
+                               "vehicle_count=-1: vehicle_count must be at least 0"]),
+    ("obu_fraction", "0.5,1.5", ["obu_fraction=1.5: obu_fraction must be within [0, 1]"]),
+])
+def test_sweep_validates_every_value_before_the_first_run(tmp_path, capsys, param, values,
+                                                          refusals):
+    """A value the bundle's validation refuses is named with its problem
+    before anything runs: exit 2, and no CSV, not even a partial one."""
+    directory = kit_dir(tmp_path, "find-car")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", directory, "--param", f"{param}={values}",
+                     "--out", str(out)]) == cli.EXIT_VALIDATION
+    printed = capsys.readouterr()
+    assert [line for line in printed.err.splitlines() if line.startswith("error: ")] == [
+        f"error: {refusal}" for refusal in refusals]
+    assert "wrote" not in printed.out
+    assert not out.exists()
+
+
 def test_kit_generation_and_unknown_name(tmp_path, capsys):
     out = str(tmp_path / "bundle")
     assert cli.main(["kit", "find-car", "--out", out]) == 0

@@ -175,9 +175,14 @@ _parts = st.lists(st.binary(max_size=80), max_size=6)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.binary(max_size=100), _parts)
+@given(st.binary(max_size=200), _parts)
 @example(b"", [])
 @example(b"", [b"", b"a", b""])
+# keys of one sha256 block, one byte past it and well past it, which
+# `hmac_sha256` hashes first
+@example(bytes(range(64)), [b"vk-resp", b"c" * 32, b"n" * 16])
+@example(bytes(range(65)), [b"vk-resp", b"c" * 32, b"n" * 16])
+@example(bytes(200), [b"x" * 1500])
 def test_one_shot_hashes_match_incremental_references(key, parts):
     h = hashlib.sha256()
     m = hmac.new(key, digestmod=hashlib.sha256)

@@ -4,9 +4,11 @@ tests drive a `Simulation` through `step` and `receive`, not through its
 underscore methods or its nodes'.  Only `wire` and `auth` know the
 handshake: no other module names a handshake tag or codec of `wire` or
 builds an engine of `auth`.  Only `geomodel` knows which way a segment may
-be entered: no other module compares a segment's endpoint junctions.  And
-a config is parsed and validated without the simulator: `config` reaches
-neither `simnet` nor `radio`, and `scenario` names `simnet` only to build."""
+be entered: no other module compares a segment's endpoint junctions.  Only
+`crypto` computes an HMAC: no other module imports `hmac` or writes an
+RFC 2104 pad byte.  And a config is parsed and validated without the
+simulator: `config` reaches neither `simnet` nor `radio`, and `scenario`
+names `simnet` only to build."""
 
 import ast
 import pathlib
@@ -287,6 +289,60 @@ def test_an_endpoint_comparison_is_found(source):
 ])
 def test_reading_endpoints_without_comparing_passes(source):
     assert endpoint_comparisons(source) == []
+
+
+_PAD_BYTES = {0x36, 0x5C}
+
+
+def hmac_rewrites(source: str) -> list[str]:
+    """Each place where `source` imports `hmac` or writes an RFC 2104 pad
+    byte, as an int or as a bytes literal made of them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: imports {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "hmac"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module == "hmac":
+            found.append(f"line {node.lineno}: imports from hmac")
+        elif isinstance(node, ast.Constant):
+            value = node.value
+            if ((type(value) is int and value in _PAD_BYTES)
+                    or (isinstance(value, bytes) and value and set(value) <= _PAD_BYTES)):
+                found.append(f"line {node.lineno}: writes pad byte {value!r}")
+    return found
+
+
+def test_only_crypto_computes_an_hmac():
+    """Handshake responses and seals both go through `crypto.hmac_sha256`."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "crypto":
+            problems = hmac_rewrites(path.read_text())
+            if problems:
+                found[path.name] = problems
+    assert found == {}
+    assert hmac_rewrites((SRC / "crypto.py").read_text()) != []
+
+
+@pytest.mark.parametrize("source", [
+    "import hmac\n",
+    "import hmac as _hmac\n",
+    "from hmac import digest\n",
+    "pad = bytes(b ^ 0x36 for b in range(256))\n",
+    "outer = bytes(b ^ 0x5C for b in key)\n",
+    "ipad = b'\\x36' * 64\n",
+])
+def test_an_hmac_rewrite_is_found(source):
+    assert hmac_rewrites(source) != []
+
+
+@pytest.mark.parametrize("source", [
+    "import hashlib\nhashlib.sha256(key).digest()\n",
+    "from . import crypto\ncrypto.hmac_sha256(key, message)\n",
+    "block = 64\nlabel = b'vk-resp'\n",
+])
+def test_other_hashing_passes(source):
+    assert hmac_rewrites(source) == []
 
 
 def _source(module: str) -> str:

@@ -223,9 +223,15 @@ def test_the_scenario_statements_are_the_config_fields_and_the_directives():
         assert type(value) is float and value == 0.25
 
 
-# Values that `validate` once passed and the run then stopped on or misread.
-_REFUSED = {("tick", "nan"), ("tick", "inf"), ("vehicle_count", "-1"),
-            ("speed_fraction", "nan"), ("sustain_window", "-1")}
+# Values that `validate` once passed and the run then stopped on, misread
+# or ran with a setting that means nothing.
+_REFUSED = ({("tick", "nan"), ("tick", "inf"), ("vehicle_count", "-1"),
+             ("speed_fraction", "nan"), ("sustain_window", "-1"), ("radio_range", "inf")}
+            | {(key, value) for key in ("auth_period", "min_pseudonym_lifetime",
+                                        "max_pseudonym_lifetime")
+               for value in ("nan", "inf", "-inf", "-1", "0")}
+            | {(key, value) for key in ("min_limit", "cooldown", "parking_ttl")
+               for value in ("nan", "inf", "-inf", "-1")})
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "many"])

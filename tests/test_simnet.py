@@ -141,8 +141,8 @@ _SLOTTED = {
     "KeyPair": lambda sim, node: node.user.keys,
     "CertificateRepository": lambda sim, node: node.user.repository,
     "Certificate": lambda sim, node: node.user.self_certificate,
-    # the friendship entry that `befriend("ua", "F")` put in the repository
-    "_Friendship": lambda sim, node: next(
+    # the entry that `befriend("ua", "F")` put in the repository
+    "_Signing": lambda sim, node: next(
         ref for ref in gc.get_referents(node.user.repository) if type(ref) is list)[1],
     "AuthInitiator": lambda sim, node: auth.AuthInitiator(
         auth.Party(node.user, node.revocations, b"p" * 16), random.Random(1), sim.now),
@@ -526,6 +526,8 @@ def _take_a_fleet_id(config):
     ("twoway", lambda c: _set(c.vehicles[0], user_id="ghost"),
      "vehicle 'n1' references unknown user 'ghost'"),
     ("twoway", lambda c: _set(c.vehicles[1], vehicle_id="n1"), "duplicate vehicle id 'n1'"),
+    ("twoway", lambda c: _set(c.vehicles[1], user_id="ua"),
+     "vehicle 'n2' would drive user 'ua', which vehicle 'n1' drives"),
     # Users sort F < ua < ub, so background vehicle 0 is given ub, which the
     # second scripted vehicle drives: a second problem in these two cases.
     ("twoway", _take_a_fleet_id,
@@ -536,6 +538,8 @@ def _take_a_fleet_id(config):
       "background vehicle 'bg00000' would drive user 'ub', which vehicle 'n2' drives"]),
     ("twoway", lambda c: _set(c, vehicle_count=1),
      "background vehicle 'bg00000' would drive user 'ub', which vehicle 'n2' drives"),
+    ("twoway", lambda c: _set(c, min_pseudonym_lifetime=600.0, max_pseudonym_lifetime=10.0),
+     "pseudonym lifetimes must be finite and positive, the minimum at most the maximum"),
     ("twoway", lambda c: _set(c.vehicles[0], start=float("nan")),
      "vehicle 'n1' start must be finite and at least 0"),
     ("twoway", lambda c: _set(c.vehicles[0], speed=-1.0),
@@ -549,8 +553,8 @@ def _take_a_fleet_id(config):
     ("twoway", lambda c: c.finds.append(FindDirective("n1", 1.0, float("nan"), 0.0)),
      "find directive for 'n1' needs a finite point"),
 ], ids=["find", "park", "zone", "route", "segment", "wrong-way", "user", "duplicate",
-        "fleet-id", "roster-size", "fleet-user", "start", "speed", "zone-speed", "zone-order",
-        "park-time", "find-point"])
+        "shared-user", "fleet-id", "roster-size", "fleet-user", "lifetimes", "start", "speed",
+        "zone-speed", "zone-order", "park-time", "find-point"])
 def test_a_simulation_built_directly_refuses_what_validate_refuses(way, change, problem):
     """A `Simulation` runs `SimConfig.validate` with its road and roster, so
     a config that `vanetkit validate` would refuse is refused when it is

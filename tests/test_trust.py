@@ -251,7 +251,7 @@ def test_roster_file_reports_all_problems():
     assert len(err.value.problems) == 3
 
 
-# -- certificates are signed on first read --------------------------------------
+# -- certificates are issued, and signed, on first read ------------------------
 
 @pytest.fixture
 def sign_calls(monkeypatch):
@@ -306,7 +306,7 @@ def test_kit_certificates_known_answer(name, tmp_path):
     assert hashlib.sha256(dump.encode()).hexdigest() == _KIT_CERTIFICATE_DIGESTS[name]
 
 
-# -- friendships are issued on first read -----------------------------------
+# -- friendships are issued on first read, like self-certificates ------------
 
 @pytest.fixture
 def issued(monkeypatch):
@@ -320,18 +320,27 @@ def issued(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:vehicle count")
-def test_loading_and_running_a_bundle_issues_only_self_certificates(tmp_path, issued):
+def test_loading_and_running_a_bundle_issues_only_self_certificates(tmp_path, issued,
+                                                                    sign_calls):
+    """Loading and building issue and sign no certificate; a run issues the
+    self-certificates it reads, and never a friend's certificate."""
     users = 60
     directory = kits.demo_bundle(str(tmp_path / "demo"), vehicle_count=users, duration=40,
                                  seed=3, grid=3)
     (tmp_path / "demo" / "roster.txt").write_text(
         kits.demo_roster_text(users, friends_per_user=8, seed=3))
-    bundle, problems = scenario.load_bundle(directory)
-    assert problems == []
-    stats = bundle.build().run()
-    assert stats.connections > 0
-    assert len(issued) == users
-    assert all(subject == signer for subject, signer in issued)
+    kits.generate_kit("congestion-chain", str(tmp_path / "kit"))
+    runs = []
+    for directory in (directory, str(tmp_path / "kit")):
+        bundle, problems = scenario.load_bundle(directory)
+        assert problems == []
+        sim = bundle.build()
+        assert issued == [] and sign_calls == []
+        runs.append(sim.run())
+        assert all(subject == signer for subject, signer in issued)
+    assert runs[0].connections > 0
+    # the three congestion-chain vehicles sign observations, so each reads its own
+    assert sorted(issued) == [("uc", "uc"), ("ud", "ud"), ("ur", "ur")]
 
 
 def test_a_friendship_issues_its_pair_once_for_both_repositories(issued, sign_calls):
@@ -340,25 +349,25 @@ def test_a_friendship_issues_its_pair_once_for_both_repositories(issued, sign_ca
                (("a", 1), ("b", 2), ("c", 3)))
     roster.befriend("a", "b")
     roster.befriend("c", "a")
-    del issued[:]
     for user in (a, b, c):
-        user.self_certificate
         user.repository.candidate_keys()
         user.repository.candidate_ids()
-    assert issued == []
+    assert issued == [] and sign_calls == []
     assert a.repository.candidate_ids() == {"a", "b", "c"}
     assert b.repository.candidate_keys() == tuple(sorted([a.keys.public_key,
                                                           b.keys.public_key]))
     b_by_a = a.repository.get("b", "a")
     assert issued == [("b", "a"), ("a", "b")]        # the one friendship, in order
+    assert len(sign_calls) == 2                      # each signed as it is issued
     assert b.repository.get("b", "a") is b_by_a
     assert b.repository.get("a", "b") is a.repository.get("a", "b")
-    assert sign_calls == []
-    assert b_by_a.verify(a.keys.public_key) and b_by_a.signature
+    assert len(issued) == 2 and len(sign_calls) == 2
+    assert b_by_a.verify(a.keys.public_key)
     assert b.repository.get("a", "b").verify(b.keys.public_key)
-    assert len(sign_calls) == 2
+    assert a.self_certificate is a.repository.get("a", "a")
+    assert issued[2:] == [("a", "a")] and len(sign_calls) == 3
     assert len(a.repository.certificates()) == 5     # issues the a-c friendship too
-    assert len(issued) == 4 and len(sign_calls) == 2
+    assert len(issued) == 5 and len(sign_calls) == 5
 
 
 def _eager_roster(users, friendships):
@@ -430,19 +439,24 @@ def _reachable(root):
     return seen.values()
 
 
-def test_pending_key_is_dropped_once_signed(sign_calls):
+def test_no_certificate_references_a_private_key(sign_calls):
+    """A certificate is a plain signed value from the moment it is issued:
+    its five fields, and never a signer's private key."""
     roster = Roster()
     a, b = register_user(roster, "a", 1), register_user(roster, "b", 2)
-    private = a.keys.private_key
-    cert = sign_friend(a, b)
-    assert any(obj is private for obj in _reachable(cert))     # pending until read
-    text = repr(cert)
-    assert private.hex() not in text and repr(private) not in text
-    assert [f.name for f in dataclasses.fields(cert)] == [
-        "subject", "subject_public_key", "signer", "signature", "trust_weight"]
+    roster.befriend("a", "b")
+    certs = [sign_friend(a, b)]
     assert len(sign_calls) == 1
-    assert not any(obj is private for obj in _reachable(cert))
-    assert cert.signature in gc.get_referents(cert) and len(sign_calls) == 1
+    certs += a.repository.certificates() + b.repository.certificates()
+    assert len(sign_calls) == 5      # the self-certificates and the friendship's pair
+    for cert in certs:
+        assert not any(obj is user.keys.private_key
+                       for obj in _reachable(cert) for user in (a, b))
+        assert [f.name for f in dataclasses.fields(cert)] == [
+            "subject", "subject_public_key", "signer", "signature", "trust_weight"]
+        assert cert.signature in gc.get_referents(cert)
+        text = repr(cert)
+        assert not any(user.keys.private_key.hex() in text for user in (a, b))
 
 
 def test_certificate_stays_a_frozen_value(sign_calls):
