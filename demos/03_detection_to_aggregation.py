@@ -48,8 +48,7 @@ alone = assemble_aggregate(obs, [own], rate, b"p" * 16, 120.0)
 print(f"aggregate from the promoter alone: {alone}")
 
 # The helper is stuck too, so it signs the received observation.
-endorsement = corroborate(obs, observations["helper"], helper.keys.private_key,
-                          helper.self_certificate, b"h" * 16)
+endorsement = corroborate(obs, observations["helper"], helper, b"h" * 16)
 event = assemble_aggregate(obs, [own, endorsement], rate, b"p" * 16, 120.0)
 print(f"aggregate with corroboration: {len(event.signatures)} signatures, "
       f"threshold {event.threshold}")

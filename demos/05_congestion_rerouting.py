@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Deciding what to do with a verified congestion event.
+"""Deciding what to do with a verified congestion event a vehicle does not
+hold yet (a held or unverified one the vehicle has already dropped).
 
 Vehicles not on the jammed road just relay; vehicles heading into it
 replan against a 5x travel-time penalty on the congested segment.
@@ -20,8 +21,8 @@ obs = CongestionObservation("h0_1", plan.directions[1],
 event = AggregatedEvent(obs, (), b"p" * 16, 100.0, 0.5, 2)
 
 plan.position_index = 0   # currently driving the first segment
-decision = decide_relay(event, verified=True, seen=False, own_firing=False, plan=plan)
-print(f"jam on h0_1 two segments ahead -> action: {decision.action}")
+action = decide_relay(event, own_firing=False, plan=plan)
+print(f"jam on h0_1 two segments ahead -> action: {action}")
 
 congested = {(obs.road_id, obs.direction)}
 new_plan, changed, advisory = recompute_route(plan, net, congested)
@@ -29,11 +30,9 @@ print(f"replanned: changed={changed}")
 print("detour:", " -> ".join(new_plan.segment_sequence),
       f"({new_plan.cost:.0f} s under congestion weights)")
 
-# Duplicates and off-route events take the cheap paths.
-print("same event again ->", decide_relay(event, True, seen=True,
-                                          own_firing=False, plan=new_plan).reason)
+# Off-route events are only relayed.
 side_obs = CongestionObservation("v2_0", "fwd", GeoCoordinate(0.0, 750.0),
                                  100.0, b"q" * 16)
 side_event = AggregatedEvent(side_obs, (), b"q" * 16, 100.0, 0.5, 2)
 print("jam on a road off the route ->",
-      decide_relay(side_event, True, False, False, new_plan).action)
+      decide_relay(side_event, False, new_plan))

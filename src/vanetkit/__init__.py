@@ -29,7 +29,7 @@ from .events import (AdvertEvent, CongestionDetector, CongestionObservation,
 from .aggregation import (AggregatedEvent, JourneyContactLog, SignedObservation,
                           assemble_aggregate, avg_users_per_minute, corroborate,
                           required_signatures, sign_observation, verify_aggregate)
-from .relay import (CooperationRecord, RelayDecision, RoutePlan, cooperation_gate,
+from .relay import (CooperationRecord, RoutePlan, cooperation_gate,
                     decide_relay, plan_route, recompute_route, route_affected)
 from .config import SimConfig
 from .simnet import (AuditLog, NetworkStats, NodeStats, Simulation, assign_obus,

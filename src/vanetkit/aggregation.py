@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .events import CongestionObservation, location_cell
-from .trust import Certificate, RevocationStore
+from .trust import Certificate, RevocationStore, UserIdentity
 
 MIN_REQUIRED_SIGNATURES = 2
 TIME_QUANTUM = 60.0   # seconds; observations are signed against a minute bucket
@@ -166,18 +166,15 @@ class AggregatedEvent:
 
 
 def corroborate(observation: CongestionObservation, own_firing: CongestionObservation | None,
-                private_key: bytes, self_certificate: Certificate,
-                pseudonym: bytes) -> SignedObservation | None:
-    """Sign the received observation iff our own detector agrees.
-
-    `own_firing` is the receiver's current local observation candidate;
-    signing requires it to target the same road, direction and cell.
-    """
-    if own_firing is None:
+                signer: UserIdentity, pseudonym: bytes) -> SignedObservation | None:
+    """Sign the received observation iff our own detector agrees: `own_firing`,
+    the receiver's current candidate, targets the same road, direction and
+    cell.  Only then are `signer`'s private key and self-certificate read,
+    so a declined request issues and signs nothing."""
+    if own_firing is None or observation_cell(observation) != observation_cell(own_firing):
         return None
-    if observation_cell(observation) != observation_cell(own_firing):
-        return None
-    return sign_observation(observation, private_key, self_certificate, pseudonym)
+    return sign_observation(observation, signer.keys.private_key,
+                            signer.self_certificate, pseudonym)
 
 
 def assemble_aggregate(observation: CongestionObservation,

@@ -97,6 +97,8 @@ def _parse_sweep_param(raw: str) -> tuple[str, list[float]]:
     if name not in ("obu_fraction", "vehicle_count"):
         raise ValueError(f"sweep supports obu_fraction and vehicle_count, not {name!r}")
     parsed = [float(v) for v in values.split(",") if v]
+    if not parsed:
+        raise ValueError(f"--param {name} names no values")
     fractional = [v for v in parsed if not v.is_integer()]
     if name == "vehicle_count" and fractional:
         raise ValueError(f"vehicle_count takes whole numbers, not {fractional[0]:g}")

@@ -1,11 +1,12 @@
 """Forwarding decisions, congestion-aware rerouting and the cooperation gate.
 
-A verified event triggers exactly one action per node: corroborate when
-the node is stuck in the same jam, reroute-and-forward when the jammed
-road lies ahead on the node's own route, plain forward otherwise, drop
-on duplicates.  Rerouting prices congested segments at a multiple of
-their free-flow travel time and keeps the old plan unless the detour is
-strictly cheaper.
+A verified event the node does not hold yet triggers exactly one action:
+corroborate when the node is stuck in the same jam, reroute-and-forward
+when the jammed road lies ahead on the node's own route, plain forward
+otherwise.  Dropping a held or an unverified event is the node's job
+(`simnet`), not an action here.  Rerouting prices congested segments at a
+multiple of their free-flow travel time and keeps the old plan unless the
+detour is strictly cheaper.
 
 Event payloads only ever travel sealed under a session key; peers whose
 observed forwarding ratio collapses are refused further payloads, which
@@ -27,20 +28,13 @@ COOPERATION_THRESHOLD = 0.5
 ACTION_FORWARD = "forward"
 ACTION_CORROBORATE = "corroborate"
 ACTION_REROUTE_FORWARD = "reroute-and-forward"
-ACTION_DROP = "drop"
 
 
 class RouteCostError(ArithmeticError):
     """Route costs that do not compare, such as NaN from a NaN penalty."""
 
 
-@dataclass(frozen=True)
-class RelayDecision:
-    action: str
-    reason: str = ""
-
-
-@dataclass
+@dataclass(slots=True)
 class RoutePlan:
     """A vehicle's intended path: junction-to-junction segment sequence.
 
@@ -151,19 +145,14 @@ def recompute_route(plan: RoutePlan, network: RoadNetwork,
     return merged, True, False
 
 
-def decide_relay(event: AggregatedEvent, verified: bool, seen: bool,
-                 own_firing: bool, plan: RoutePlan | None) -> RelayDecision:
-    """Total and deterministic: every (state, event) yields one action."""
-    if not verified:
-        return RelayDecision(ACTION_DROP, "unverified")
-    if seen:
-        return RelayDecision(ACTION_DROP, "duplicate")
+def decide_relay(event: AggregatedEvent, own_firing: bool, plan: RoutePlan | None) -> str:
+    """The action for a verified event the node does not hold yet."""
     if own_firing:
-        return RelayDecision(ACTION_CORROBORATE)
+        return ACTION_CORROBORATE
     if plan is not None and route_affected(plan, event.observation.road_id,
                                            event.observation.direction):
-        return RelayDecision(ACTION_REROUTE_FORWARD)
-    return RelayDecision(ACTION_FORWARD)
+        return ACTION_REROUTE_FORWARD
+    return ACTION_FORWARD
 
 
 @dataclass(slots=True)

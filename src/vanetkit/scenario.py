@@ -27,8 +27,12 @@ An advert package file carries the advertisement and its certificate:
     cert <subject> <signer> <hex signature>
 
 The parser reports only what needs a line number: unknown statements and
-options, numbers that do not parse, a detection value out of its range,
-and the `dir=`, `battery=` and zone-direction words.  Every other rule a
+options, numbers that do not parse, a statement with more or fewer fields
+than it takes (all but `name` and `vehicle`, which take any number), a
+detection value out of its range, and the `dir=`, `battery=` and
+zone-direction words.  An advert package line is refused the same way,
+and so are a location, radius or expiry that is not finite, a negative
+radius and a message the advert cannot carry.  Every other rule a
 run needs is `config.SimConfig.validate(network, roster)`'s, which
 `load_bundle` runs with each document that loaded and `Simulation` runs
 again when it is built.  Parsing and validating need no simulator: only
@@ -38,6 +42,7 @@ again when it is built.  Parsing and validating need no simulator: only
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from typing import get_type_hints
@@ -77,6 +82,12 @@ _CONFIG_INT = {name for name, hint in get_type_hints(SimConfig).items() if hint 
 _CONFIG_FLOAT = {name for name, hint in get_type_hints(SimConfig).items() if hint is float}
 _DETECTION_FLOAT = {name for name, hint in get_type_hints(DetectionConfig).items()
                     if hint is float}
+
+# How many fields follow the key of each fixed-arity statement; `name`
+# (free text) and `vehicle` (options) take any number.
+_ARITY = {"battery_threshold": 1, "road": 1, "roster": 1, "congestion_zone": 5, "park": 3,
+          "find": 4, "advertise": 2} | dict.fromkeys(_CONFIG_INT | _CONFIG_FLOAT
+                                                    | _DETECTION_FLOAT, 1)
 
 
 # A vehicle flag sets a VehicleSpec field to a fixed value; an option
@@ -131,6 +142,8 @@ def parse_scenario(text: str, problems: list[str]) -> tuple[SimConfig, str, str,
     for lineno, fields in document_statements(text):
         key = fields[0]
         try:
+            if key in _ARITY and len(fields) != _ARITY[key] + 1:
+                raise ValueError(f"{key!r} takes {_ARITY[key]} fields")
             if key == "name":
                 config.name = " ".join(fields[1:])
             elif key in _CONFIG_INT:
@@ -170,7 +183,7 @@ def parse_scenario(text: str, problems: list[str]) -> tuple[SimConfig, str, str,
                 advert_paths.append((fields[1], fields[2]))
             else:
                 problems.append(f"line {lineno}: unknown scenario statement {key!r}")
-        except (IndexError, ValueError):
+        except ValueError:
             problems.append(f"line {lineno}: malformed {key!r} statement")
     if not road_path:
         problems.append("scenario names no road document")
@@ -180,30 +193,41 @@ def parse_scenario(text: str, problems: list[str]) -> tuple[SimConfig, str, str,
 
 
 def load_advert(text: str, roster: Roster, problems: list[str]) -> AdvertEvent | None:
-    company = message = logo = None
-    location = radius = expiry = None
+    """The advert package in `text`, or None after adding its first problem,
+    with its line number, to `problems`."""
+    company = message = location = radius = expiry = None
+    advert_line = 0
+    logo = ""
     cert: Certificate | None = None
     for lineno, fields in document_statements(text):
-        if fields[0] == "advert":
-            if len(fields) < 7:
-                problems.append(f"advert line {lineno}: needs company, x, y, radius, expiry, message")
+        key = fields[0]
+        try:
+            if key == "advert":
+                if len(fields) < 7:
+                    problems.append(f"advert line {lineno}: needs company, x, y, radius, "
+                                    "expiry, message")
+                    return None
+                x, y, radius, expiry = (float(value) for value in fields[2:6])
+                if not all(map(math.isfinite, (x, y, radius, expiry))) or radius < 0:
+                    problems.append(f"advert line {lineno}: location, radius and expiry must "
+                                    "be finite and the radius at least 0")
+                    return None
+                company, location, message = fields[1], GeoCoordinate(x, y), " ".join(fields[6:])
+                advert_line = lineno
+            elif key == "logo":
+                (logo,) = fields[1:]         # unpacking refuses more or fewer fields
+            elif key == "cert":
+                subject, signer, hexsig = fields[1:]
+                if subject not in roster.users:
+                    problems.append(f"advert certificate subject {subject!r} not in roster")
+                    return None
+                cert = Certificate(subject, roster.users[subject].keys.public_key, signer,
+                                   bytes.fromhex(hexsig))
+            else:
+                problems.append(f"advert line {lineno}: unknown statement {key!r}")
                 return None
-            company = fields[1]
-            location = GeoCoordinate(float(fields[2]), float(fields[3]))
-            radius = float(fields[4])
-            expiry = float(fields[5])
-            message = " ".join(fields[6:])
-        elif fields[0] == "logo":
-            logo = fields[1]
-        elif fields[0] == "cert":
-            subject, signer, hexsig = fields[1], fields[2], fields[3]
-            if subject not in roster.users:
-                problems.append(f"advert certificate subject {subject!r} not in roster")
-                return None
-            key = roster.users[subject].keys.public_key
-            cert = Certificate(subject, key, signer, bytes.fromhex(hexsig))
-        else:
-            problems.append(f"advert line {lineno}: unknown statement {fields[0]!r}")
+        except ValueError:
+            problems.append(f"advert line {lineno}: malformed {key!r} statement")
             return None
     if company is None or cert is None:
         problems.append("advert package needs both an advert line and a cert line")
@@ -211,8 +235,11 @@ def load_advert(text: str, roster: Roster, problems: list[str]) -> AdvertEvent |
     if cert.subject != company:
         problems.append("advert certificate subject does not match the company")
         return None
-    advert = AdvertEvent(company, message, location, radius, expiry, logo or "", cert)
-    return advert
+    try:
+        return AdvertEvent(company, message, location, radius, expiry, logo, cert)
+    except ValueError as err:
+        problems.append(f"advert line {advert_line}: {err}")
+        return None
 
 
 def _load_document(path: str, what: str, label: str, load, problems: list[str]):

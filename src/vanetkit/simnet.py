@@ -43,9 +43,8 @@ from .events import (AdvertEvent, CongestionDetector, EventStore, ParkingEvent,
 from .geomodel import (FORWARD, REVERSE, BATTERY_LEVELS, GeoCoordinate, MobilityDirective,
                        RoadNetwork, VehicleState, advance_vehicle)
 from .radio import Radio
-from .relay import (ACTION_CORROBORATE, ACTION_DROP, ACTION_REROUTE_FORWARD,
-                    CooperationRecord, RoutePlan, cooperation_gate,
-                    decide_relay, follow_route, recompute_route)
+from .relay import (ACTION_CORROBORATE, ACTION_REROUTE_FORWARD, CooperationRecord,
+                    RoutePlan, cooperation_gate, decide_relay, follow_route, recompute_route)
 from .trust import RevocationStore, Roster, report_misbehavior
 
 _BATTERY_ORDER = {level: i for i, level in enumerate(BATTERY_LEVELS)}
@@ -501,14 +500,9 @@ class _Node:
                               (sender, signed, sim.now + sim.config.detection.cooldown))
 
     def _answer_corroboration(self, sim: Simulation, sender: str, signed) -> bool:
-        own_obs = None
-        if self.detector.firing():
-            own_obs = self.detector.detect_candidate(sim.now, sim.network,
-                                                     self.pseudonyms.current.value)
-        answer = aggregation.corroborate(signed.observation, own_obs,
-                                         self.user.keys.private_key,
-                                         self.user.self_certificate,
-                                         self.pseudonyms.current.value)
+        pseudonym = self.pseudonyms.current.value
+        own_obs = self.detector.detect_candidate(sim.now, sim.network, pseudonym)
+        answer = aggregation.corroborate(signed.observation, own_obs, self.user, pseudonym)
         if answer is None:
             return False
         if sim.radio.closed or sender not in self.sessions:
@@ -535,18 +529,16 @@ class _Node:
             if reason in ("bad-signature", "bad-certificate"):
                 self._report_sender(sender)
             return
-        decision = decide_relay(
-            event, True, seen=False,
-            own_firing=self.detector.firing() and self._same_cell(sim.network, event),
-            plan=self.plan)
+        action = decide_relay(
+            event, self.detector.firing() and self._same_cell(sim.network, event), self.plan)
         sim.events_accepted += 1
         self.store.add_congestion(event_id, event, sim.now)
         sim._trace(self.id, "receive",
                    f"congestion event={event_id.hex()[:8]} sigs={len(event.signatures)}")
         detail = f"congestion event={event_id.hex()[:8]}"
-        if decision.action == ACTION_CORROBORATE:
+        if action == ACTION_CORROBORATE:
             sim._trace(self.id, "corroborate", f"event={event_id.hex()[:8]} aggregate")
-        elif decision.action == ACTION_REROUTE_FORWARD and self.plan is not None:
+        elif action == ACTION_REROUTE_FORWARD:
             congested = {(event.observation.road_id, event.observation.direction)}
             new_plan, changed, _ = recompute_route(self.plan, sim.network, congested)
             if changed:
@@ -554,9 +546,7 @@ class _Node:
                 self.turns = list(new_plan.segment_sequence[new_plan.position_index + 1:])
             detail += " on-route rerouted" if changed else " on-route"
         sim._trace(self.id, "show", detail)
-        if decision.action != ACTION_DROP:
-            self._forward_event(sim, wire.AGGREGATED_EVENT, wire.encode_aggregate(event),
-                                event_id)
+        self._forward_event(sim, wire.AGGREGATED_EVENT, wire.encode_aggregate(event), event_id)
 
     def _same_cell(self, network: RoadNetwork, event) -> bool:
         obs = event.observation

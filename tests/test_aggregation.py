@@ -95,12 +95,9 @@ def test_corroborate_requires_matching_cell():
     obs = observation()
     same_cell = observation(x=120.0, pseudonym=b"w" * 16)
     other_road = observation(road="r2", pseudonym=b"w" * 16)
-    assert corroborate(obs, same_cell, ident.keys.private_key,
-                       ident.self_certificate, b"w" * 16) is not None
-    assert corroborate(obs, other_road, ident.keys.private_key,
-                       ident.self_certificate, b"w" * 16) is None
-    assert corroborate(obs, None, ident.keys.private_key,
-                       ident.self_certificate, b"w" * 16) is None
+    assert corroborate(obs, same_cell, ident, b"w" * 16) is not None
+    assert corroborate(obs, other_road, ident, b"w" * 16) is None
+    assert corroborate(obs, None, ident, b"w" * 16) is None
 
 
 def test_corroborator_signs_the_received_observation():
@@ -108,7 +105,7 @@ def test_corroborator_signs_the_received_observation():
     ident = signer(roster, "w", 1)
     obs = observation()
     own = observation(x=130.0, pseudonym=b"w" * 16)
-    signed = corroborate(obs, own, ident.keys.private_key, ident.self_certificate, b"w" * 16)
+    signed = corroborate(obs, own, ident, b"w" * 16)
     assert signed.observation == obs
     assert signed.verify()
 

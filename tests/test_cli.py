@@ -143,6 +143,16 @@ def test_sweep_validates_every_value_before_the_first_run(tmp_path, capsys, para
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", ["", ",", ",,"])
+def test_sweep_with_no_values_is_a_usage_error(tmp_path, capsys, values):
+    directory = kit_dir(tmp_path, "find-car")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", directory, "--param", f"obu_fraction={values}",
+                     "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert "error: --param obu_fraction names no values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kit_generation_and_unknown_name(tmp_path, capsys):
     out = str(tmp_path / "bundle")
     assert cli.main(["kit", "find-car", "--out", out]) == 0
@@ -223,3 +233,33 @@ def test_validate_and_run_refuse_a_value_the_run_cannot_read(tmp_path, capsys, s
         f"error: {problem}"]
     assert cli.main(["run", directory, "--out", str(tmp_path / "out")]) == 2
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("line, edit, problem", [
+    (2, "logo", "malformed 'logo' statement"),
+    (2, "logo shopfront door", "malformed 'logo' statement"),
+    (3, "cert ushop", "malformed 'cert' statement"),
+    (3, "cert ushop ushop 0x", "malformed 'cert' statement"),
+    (1, "advert ushop x 0 120 55 coffee", "malformed 'advert' statement"),
+    (1, "advert ushop 300 0 120 55 " + "m" * 150, "advert message exceeds 140 characters"),
+    (1, "advert ushop 300 0 nan inf coffee",
+     "location, radius and expiry must be finite and the radius at least 0"),
+    (1, "advert ushop inf 0 120 55 coffee",
+     "location, radius and expiry must be finite and the radius at least 0"),
+    (1, "advert ushop 300 0 -1 55 coffee",
+     "location, radius and expiry must be finite and the radius at least 0"),
+], ids=["logo-empty", "logo-extra", "cert-short", "cert-not-hex", "x-not-a-number",
+        "long-message", "nan-radius", "inf-x", "negative-radius"])
+def test_validate_refuses_a_malformed_advert_line(tmp_path, capsys, line, edit, problem):
+    """Each line of the advert kit's package, edited to a value the advert
+    cannot carry, is refused with its line number: exit 2, no traceback."""
+    directory = kit_dir(tmp_path, "advert")
+    path = os.path.join(directory, "advert.txt")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[line - 1] = edit
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert cli.main(["validate", directory]) == cli.EXIT_VALIDATION
+    assert [row for row in capsys.readouterr().err.splitlines() if row.startswith("error:")] == [
+        f"error: advert line {line}: {problem}"]

@@ -5,7 +5,7 @@ import pytest
 from vanetkit.aggregation import AggregatedEvent
 from vanetkit.events import CongestionObservation
 from vanetkit.geomodel import FORWARD, GeoCoordinate, grid_document, load_network
-from vanetkit.relay import (ACTION_CORROBORATE, ACTION_DROP, ACTION_FORWARD,
+from vanetkit.relay import (ACTION_CORROBORATE, ACTION_FORWARD,
                             ACTION_REROUTE_FORWARD, CooperationRecord,
                             cooperation_gate, decide_relay, plan_cost, plan_route,
                             recompute_route, route_affected)
@@ -44,13 +44,11 @@ def test_decide_relay_cases():
     net = grid()
     plan = plan_route(net, "j0_0", "j0_3")
     plan.position_index = 0
-    assert decide_relay(event, False, False, False, plan).action == ACTION_DROP
-    assert decide_relay(event, True, True, False, plan).reason == "duplicate"
-    assert decide_relay(event, True, False, True, plan).action == ACTION_CORROBORATE
-    assert decide_relay(event, True, False, False, plan).action == ACTION_REROUTE_FORWARD
+    assert decide_relay(event, True, plan) == ACTION_CORROBORATE
+    assert decide_relay(event, False, plan) == ACTION_REROUTE_FORWARD
     off_route = make_event(road="h3_0")
-    assert decide_relay(off_route, True, False, False, plan).action == ACTION_FORWARD
-    assert decide_relay(off_route, True, False, False, None).action == ACTION_FORWARD
+    assert decide_relay(off_route, False, plan) == ACTION_FORWARD
+    assert decide_relay(off_route, False, None) == ACTION_FORWARD
 
 
 def enumerate_paths_cost(net, start, goal, congested, penalty=5.0):

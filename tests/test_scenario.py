@@ -221,6 +221,25 @@ def test_the_scenario_statements_are_the_config_fields_and_the_directives():
         config = scenario.parse_scenario(f"{key} 0.25\n", [])[0]
         value = getattr(config.detection if key in detection_fields else config, key)
         assert type(value) is float and value == 0.25
+    # A fixed-arity statement with one field more than it takes is refused.
+    fixed = {"battery_threshold": "low", "road": "road.txt", "roster": "roster.txt",
+             "congestion_zone": "main fwd 0 10 5", "park": "v1 5 10", "find": "v1 20 0 0",
+             "advertise": "v1 advert.txt"} | dict.fromkeys(_INT_STATEMENTS, "1") | dict.fromkeys(
+        _FLOAT_STATEMENTS, "0.25")
+    assert set(fixed) == _INT_STATEMENTS | _FLOAT_STATEMENTS | _OTHER_STATEMENTS - {
+        "name", "vehicle"}
+    for key, rest in fixed.items():
+        problems = []
+        scenario.parse_scenario(f"{key} {rest}\n", problems)
+        assert not [p for p in problems if p.startswith("line 1:")]
+        scenario.parse_scenario(f"{key} {rest} extra\n", problems)
+        assert f"line 1: malformed {key!r} statement" in problems
+    # Free text and options take any number of fields.
+    problems = []
+    config = scenario.parse_scenario("name a b c\nvehicle v1 user=u1 segment=s offset=0\n",
+                                     problems)[0]
+    assert config.name == "a b c" and len(config.vehicles) == 1
+    assert not [p for p in problems if p.startswith("line ")]
 
 
 # Values that `validate` once passed and the run then stopped on, misread

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vanetkit
-from vanetkit import aggregation, auth, crypto, kits, scenario, wire
+from vanetkit import aggregation, auth, crypto, kits, relay, scenario, trust, wire
 from vanetkit.aggregation import (PendingObservation, SignedObservation, event_id_for,
                                   sign_observation)
 from vanetkit.events import AdvertEvent, CongestionObservation, ParkingEvent
@@ -134,6 +134,8 @@ _SLOTTED = {
     "EventStore": lambda sim, node: node.store,
     "RevocationStore": lambda sim, node: node.revocations,
     "CooperationRecord": lambda sim, node: node.coop_record("n2"),
+    # the fixture's vehicles drive no route, so plan one on its road
+    "RoutePlan": lambda sim, node: relay.plan_route(sim.network, "a", "b"),
     "PseudonymState": lambda sim, node: node.pseudonyms,
     "Pseudonym": lambda sim, node: node.pseudonyms.current,
     "SessionKey": lambda sim, node: node.sessions["n2"].key,
@@ -931,6 +933,78 @@ def test_a_bad_corroboration_request_blames_its_sender_not_the_named_signer(tmp_
                                 wire.encode_signed_observation(bad)))
     assert "ur" not in c.revocations.records
     assert c.revocations.records["ud"].misbehavior_count == 1
+
+
+@pytest.mark.parametrize("case", ["not-firing", "other-cell"])
+def test_a_declined_corroboration_request_issues_and_signs_nothing(case, monkeypatch):
+    """n2 asks n1 to corroborate.  n1 cannot, because its detector is not
+    firing or fires for another cell, so it keeps the request and makes no
+    certificate and no signature: a self-certificate is issued only for an
+    observation its user signs."""
+    config, net, roster = two_node_setup(duration=30)
+    sim = Simulation(config, net, roster)
+    sim.run()
+    n1, n2 = sim.nodes["n1"], sim.nodes["n2"]
+    assert "n2" in n1.sessions and not n1.detector.firing()
+    x = 150.0
+    if case == "other-cell":
+        for t in range(31, 100):   # parked with the engine on past the sustain window
+            n1.detector.push(float(t), n1.state, net)
+        assert n1.detector.firing()
+        x = 900.0
+    obs = CongestionObservation("main", FORWARD, GeoCoordinate(x, 0.0), sim.now, b"b" * 16)
+    request = sign_observation(obs, n2.user.keys.private_key, n2.user.self_certificate,
+                               b"b" * 16)
+    made, signed = [], []
+    make_certificate, sign = trust.make_certificate, crypto.sign
+    monkeypatch.setattr(trust, "make_certificate",
+                        lambda *a, **k: made.append(a) or make_certificate(*a, **k))
+    monkeypatch.setattr(crypto, "sign", lambda *a: signed.append(a) or sign(*a))
+    sim.receive(n1, "n2", _sealed(n1, "n2", wire.CORROBORATION_REQUEST,
+                                  wire.encode_signed_observation(request)))
+    assert made == [] and signed == []
+    assert event_id_for(obs) in n1.corroboration_inbox
+
+
+def test_a_node_drops_a_held_or_unverified_aggregate_before_deciding(tmp_path):
+    """C holds, counts and hands on a verified aggregate once.  The same
+    aggregate again only credits D with relaying it; one with a tampered
+    signature is counted as rejected.  Neither is traced, stored or handed on."""
+    sim = _chain_sim(tmp_path / "chain")
+    sim.run()
+    c, d, r = sim.nodes["C"], sim.nodes["D"], sim.nodes["R"]
+    assert "D" in c.sessions and "D" in sim.neighbors["C"]
+    record = c.coop_record("D")
+
+    def aggregate(minute, tamper):
+        obs = CongestionObservation("main1", FORWARD, GeoCoordinate(280.0, 0.0),
+                                    60.0 * minute, b"d" * 16)
+        signatures = [sign_observation(obs, d.user.keys.private_key, d.user.self_certificate,
+                                       b"d" * 16),
+                      sign_observation(obs, r.user.keys.private_key, r.user.self_certificate,
+                                       b"r" * 16)]
+        if tamper:
+            signatures[1] = _flip_last_byte(signatures[1])
+        event = aggregation.AggregatedEvent(obs, tuple(signatures), b"d" * 16,
+                                            obs.detected_at, None, 2)
+        return event, _sealed(c, "D", wire.AGGREGATED_EVENT, wire.encode_aggregate(event))
+
+    event, frame = aggregate(20, tamper=False)
+    accepted, trace = sim.events_accepted, len(sim.trace)
+    sim.receive(c, "D", frame)
+    assert sim.events_accepted == accepted + 1 and c.store.holds(event.event_id)
+    assert len(sim.trace) > trace and event.event_id in record.pending
+    forwards, trace = record.forwards, list(sim.trace)
+    sim.receive(c, "D", frame)
+    assert sim.events_accepted == accepted + 1 and sim.trace == trace
+    assert record.forwards == forwards + 1 and event.event_id not in record.pending
+
+    tampered, frame = aggregate(21, tamper=True)
+    rejected = sim.events_rejected
+    sim.receive(c, "D", frame)
+    assert sim.events_rejected == rejected + 1 and sim.events_accepted == accepted + 1
+    assert not c.store.holds(tampered.event_id) and sim.trace == trace
+    assert tampered.event_id not in record.pending
 
 
 def test_an_advert_with_a_bad_certificate_blames_its_sender_not_the_named_subject(tmp_path):
